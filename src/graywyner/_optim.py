@@ -2,7 +2,10 @@
 
 Channels and mixture weights are optimized through row-wise softmax logits
 so that iterates stay strictly inside the simplex; block solves use
-L-BFGS-B with tight tolerances for reproducibility.
+L-BFGS-B with tight tolerances for reproducibility.  ``fit_channel`` is the
+one soft-channel search: a seeded random start, then one L-BFGS solve per
+objective of a penalty schedule, each objective evaluated through a
+:class:`ChannelEval` of a law's support view.
 """
 
 from __future__ import annotations
@@ -50,19 +53,36 @@ def safe_log(x: np.ndarray) -> np.ndarray:
 class ChannelEval:
     """Entropy pieces (in nats) of the joint t(s, w) = p(s) * rho(w|s).
 
-    ``s`` ranges over the support outcomes of a joint pmf; ``digs[k]`` maps
-    each support outcome to the symbol of variable k, and ``onehots[k]`` is
-    the matching indicator matrix used to aggregate t by (X_k, W).
+    ``s`` ranges over the outcomes of a support view (see
+    ``JointPmf.support``): ``view.p`` gives p(s), and ``view.onehots[k]``
+    aggregates t by (X_k, W) into ``mk[k]``.
     """
 
-    def __init__(self, p: np.ndarray, onehots: list[np.ndarray], rho: np.ndarray):
-        self.rho = rho
-        self.t = p[:, None] * rho
+    def __init__(self, view, rho: np.ndarray):
+        self.t = view.p[:, None] * rho
         self.lt = safe_log(self.t)
         self.pw = self.t.sum(axis=0)
         self.lpw = safe_log(self.pw)
         self.h_joint = -float((self.t * self.lt).sum())
         self.h_w = -float((self.pw * self.lpw).sum())
-        self.mk = [oh.T @ self.t for oh in onehots]
+        self.mk = [oh.T @ self.t for oh in view.onehots]
         self.lmk = [safe_log(m) for m in self.mk]
         self.h_kw = [-float((m * lm).sum()) for m, lm in zip(self.mk, self.lmk)]
+
+
+def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.ndarray:
+    """Soft channel rows on the support of ``view``: standard-normal logits
+    from ``default_rng(seed)``, then one warm-started L-BFGS solve per
+    objective, which maps a :class:`ChannelEval` to (value, d value / d t).
+    """
+    shape = (view.size, w_cardinality)
+    z = np.random.default_rng(seed).normal(size=shape).reshape(-1)
+    for objective in objectives:
+
+        def fun(z, objective=objective):
+            rho = softmax_rows(z.reshape(shape))
+            f, grad_t = objective(ChannelEval(view, rho))
+            return f, simplex_chain(rho, grad_t * view.p[:, None]).reshape(-1)
+
+        z, _ = lbfgs(fun, z, maxiter)
+    return softmax_rows(z.reshape(shape))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -304,13 +305,13 @@ def _cmd_verify(args) -> int:
     unknown = props - {1, 2, 3, 4}
     if unknown:
         raise _UsageError(f"unknown property ids {sorted(unknown)}")
-    needs_b = bool(args.chain or props & {3, 4})
-    wyner_params = None
-    if needs_b:
-        seed = _require_seed(args)
-        wyner_params = common_information.WynerParams(
-            w_cardinality=args.w_cardinality, restarts=args.restarts, seed=seed
+    seed = _require_seed(args) if args.chain or props & {3, 4} else None
+    # Prop 3, prop 4 and the chain share one B estimate, made on first use.
+    estimate_b = functools.cache(
+        lambda: common_information.wyner_estimate(
+            pmf, args.w_cardinality, args.restarts, seed
         )
+    )
     out: dict = {"delta_max": region.delta_max(pmf)}
     failed = False
     c = common_information.gk_common_information(pmf)
@@ -334,10 +335,7 @@ def _cmd_verify(args) -> int:
         out["prop2"] = {"holds": holds, "margin": mn - c.value}
         failed = failed or not holds
     if 3 in props:
-        b = common_information.wyner_estimate(
-            pmf, wyner_params.w_cardinality, wyner_params.restarts,
-            wyner_params.seed,
-        )
+        b = estimate_b()
         if b.diagnostics.converged:
             holds = b.value >= mx - common_information.CHAIN_TOL
             out["prop3"] = {"holds": holds, "b_estimate": b.value,
@@ -347,7 +345,7 @@ def _cmd_verify(args) -> int:
             out["prop3"] = {"holds": None, "b_estimate": b.value,
                             "converged": False}
     if 4 in props:
-        report = common_information.verify_prop4(pmf, wyner_params)
+        report = common_information._prop4_report(c.value, mn, mx, estimate_b)
         out["prop4"] = {
             "precondition_met": report.precondition_met,
             "hypothesis_established": report.hypothesis_established,
@@ -356,7 +354,7 @@ def _cmd_verify(args) -> int:
         }
         failed = failed or report.conclusion_holds is False
     if args.chain:
-        report = common_information.verify_chain(pmf, wyner_params)
+        report = common_information._chain_report(c.value, mn, mx, estimate_b())
         out["chain"] = {
             "holds": report.chain_holds,
             "c_value": report.c_value,
@@ -380,11 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graywyner",
         description="Privacy-aware Gray-Wyner computations for K discrete sources.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="cap on worker parallelism (computations are deterministic "
-        "either way; the current implementation is sequential)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -473,9 +466,6 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
         try:
             return args.handler(args)
         except _UsageError as exc:

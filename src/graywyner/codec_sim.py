@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import AuxChannel, JointPmf
+from .distributions import AuxChannel, JointPmf, check_channel
 from .errors import (
     CodebookTooLargeError,
     EnumerationTooLargeError,
@@ -118,10 +118,7 @@ class _PairStats:
     """Cost matrices (-log2 of pair probabilities) and target entropies."""
 
     def __init__(self, pmf: JointPmf, w: AuxChannel):
-        if w.num_rows != pmf.num_outcomes:
-            raise ShapeMismatchError(
-                f"channel has {w.num_rows} rows but pmf has {pmf.num_outcomes} outcomes"
-            )
+        check_channel(pmf, w)
         self.pmf = pmf
         self.w = w
         self.pair_full = pmf.flat[:, None] * w.rows
@@ -426,16 +423,15 @@ def exact_equivocation(
     if not 0 <= k < pmf.k:
         raise IndexError(f"decoder index {k} out of range")
     stats = _PairStats(pmf, w)
-    support = pmf.support_indices()
-    s_sup = len(support)
+    view = pmf.support
+    s_sup = view.size
     n = cfg.n
     if n * math.log2(max(2, s_sup)) > 62 or s_sup**n > enumeration_limit:
         raise EnumerationTooLargeError(
             f"{s_sup}^{n} source blocks exceed the limit of {enumeration_limit}"
         )
     blocks = s_sup**n
-    psup = pmf.flat[support]
-    cost_sup = stats.cost_full[support]
+    cost_sup = stats.cost_full[view.indices]
 
     # j0 per block: distinct codeword patterns in ascending first-occurrence
     # order claim still-unset blocks they are typical with.
@@ -450,7 +446,7 @@ def exact_equivocation(
             break
 
     # Bin index of the true X_k^n for every block.
-    digit_k = stats.digits[k][support]
+    digit_k = view.digits[k]
     card_k = pmf.cardinalities[k]
     xk_idx = _outer_index(digit_k, card_k, n)
     uniq, inverse = np.unique(xk_idx, return_inverse=True)
@@ -468,7 +464,7 @@ def exact_equivocation(
     rest_card = math.prod(pmf.cardinalities[j] for j in rest_vars)
     rest_digit = np.zeros(s_sup, dtype=np.int64)
     for j in rest_vars:
-        rest_digit = rest_digit * pmf.cardinalities[j] + stats.digits[j][support]
+        rest_digit = rest_digit * pmf.cardinalities[j] + view.digits[j]
     pair_space = (codebook.m0 + 1) * m_k
     if pair_space > MESSAGE_SPACE_LIMIT:
         raise EnumerationTooLargeError("message space too large to tabulate")
@@ -476,7 +472,7 @@ def exact_equivocation(
         raise EnumerationTooLargeError("composite grouping key would overflow")
     rest_idx = _outer_index(rest_digit, rest_card, n)
 
-    probs = _outer_prod(psup, n)
+    probs = _outer_prod(view.p, n)
     h_rest_msgs = _grouped_entropy(rest_idx * pair_space + j0_arr * m_k + jk_arr, probs)
     h_msgs = entropy_of_vector(
         np.bincount(j0_arr * m_k + jk_arr, weights=probs, minlength=pair_space)

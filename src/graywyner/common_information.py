@@ -22,7 +22,7 @@ case, and the definition-level feasibility of C with its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,16 +168,15 @@ def common_part_labels(pmf: JointPmf) -> np.ndarray:
     """
     offsets = np.concatenate(([0], np.cumsum(pmf.cardinalities)[:-1]))
     uf = _UnionFind(int(sum(pmf.cardinalities)))
-    digits = [pmf.digits(k) for k in range(pmf.k)]
-    support = pmf.support_indices()
-    for idx in support:
-        base = int(offsets[0] + digits[0][idx])
+    view = pmf.support
+    for s in range(view.size):
+        base = int(offsets[0] + view.digits[0][s])
         for k in range(1, pmf.k):
-            uf.union(base, int(offsets[k] + digits[k][idx]))
+            uf.union(base, int(offsets[k] + view.digits[k][s]))
     labels = np.zeros(pmf.num_outcomes, dtype=int)
     next_label: dict[int, int] = {}
-    for idx in support:
-        root = uf.find(int(offsets[0] + digits[0][idx]))
+    for s, idx in enumerate(view.indices):
+        root = uf.find(int(offsets[0] + view.digits[0][s]))
         labels[idx] = next_label.setdefault(root, len(next_label))
     return labels
 
@@ -192,15 +191,15 @@ def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
     validate(pmf)
     _require_sources(pmf)
     labels = common_part_labels(pmf)
-    support = pmf.support_indices()
+    view = pmf.support
     m = int(labels.max()) + 1
     witness = deterministic_channel(pmf, labels, m)
-    masses = np.bincount(labels[support], weights=pmf.flat[support], minlength=m)
+    masses = np.bincount(labels[view.indices], weights=view.p, minlength=m)
     value = entropy_of_vector(masses)
     joint = join_with_aux(pmf, witness)
     residual = max(markov_slack(joint, k) for k in range(pmf.k))
     return CommonInfoResult(
-        value, witness, "gk_components", Diagnostics(len(support), residual, True)
+        value, witness, "gk_components", Diagnostics(view.size, residual, True)
     )
 
 
@@ -239,13 +238,13 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
     """
     validate(pmf)
     _require_sources(pmf)
-    support = pmf.support_indices()
-    if len(support) > BRUTE_SUPPORT_LIMIT:
+    view = pmf.support
+    if view.size > BRUTE_SUPPORT_LIMIT:
         raise SupportTooLargeError(
-            f"support size {len(support)} exceeds {BRUTE_SUPPORT_LIMIT}"
+            f"support size {view.size} exceeds {BRUTE_SUPPORT_LIMIT}"
         )
-    probs = pmf.flat[support]
-    digs = [pmf.digits(k)[support] for k in range(pmf.k)]
+    probs = view.p
+    digs = view.digits
     h_k = [
         entropy_of_vector(np.bincount(d, weights=probs, minlength=c))
         for d, c in zip(digs, pmf.cardinalities)
@@ -254,8 +253,8 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
     best_labels: np.ndarray | None = None
     best_residual = 0.0
     checked = 0
-    labels = np.empty(len(support), dtype=int)
-    for partition in iter_set_partitions(range(len(support))):
+    labels = np.empty(view.size, dtype=int)
+    for partition in iter_set_partitions(range(view.size)):
         checked += 1
         m = len(partition)
         for block_id, block in enumerate(partition):
@@ -275,7 +274,7 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
             best_labels = labels.copy()
             best_residual = worst
     full = np.zeros(pmf.num_outcomes, dtype=int)
-    full[support] = best_labels
+    full[view.indices] = best_labels
     witness = deterministic_channel(pmf, full, int(best_labels.max()) + 1)
     return CommonInfoResult(
         best_value, witness, "brute_force", Diagnostics(checked, best_residual, True)
@@ -304,20 +303,16 @@ def pairwise_mi_bounds(pmf: JointPmf) -> tuple[float, float]:
 
 
 class _WynerProblem:
-    """Support-compacted source data shared by all restarts."""
+    """Support-compacted source data shared by all restarts; the mixture is
+    q(w, s) = a[w] * cond[w, s] with cond the product of the rows p(x_k|w)."""
 
     def __init__(self, pmf: JointPmf, w_card: int):
-        support = pmf.support_indices()
-        self.p = pmf.flat[support]
+        self.view = pmf.support
+        self.p = self.view.p
         self.cards = pmf.cardinalities
-        self.digs = [pmf.digits(k)[support] for k in range(pmf.k)]
-        self.onehots = [
-            np.equal.outer(d, np.arange(c)).astype(float)
-            for d, c in zip(self.digs, self.cards)
-        ]
+        self.digs = self.view.digits
+        self.onehots = self.view.onehots
         self.w_card = w_card
-        self.support = support
-        self.num_outcomes = pmf.num_outcomes
         self.lp = np.log(self.p)
 
     def cond_given_w(self, blist: list[np.ndarray]) -> np.ndarray:
@@ -326,26 +321,27 @@ class _WynerProblem:
             cond *= blist[k][:, self.digs[k]]
         return cond
 
-    def objective(self, a, blist, lam):
-        """Penalized objective in nats plus the pieces gradients need."""
-        cond = self.cond_given_w(blist)
+    def objective(self, a, cond, lcond, lam):
+        """(I + lam * D(p || q) in nats, q(w, s), q(s), log q(s), I in nats)."""
         qws = a[:, None] * cond
         qx = qws.sum(axis=0)
-        lcond = _optim.safe_log(cond)
         lqx = _optim.safe_log(qx)
         i_nats = float((qws * (lcond - lqx[None, :])).sum())
         d_nats = float((self.p * (self.lp - lqx)).sum())
-        return i_nats + lam * d_nats, (cond, qx, lcond, lqx, i_nats, d_nats)
+        return i_nats + lam * d_nats, qws, qx, lqx, i_nats
+
+    def objective_at(self, a, blist, lam):
+        cond = self.cond_given_w(blist)
+        return self.objective(a, cond, _optim.safe_log(cond), lam)
+
+    def grad_factor(self, cond, lcond, qx, lqx, lam) -> np.ndarray:
+        """Shared factor of the mixture-weight and per-source row gradients."""
+        return cond * ((lcond - lqx[None, :]) - lam * (self.p / np.maximum(qx, _optim.TINY))[None, :])
 
     def residual(self, a, blist) -> float:
         cond = self.cond_given_w(blist)
         qx = (a[:, None] * cond).sum(axis=0)
         return 0.5 * float(np.abs(self.p - qx).sum())
-
-
-def _wyner_t_matrix(p, cond, qx, lcond, lqx, lam):
-    # Shared factor of the mixture-weight and per-source row gradients.
-    return cond * ((lcond - lqx[None, :]) - lam * (p / np.maximum(qx, _optim.TINY))[None, :])
 
 
 def _wyner_sweep(prob: _WynerProblem, a, blist, lam, maxiter):
@@ -358,13 +354,9 @@ def _wyner_sweep(prob: _WynerProblem, a, blist, lam, maxiter):
 
         def fun(z):
             av = _optim.softmax_rows(z)
-            qx = (av[:, None] * cond).sum(axis=0)
-            lqx = _optim.safe_log(qx)
-            i_nats = float((av[:, None] * cond * (lcond - lqx[None, :])).sum())
-            d_nats = float((prob.p * (prob.lp - lqx)).sum())
-            t_mat = _wyner_t_matrix(prob.p, cond, qx, lcond, lqx, lam)
-            grad_a = t_mat.sum(axis=1)
-            return i_nats + lam * d_nats, _optim.simplex_chain(av, grad_a)
+            f, _, qx, lqx, _ = prob.objective(av, cond, lcond, lam)
+            grad_a = prob.grad_factor(cond, lcond, qx, lqx, lam).sum(axis=1)
+            return f, _optim.simplex_chain(av, grad_a)
 
         z0 = _optim.rows_to_logits(a)
         f0 = fun(z0)[0]
@@ -373,26 +365,21 @@ def _wyner_sweep(prob: _WynerProblem, a, blist, lam, maxiter):
             a = _optim.softmax_rows(z)
 
     def solve_b(k):
-        others = [blist[j] for j in range(len(blist)) if j != k]
-        digs_others = [prob.digs[j] for j in range(len(blist)) if j != k]
         cond_rest = np.ones((prob.w_card, len(prob.p)))
-        for bmat, d in zip(others, digs_others):
-            cond_rest *= bmat[:, d]
+        for j in range(len(blist)):
+            if j != k:
+                cond_rest *= blist[j][:, prob.digs[j]]
         onehot = prob.onehots[k]
         shape = blist[k].shape
 
         def fun(z):
             b = _optim.softmax_rows(z.reshape(shape))
             cond = cond_rest * b[:, prob.digs[k]]
-            qws = a[:, None] * cond
-            qx = qws.sum(axis=0)
             lcond = _optim.safe_log(cond)
-            lqx = _optim.safe_log(qx)
-            i_nats = float((qws * (lcond - lqx[None, :])).sum())
-            d_nats = float((prob.p * (prob.lp - lqx)).sum())
-            t_mat = _wyner_t_matrix(prob.p, cond, qx, lcond, lqx, lam)
+            f, _, qx, lqx, _ = prob.objective(a, cond, lcond, lam)
+            t_mat = prob.grad_factor(cond, lcond, qx, lqx, lam)
             grad_b = a[:, None] * (t_mat @ onehot) / np.maximum(b, 1e-12)
-            return i_nats + lam * d_nats, _optim.simplex_chain(b, grad_b).reshape(-1)
+            return f, _optim.simplex_chain(b, grad_b).reshape(-1)
 
         z0 = _optim.rows_to_logits(blist[k]).reshape(-1)
         f0 = fun(z0)[0]
@@ -454,11 +441,11 @@ def _wyner_single(prob: _WynerProblem, rng: np.random.Generator, params: WynerPa
     coarse_gate = max(params.residual_tol, 1e-8) * 100.0
     sweep_stop = max(params.objective_tol, 1e-8)
     for _ in range(params.max_rounds):
-        history = [prob.objective(a, blist, lam)[0]]
+        history = [prob.objective_at(a, blist, lam)[0]]
         for _ in range(params.max_sweeps):
             a, blist = _wyner_sweep(prob, a, blist, lam, params.block_maxiter)
             sweeps += 1
-            history.append(prob.objective(a, blist, lam)[0])
+            history.append(prob.objective_at(a, blist, lam)[0])
             span = min(params.window, len(history) - 1)
             if history[-1 - span] - history[-1] <= sweep_stop:
                 break
@@ -466,10 +453,9 @@ def _wyner_single(prob: _WynerProblem, rng: np.random.Generator, params: WynerPa
             break
         lam *= params.lambda_factor
     a, blist, polish_iters = _wyner_polish(prob, a, blist, params)
-    _, (cond, qx, lcond, lqx, i_nats, _) = prob.objective(a, blist, 0.0)
+    _, qws, qx, _, i_nats = prob.objective_at(a, blist, 0.0)
     residual = 0.5 * float(np.abs(prob.p - qx).sum())
     value_bits = max(0.0, i_nats / _optim.LN2)
-    qws = a[:, None] * cond
     return value_bits, residual, sweeps + polish_iters, (a, blist, qws, qx)
 
 
@@ -478,9 +464,7 @@ def _posterior_channel(prob: _WynerProblem, qws, qx) -> AuxChannel:
     post = np.maximum(post, 0.0)
     sums = post.sum(axis=1, keepdims=True)
     post = np.where(sums > 0.0, post / np.maximum(sums, _optim.TINY), 1.0 / prob.w_card)
-    rows = np.full((prob.num_outcomes, prob.w_card), 1.0 / prob.w_card)
-    rows[prob.support] = post
-    return AuxChannel(prob.w_card, rows)
+    return prob.view.embed(post, prob.w_card)
 
 
 def wyner_estimate(
@@ -505,8 +489,7 @@ def wyner_estimate(
     params = WynerParams(
         w_cardinality=w_cardinality, restarts=restarts, seed=seed, **tuning
     )
-    support_size = len(pmf.support_indices())
-    w_card = params.w_cardinality or support_size + 1
+    w_card = pmf.support.w_cardinality(params.w_cardinality)
     if w_card < 1 or params.restarts < 1:
         raise ValueError("w_cardinality and restarts must be >= 1")
     prob = _WynerProblem(pmf, w_card)
@@ -542,21 +525,7 @@ def wyner_estimate(
 # ---------------------------------------------------------------------------
 
 
-def verify_chain(
-    pmf: JointPmf, wyner_params: WynerParams | None = None
-) -> BoundsReport:
-    """Check C <= min MI <= max MI <= B-estimate with recorded residuals.
-
-    A non-converged B estimator degrades the report (last link unchecked)
-    rather than failing the chain.
-    """
-    params = wyner_params or WynerParams()
-    c = gk_common_information(pmf).value
-    mn, mx = pairwise_mi_bounds(pmf)
-    b = wyner_estimate(
-        pmf, params.w_cardinality, params.restarts, params.seed,
-        **_tuning_fields(params),
-    )
+def _chain_report(c: float, mn: float, mx: float, b: CommonInfoResult) -> BoundsReport:
     links = (mn - c, mx - mn, b.value - mx)
     chain_holds = (
         links[0] >= -CHAIN_TOL
@@ -568,13 +537,18 @@ def verify_chain(
     )
 
 
-def _tuning_fields(params: WynerParams) -> dict:
-    skip = {"w_cardinality", "restarts", "seed"}
-    return {
-        name: getattr(params, name)
-        for name in params.__dataclass_fields__
-        if name not in skip
-    }
+def verify_chain(
+    pmf: JointPmf, wyner_params: WynerParams | None = None
+) -> BoundsReport:
+    """Check C <= min MI <= max MI <= B-estimate with recorded residuals.
+
+    A non-converged B estimator degrades the report (last link unchecked)
+    rather than failing the chain.
+    """
+    params = wyner_params or WynerParams()
+    c = gk_common_information(pmf).value
+    mn, mx = pairwise_mi_bounds(pmf)
+    return _chain_report(c, mn, mx, wyner_estimate(pmf, **asdict(params)))
 
 
 def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
@@ -589,22 +563,13 @@ def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
     )
 
 
-def verify_prop4(
-    pmf: JointPmf, wyner_params: WynerParams | None = None
-) -> Prop4Report:
-    """Equal-pairwise-MI special case: C equals the shared MI when the
-    B estimate meets the matching upper value."""
-    params = wyner_params or WynerParams()
-    mn, mx = pairwise_mi_bounds(pmf)
-    c = gk_common_information(pmf).value
+def _prop4_report(c: float, mn: float, mx: float, estimate_b) -> Prop4Report:
+    """Prop 4's report; ``estimate_b()`` runs only if the precondition holds."""
     if abs(mx - mn) > PROP4_PRECONDITION_TOL:
         return Prop4Report(
             False, False, None, c, mn, mx, None, None, "precondition not met"
         )
-    b = wyner_estimate(
-        pmf, params.w_cardinality, params.restarts, params.seed,
-        **_tuning_fields(params),
-    )
+    b = estimate_b()
     established = b.diagnostics.converged and abs(b.value - mx) <= PROP4_B_TOL
     if not established:
         return Prop4Report(
@@ -616,6 +581,17 @@ def verify_prop4(
     return Prop4Report(
         True, True, holds, c, mn, mx, b.value, b.diagnostics.converged, message
     )
+
+
+def verify_prop4(
+    pmf: JointPmf, wyner_params: WynerParams | None = None
+) -> Prop4Report:
+    """Equal-pairwise-MI special case: C equals the shared MI when the
+    B estimate meets the matching upper value."""
+    params = wyner_params or WynerParams()
+    mn, mx = pairwise_mi_bounds(pmf)
+    c = gk_common_information(pmf).value
+    return _prop4_report(c, mn, mx, lambda: wyner_estimate(pmf, **asdict(params)))
 
 
 def verify_c2(pmf: JointPmf) -> C2Report:
@@ -663,47 +639,33 @@ def relaxation_spot_check(
     ``exceeds`` flags that situation for investigation.
     """
     c = gk_common_information(pmf).value
-    support = pmf.support_indices()
-    p = pmf.flat[support]
-    cards = pmf.cardinalities
-    digs = [pmf.digits(k)[support] for k in range(pmf.k)]
-    onehots = [
-        np.equal.outer(d, np.arange(cc)).astype(float) for d, cc in zip(digs, cards)
-    ]
-    h_x = entropy_of_vector(p) * _optim.LN2
+    view = pmf.support
+    h_x = entropy_of_vector(view.p) * _optim.LN2
     h_k = [
-        entropy_of_vector(np.bincount(d, weights=p, minlength=cc)) * _optim.LN2
-        for d, cc in zip(digs, cards)
+        entropy_of_vector(np.bincount(d, weights=view.p, minlength=cc)) * _optim.LN2
+        for d, cc in zip(view.digits, pmf.cardinalities)
     ]
-    w_card = w_cardinality or len(support) + 1
+    w_card = view.w_cardinality(w_cardinality)
 
-    def fun_factory(mu):
-        def fun(z):
-            rho = _optim.softmax_rows(z.reshape(len(support), w_card))
-            ev = _optim.ChannelEval(p, onehots, rho)
+    def objective(mu):
+        def penalized(ev):
             i_nats = h_x + ev.h_w - ev.h_joint
             grad_i = -(ev.lpw[None, :] - ev.lt)
             slack_total = 0.0
             grad_slack = np.zeros_like(ev.t)
             for k in range(pmf.k):
                 slack_total += (ev.h_kw[k] - h_k[k]) - (ev.h_joint - h_x)
-                grad_slack += ev.lt - ev.lmk[k][digs[k], :]
-            f_nats = -(i_nats - mu * slack_total)
-            grad_t = -(grad_i - mu * grad_slack)
-            grad_rho = grad_t * p[:, None]
-            return f_nats, _optim.simplex_chain(rho, grad_rho).reshape(-1)
+                grad_slack += ev.lt - ev.lmk[k][view.digits[k], :]
+            return -(i_nats - mu * slack_total), -(grad_i - mu * grad_slack)
 
-        return fun
+        return penalized
 
+    objectives = [objective(mu) for mu in mu_schedule]
     best_value = -np.inf
     best_slack = np.inf
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        z = rng.normal(size=(len(support), w_card)).reshape(-1)
-        for mu in mu_schedule:
-            z, _ = _optim.lbfgs(fun_factory(mu), z, maxiter)
-        rho = _optim.softmax_rows(z.reshape(len(support), w_card))
-        ev = _optim.ChannelEval(p, onehots, rho)
+        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter)
+        ev = _optim.ChannelEval(view, rho)
         i_bits = max(0.0, (h_x + ev.h_w - ev.h_joint) / _optim.LN2)
         slacks = [
             ((ev.h_kw[k] - h_k[k]) - (ev.h_joint - h_x)) / _optim.LN2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     EmptySelectionError,
     NegativeMassError,
     NotNormalizedError,
+    OverlappingSelectionsError,
     ParseError,
     ShapeMismatchError,
     ZeroProbabilityEventError,
@@ -100,8 +102,49 @@ class JointPmf:
         idx = np.arange(self.num_outcomes)
         return np.unravel_index(idx, self.cardinalities)[var]
 
+    @cached_property
+    def support(self) -> SupportView:
+        """The law compacted to its positive-probability outcomes (built once)."""
+        return SupportView(self)
+
     def __repr__(self) -> str:
         return f"JointPmf(variables={self.variable_names}, cardinalities={self.cardinalities})"
+
+
+class SupportView:
+    """A joint law restricted to its support, where every search works.
+
+    Row s of each array is the s-th positive-probability outcome in
+    row-major order: ``indices[s]`` is its joint index, ``p[s]`` its mass,
+    ``digits[k][s]`` the symbol of variable k and ``onehots[k][s]`` the
+    indicator row of that symbol, which aggregates support rows by X_k.
+    """
+
+    def __init__(self, pmf: JointPmf):
+        self.indices = pmf.support_indices()
+        self.p = pmf.flat[self.indices]
+        self.num_outcomes = pmf.num_outcomes
+        self.digits = tuple(pmf.digits(k)[self.indices] for k in range(pmf.k))
+        self.onehots = tuple(
+            np.equal.outer(d, np.arange(c)).astype(float)
+            for d, c in zip(self.digits, pmf.cardinalities)
+        )
+        for arr in (self.indices, self.p, *self.digits, *self.onehots):
+            arr.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+    def w_cardinality(self, requested: int | None) -> int:
+        """``requested``, else support size + 1 (enough for any mixture)."""
+        return requested or self.size + 1
+
+    def embed(self, rows: np.ndarray, w_cardinality: int) -> AuxChannel:
+        """Full channel with ``rows`` on the support and uniform rows off it."""
+        full = np.full((self.num_outcomes, w_cardinality), 1.0 / w_cardinality)
+        full[self.indices] = rows
+        return AuxChannel(w_cardinality, full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,21 +216,35 @@ def validate(pmf: JointPmf) -> None:
         raise NotNormalizedError("empty support: no outcome has positive mass")
 
 
-def _check_subset(pmf: JointPmf, sel: Sequence[int], what: str) -> tuple[int, ...]:
+def check_selection(
+    pmf: JointPmf, sel: Sequence[int] | None, what: str
+) -> tuple[int, ...]:
+    """Sorted variable indices of ``sel`` (every variable when None); an
+    empty selection is returned for the caller to reject."""
+    if sel is None:
+        return tuple(range(pmf.k))
     indices = tuple(int(i) for i in sel)
-    if not indices:
-        raise EmptySelectionError(f"{what} selects no variables")
     for i in indices:
         if not 0 <= i < pmf.k:
             raise IndexError(f"{what} index {i} out of range for {pmf.k} variables")
     if len(set(indices)) != len(indices):
-        raise EmptySelectionError(f"{what} repeats a variable index: {indices}")
+        raise OverlappingSelectionsError(f"{what} repeats a variable index: {indices}")
     return tuple(sorted(indices))
+
+
+def check_channel(pmf: JointPmf, w: AuxChannel) -> None:
+    """Raise unless ``w`` has one row per joint outcome of ``pmf``."""
+    if w.num_rows != pmf.num_outcomes:
+        raise ShapeMismatchError(
+            f"channel has {w.num_rows} rows but pmf has {pmf.num_outcomes} outcomes"
+        )
 
 
 def marginalize(pmf: JointPmf, keep: Sequence[int]) -> JointPmf:
     """Marginal over the kept variables (original relative order)."""
-    keep_sorted = _check_subset(pmf, keep, "keep")
+    keep_sorted = check_selection(pmf, keep, "keep")
+    if not keep_sorted:
+        raise EmptySelectionError("keep selects no variables")
     drop = tuple(i for i in range(pmf.k) if i not in keep_sorted)
     tensor = pmf.probabilities.sum(axis=drop) if drop else pmf.probabilities
     return JointPmf(
@@ -220,10 +277,7 @@ def condition(pmf: JointPmf, on: int, value: int) -> JointPmf:
 
 def join_with_aux(pmf: JointPmf, w: AuxChannel, w_name: str = "W") -> JointPmf:
     """Joint law of (X_1, ..., X_K, W); W becomes the last variable."""
-    if w.num_rows != pmf.num_outcomes:
-        raise ShapeMismatchError(
-            f"channel has {w.num_rows} rows but pmf has {pmf.num_outcomes} outcomes"
-        )
+    check_channel(pmf, w)
     while w_name in pmf.variable_names:
         w_name += "_"
     tensor = pmf.flat[:, None] * w.rows

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import JointPmf, marginalize
+from .distributions import JointPmf, check_selection
 from .errors import (
     EmptySelectionError,
     MissingAuxAxisError,
@@ -48,18 +48,6 @@ def binary_entropy(delta: float) -> float:
     return -delta * math.log2(delta) - (1.0 - delta) * math.log2(1.0 - delta)
 
 
-def _subset(pmf: JointPmf, sel: Sequence[int] | None, what: str) -> tuple[int, ...]:
-    if sel is None:
-        return tuple(range(pmf.k))
-    out = tuple(int(i) for i in sel)
-    for i in out:
-        if not 0 <= i < pmf.k:
-            raise IndexError(f"{what} index {i} out of range for {pmf.k} variables")
-    if len(set(out)) != len(out):
-        raise OverlappingSelectionsError(f"{what} repeats a variable: {out}")
-    return tuple(sorted(out))
-
-
 def _disjoint(*selections: tuple[tuple[int, ...], str]) -> None:
     for i, (a, name_a) in enumerate(selections):
         for b, name_b in selections[i + 1 :]:
@@ -72,20 +60,21 @@ def _disjoint(*selections: tuple[tuple[int, ...], str]) -> None:
 
 def entropy(pmf: JointPmf, vars: Sequence[int] | None = None) -> float:
     """H of the marginal over ``vars`` (all variables when omitted)."""
-    sel = _subset(pmf, vars, "vars")
+    sel = check_selection(pmf, vars, "vars")
     if not sel:
         raise EmptySelectionError("entropy of an empty variable set")
     if len(sel) == pmf.k:
         return entropy_of_vector(pmf.flat)
-    return entropy_of_vector(marginalize(pmf, sel).flat)
+    drop = tuple(i for i in range(pmf.k) if i not in sel)
+    return entropy_of_vector(pmf.probabilities.sum(axis=drop))
 
 
 def conditional_entropy(
     pmf: JointPmf, of: Sequence[int], given: Sequence[int] = ()
 ) -> float:
     """H(of | given) = H(of, given) - H(given)."""
-    of_sel = _subset(pmf, of, "of")
-    given_sel = _subset(pmf, given, "given") if given else ()
+    of_sel = check_selection(pmf, of, "of")
+    given_sel = check_selection(pmf, given, "given") if given else ()
     if not of_sel:
         raise EmptySelectionError("conditional entropy of an empty set")
     _disjoint((of_sel, "of"), (given_sel, "given"))
@@ -97,8 +86,8 @@ def conditional_entropy(
 
 def mutual_information(pmf: JointPmf, a: Sequence[int], b: Sequence[int]) -> float:
     """I(A; B) = H(A) + H(B) - H(A, B)."""
-    a_sel = _subset(pmf, a, "a")
-    b_sel = _subset(pmf, b, "b")
+    a_sel = check_selection(pmf, a, "a")
+    b_sel = check_selection(pmf, b, "b")
     if not a_sel or not b_sel:
         raise EmptySelectionError("mutual information needs non-empty subsets")
     _disjoint((a_sel, "a"), (b_sel, "b"))
@@ -112,9 +101,9 @@ def conditional_mutual_information(
     given: Sequence[int] = (),
 ) -> float:
     """I(A; B | G) = H(A|G) + H(B|G) - H(A,B|G)."""
-    a_sel = _subset(pmf, a, "a")
-    b_sel = _subset(pmf, b, "b")
-    g_sel = _subset(pmf, given, "given") if given else ()
+    a_sel = check_selection(pmf, a, "a")
+    b_sel = check_selection(pmf, b, "b")
+    g_sel = check_selection(pmf, given, "given") if given else ()
     if not a_sel or not b_sel:
         raise EmptySelectionError("conditional MI needs non-empty a and b")
     _disjoint((a_sel, "a"), (b_sel, "b"), (g_sel, "given"))

@@ -63,20 +63,12 @@ class AchievabilityResult:
     witness: AuxChannel | None
 
 
-def _check_shapes(pmf: JointPmf, w: AuxChannel) -> None:
-    if w.num_rows != pmf.num_outcomes:
-        raise ShapeMismatchError(
-            f"channel has {w.num_rows} rows but pmf has {pmf.num_outcomes} outcomes"
-        )
-
-
 def corner_point(pmf: JointPmf, w: AuxChannel) -> RateEquivocationTuple:
     """Extreme tuple achievable with this W.
 
     Delta terms use H(X-bar|W, X_k) = H(X-bar, W) - H(X_k, W), which holds
     because X_k is a coordinate of X-bar.
     """
-    _check_shapes(pmf, w)
     joint = join_with_aux(pmf, w)
     w_axis = pmf.k
     r0 = mutual_information(joint, range(pmf.k), [w_axis])
@@ -100,7 +92,6 @@ def is_achievable_with(
     pmf: JointPmf, w: AuxChannel, t: RateEquivocationTuple
 ) -> bool:
     """True iff ``t`` is dominated by the corner point of ``w``."""
-    _check_shapes(pmf, w)
     if len(t.rk) != pmf.k:
         raise ShapeMismatchError(f"tuple has {len(t.rk)} private rates, need {pmf.k}")
     corner = corner_point(pmf, w)
@@ -116,23 +107,6 @@ def is_achievable_with(
 # ---------------------------------------------------------------------------
 
 
-def _channel_pieces(pmf: JointPmf):
-    support = pmf.support_indices()
-    p = pmf.flat[support]
-    digs = [pmf.digits(k)[support] for k in range(pmf.k)]
-    onehots = [
-        np.equal.outer(d, np.arange(c)).astype(float)
-        for d, c in zip(digs, pmf.cardinalities)
-    ]
-    return support, p, digs, onehots
-
-
-def _full_channel(pmf: JointPmf, support, rho, w_card) -> AuxChannel:
-    rows = np.full((pmf.num_outcomes, w_card), 1.0 / w_card)
-    rows[support] = rho / rho.sum(axis=1, keepdims=True)
-    return AuxChannel(w_card, rows)
-
-
 def _seed_channels(pmf: JointPmf) -> list[AuxChannel]:
     # Analytic extremes first: the component witness, then the degenerate
     # and full-disclosure channels.  Order fixes deterministic tie-breaks.
@@ -143,56 +117,34 @@ def _seed_channels(pmf: JointPmf) -> list[AuxChannel]:
     ]
 
 
-def _refine_max_delta(pmf, budget, w_card, rng, maxiter=200):
-    support, p, digs, onehots = _channel_pieces(pmf)
-    h_x_nats = -float((p * np.log(p)).sum())
-    kk = pmf.k
+def _refine(pmf: JointPmf, objectives, w_cardinality, restarts, seed) -> list[AuxChannel]:
+    """One soft channel per restart r, searched from seed (seed, r)."""
+    view = pmf.support
+    w_card = view.w_cardinality(w_cardinality)
+    channels = []
+    for r in range(restarts):
+        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
+        channels.append(view.embed(rho / rho.sum(axis=1, keepdims=True), w_card))
+    return channels
 
-    def fun_factory(mu):
-        def fun(z):
-            rho = _optim.softmax_rows(z.reshape(len(support), w_card))
-            ev = _optim.ChannelEval(p, onehots, rho)
+
+def _max_delta_objectives(pmf: JointPmf, budget: float):
+    view = pmf.support
+    h_x_nats = -float((view.p * np.log(view.p)).sum())
+
+    def objective(mu):
+        def penalized(ev):
             delta_bits = sum(ev.h_joint - hkw for hkw in ev.h_kw) / _optim.LN2
             i_bits = (h_x_nats + ev.h_w - ev.h_joint) / _optim.LN2
             excess = max(0.0, i_bits - budget)
             f = -delta_bits + mu * excess * excess
-            grad_delta_nats = -(kk * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, digs)))
+            grad_delta_nats = -(pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, view.digits)))
             grad_i_nats = ev.lt - ev.lpw[None, :]
-            grad_t = (-grad_delta_nats + 2.0 * mu * excess * grad_i_nats / _optim.LN2) / _optim.LN2
-            grad_rho = grad_t * p[:, None]
-            return f, _optim.simplex_chain(rho, grad_rho).reshape(-1)
+            return f, (-grad_delta_nats + 2.0 * mu * excess * grad_i_nats / _optim.LN2) / _optim.LN2
 
-        return fun
+        return penalized
 
-    z = rng.normal(size=(len(support), w_card)).reshape(-1)
-    for mu in (10.0, 1e3, 1e5):
-        z, _ = _optim.lbfgs(fun_factory(mu), z, maxiter)
-    rho = _optim.softmax_rows(z.reshape(len(support), w_card))
-    return _full_channel(pmf, support, rho, w_card)
-
-
-def _max_delta_search(pmf, r0_budget, w_cardinality, restarts, seed):
-    if r0_budget < 0:
-        raise ValueError("r0_budget must be non-negative")
-    w_card = w_cardinality or len(pmf.support_indices()) + 1
-    candidates = list(_seed_channels(pmf))
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        candidates.append(_refine_max_delta(pmf, r0_budget, w_card, rng))
-    best = None
-    for cand in candidates:
-        corner = corner_point(pmf, cand)
-        if corner.r0 > r0_budget + ACHIEVABILITY_TOL:
-            continue
-        if best is None or corner.delta > best[0] + 1e-12:
-            best = (corner.delta, cand)
-    converged = best is not None
-    if best is None:
-        # Constant W has I = 0, so any non-negative budget admits it; this
-        # branch guards against future parameter changes only.
-        cand = constant_channel(pmf)
-        best = (corner_point(pmf, cand).delta, cand)
-    return best[0], best[1], converged
+    return [objective(mu) for mu in (10.0, 1e3, 1e5)]
 
 
 def max_delta_at_r0(
@@ -209,8 +161,21 @@ def max_delta_at_r0(
     extreme points are never missed; the returned delta is the corner-point
     value of the returned witness.
     """
-    delta, witness, _ = _max_delta_search(pmf, r0_budget, w_cardinality, restarts, seed)
-    return delta, witness
+    if r0_budget < 0:
+        raise ValueError("r0_budget must be non-negative")
+    candidates = _seed_channels(pmf) + _refine(
+        pmf, _max_delta_objectives(pmf, r0_budget), w_cardinality, restarts, seed
+    )
+    # The constant channel has r0 exactly 0, so it fits every budget and
+    # ``best`` is set by the time the loop ends.
+    best = None
+    for cand in candidates:
+        corner = corner_point(pmf, cand)
+        if corner.r0 > r0_budget + ACHIEVABILITY_TOL:
+            continue
+        if best is None or corner.delta > best[0] + 1e-12:
+            best = (corner.delta, cand)
+    return best
 
 
 def sweep_max_delta(
@@ -220,23 +185,21 @@ def sweep_max_delta(
     restarts: int = 4,
     seed: int = 0,
 ) -> SweepResult:
-    """max_delta_at_r0 across a grid of budgets."""
+    """max_delta_at_r0 across a grid of budgets; every point is certified."""
     points = []
     for i, budget in enumerate(r0_budgets):
-        delta, witness, converged = _max_delta_search(
+        delta, witness = max_delta_at_r0(
             pmf, float(budget), w_cardinality, restarts, seed + i
         )
-        points.append(SweepPoint(float(budget), delta, converged, witness))
+        points.append(SweepPoint(float(budget), delta, True, witness))
     return SweepResult(tuple(points))
 
 
-def _refine_membership(pmf, t, w_card, rng, maxiter=200):
-    support, p, digs, onehots = _channel_pieces(pmf)
-    h_x_nats = -float((p * np.log(p)).sum())
+def _membership_objective(pmf: JointPmf, t: RateEquivocationTuple):
+    view = pmf.support
+    h_x_nats = -float((view.p * np.log(view.p)).sum())
 
-    def fun(z):
-        rho = _optim.softmax_rows(z.reshape(len(support), w_card))
-        ev = _optim.ChannelEval(p, onehots, rho)
+    def shortfall(ev):
         i_bits = (h_x_nats + ev.h_w - ev.h_joint) / _optim.LN2
         hk_given_w = [(hkw - ev.h_w) / _optim.LN2 for hkw in ev.h_kw]
         delta_bits = sum(ev.h_joint - hkw for hkw in ev.h_kw) / _optim.LN2
@@ -248,19 +211,15 @@ def _refine_membership(pmf, t, w_card, rng, maxiter=200):
         for k in range(pmf.k):
             if hk_given_w[k] > t.rk[k]:
                 f += hk_given_w[k] - t.rk[k]
-                grad_t += -(ev.lmk[k][digs[k], :] - ev.lpw[None, :]) / _optim.LN2
+                grad_t += -(ev.lmk[k][view.digits[k], :] - ev.lpw[None, :]) / _optim.LN2
         if delta_bits < t.delta:
             f += t.delta - delta_bits
             grad_t += (
-                pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, digs))
+                pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, view.digits))
             ) / _optim.LN2
-        grad_rho = grad_t * p[:, None]
-        return f, _optim.simplex_chain(rho, grad_rho).reshape(-1)
+        return f, grad_t
 
-    z = rng.normal(size=(len(support), w_card)).reshape(-1)
-    z, _ = _optim.lbfgs(fun, z, maxiter)
-    rho = _optim.softmax_rows(z.reshape(len(support), w_card))
-    return _full_channel(pmf, support, rho, w_card)
+    return shortfall
 
 
 def is_achievable(
@@ -275,11 +234,9 @@ def is_achievable(
     The Unknown verdict never claims non-membership; the witness search is
     heuristic.
     """
-    w_card = w_cardinality or len(pmf.support_indices()) + 1
-    candidates = list(_seed_channels(pmf))
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        candidates.append(_refine_membership(pmf, t, w_card, rng))
+    candidates = _seed_channels(pmf) + _refine(
+        pmf, [_membership_objective(pmf, t)], w_cardinality, restarts, seed
+    )
     for cand in candidates:
         if is_achievable_with(pmf, cand, t):
             return AchievabilityResult("achievable", cand)

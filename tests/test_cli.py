@@ -219,9 +219,13 @@ class TestErrorPaths:
         assert code == 1
         assert "NotNormalized" in err
 
-    def test_threads_validation(self, docs):
-        code, _, err = cli("--threads", "0", "info", "--pmf", docs["ex1"])
+    def test_threads_option_is_gone(self, docs):
+        code, out, _ = cli("--help")
+        assert code == 0
+        assert "--threads" not in out
+        code, out, _ = cli("--threads", "1", "info", "--pmf", docs["ex1"])
         assert code == 2
+        assert out == ""
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from graywyner.errors import (
     EmptySelectionError,
     NegativeMassError,
     NotNormalizedError,
+    OverlappingSelectionsError,
     ParseError,
     ShapeMismatchError,
     ZeroProbabilityEventError,
@@ -82,6 +83,10 @@ class TestMarginalize:
     def test_empty_selection(self):
         with pytest.raises(EmptySelectionError):
             gw.marginalize(fair_bit(), [])
+
+    def test_repeated_index(self, ex1):
+        with pytest.raises(OverlappingSelectionsError):
+            gw.marginalize(ex1, [0, 0])
 
 
 class TestCondition:
