@@ -101,7 +101,6 @@ class SimReport:
     encoder_failure_rate: float
     error_rates: tuple[float, ...]
     decoder_error_rates: tuple[float, ...] | None
-    equivocations: tuple[float, ...] | None
     target_common_rate: float
     target_private_rates: tuple[float, ...]
     target_equivocations: tuple[float, ...]
@@ -155,6 +154,11 @@ def _bin_of_sequence(seed: int, k: int, seq: np.ndarray, m: int) -> int:
     key = struct.pack("<qq", seed, k)
     digest = hashlib.blake2b(data, key=key, digest_size=16).digest()
     return int.from_bytes(digest, "little") % m
+
+
+def _bin_rows(seed: int, k: int, seqs: np.ndarray, m: int) -> np.ndarray:
+    """Bin index of every sequence (one per row) of source k."""
+    return np.array([_bin_of_sequence(seed, k, s, m) for s in seqs], dtype=np.int64)
 
 
 def _base_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -262,9 +266,7 @@ def _bin_groups(codebook: Codebook, k: int, alphabet: int):
         )
     digits = _base_digits(np.arange(total), alphabet, codebook.n)
     m = codebook.bin_counts[k]
-    bins = np.empty(total, dtype=np.int64)
-    for i in range(total):
-        bins[i] = _bin_of_sequence(codebook.seed, k, digits[i], m)
+    bins = _bin_rows(codebook.seed, k, digits, m)
     order = np.argsort(bins, kind="stable")
     sorted_bins = bins[order]
     starts = np.searchsorted(sorted_bins, np.arange(m), side="left")
@@ -359,7 +361,6 @@ def run_trials(
         decoder_error_rates=(
             tuple(float(e) / successes for e in decode_errors) if successes else None
         ),
-        equivocations=None,
         target_common_rate=stats.common_rate(),
         target_private_rates=tuple(stats.private_rate(k) for k in range(pmf.k)),
         target_equivocations=tuple(stats.equivocation_target(k) for k in range(pmf.k)),
@@ -373,27 +374,13 @@ def run_trials(
 # ---------------------------------------------------------------------------
 
 
-def _outer_sum_pattern(cost_sup: np.ndarray, udigits: np.ndarray) -> np.ndarray:
-    """sum_t cost_sup[s_t, u_t] over all support sequences, row-major."""
-    v = cost_sup[:, udigits[0]]
-    for t in range(1, len(udigits)):
-        v = (v[:, None] + cost_sup[None, :, udigits[t]]).reshape(-1)
-    return v
-
-
-def _outer_index(digit: np.ndarray, base: int, n: int) -> np.ndarray:
-    """Sequence index (base ``base``) over all support sequences, row-major."""
-    v = np.asarray(digit, dtype=np.int64)
-    for _ in range(n - 1):
-        v = (v[:, None] * base + np.asarray(digit, dtype=np.int64)[None, :]).reshape(-1)
-    return v
-
-
-def _outer_prod(per_symbol: np.ndarray, n: int) -> np.ndarray:
-    v = per_symbol.astype(float)
-    for _ in range(n - 1):
-        v = (v[:, None] * per_symbol[None, :]).reshape(-1)
-    return v
+def _outer_fold(ufunc: np.ufunc, vectors) -> np.ndarray:
+    """``ufunc`` folded left over one vector per position: its value at every
+    sequence (s_0, ..., s_{n-1}) of entries, in row-major order."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = ufunc.outer(out, v).reshape(-1)
+    return out
 
 
 def _grouped_entropy(key: np.ndarray, probs: np.ndarray) -> float:
@@ -439,25 +426,21 @@ def exact_equivocation(
     tol_band = n * cfg.typicality_tolerance
     center = n * stats.h_pair
     for u in np.argsort(codebook.pattern_first_index, kind="stable"):
-        scores = _outer_sum_pattern(cost_sup, codebook.pattern_digits[u])
+        scores = _outer_fold(np.add, cost_sup[:, codebook.pattern_digits[u]].T)
         claim = (j0_arr == 0) & (np.abs(scores - center) <= tol_band)
         j0_arr[claim] = int(codebook.pattern_first_index[u]) + 1
         if not (j0_arr == 0).any():
             break
 
     # Bin index of the true X_k^n for every block.
-    digit_k = view.digits[k]
+    powers = np.arange(n - 1, -1, -1, dtype=np.int64)
     card_k = pmf.cardinalities[k]
-    xk_idx = _outer_index(digit_k, card_k, n)
+    xk_idx = _outer_fold(np.add, np.outer(card_k**powers, view.digits[k]))
     uniq, inverse = np.unique(xk_idx, return_inverse=True)
     del xk_idx
     m_k = codebook.bin_counts[k]
-    uniq_digits = _base_digits(uniq, card_k, n)
-    bins_u = np.empty(len(uniq), dtype=np.int64)
-    for i in range(len(uniq)):
-        bins_u[i] = _bin_of_sequence(cfg.seed, k, uniq_digits[i], m_k)
-    jk_arr = bins_u[inverse]
-    del uniq, inverse, uniq_digits
+    jk_arr = _bin_rows(cfg.seed, k, _base_digits(uniq, card_k, n), m_k)[inverse]
+    del uniq, inverse
 
     # Composite block index of the unintended sources.
     rest_vars = [j for j in range(pmf.k) if j != k]
@@ -470,9 +453,9 @@ def exact_equivocation(
         raise EnumerationTooLargeError("message space too large to tabulate")
     if n * math.log2(max(2, rest_card)) + math.log2(pair_space) > 62:
         raise EnumerationTooLargeError("composite grouping key would overflow")
-    rest_idx = _outer_index(rest_digit, rest_card, n)
+    rest_idx = _outer_fold(np.add, np.outer(rest_card**powers, rest_digit))
 
-    probs = _outer_prod(view.p, n)
+    probs = _outer_fold(np.multiply, [view.p] * n)
     h_rest_msgs = _grouped_entropy(rest_idx * pair_space + j0_arr * m_k + jk_arr, probs)
     h_msgs = entropy_of_vector(
         np.bincount(j0_arr * m_k + jk_arr, weights=probs, minlength=pair_space)

@@ -53,6 +53,17 @@ PROP4_B_TOL = 1e-3
 PROP4_CONCLUSION_TOL = 1e-6
 C2_TOL = 1e-9
 
+LAMBDA_INIT = 1.0
+LAMBDA_FACTOR = 10.0
+MAX_ROUNDS = 8
+SWEEP_STOP = 1e-8
+RESIDUAL_TOL = 1e-6
+POLISH_MAXITER = 4000
+
+SPOT_MU_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
+SPOT_MAXITER = 300
+SPOT_FLAG_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -71,24 +82,20 @@ class CommonInfoResult:
 
 @dataclass(frozen=True)
 class WynerParams:
-    """Knobs of the Wyner-style estimator.
+    """Settings of the Wyner-style estimator.
 
     ``w_cardinality`` defaults to (joint support size) + 1, enough to
     represent any support-limited law exactly as a mixture of products.
+    ``max_sweeps`` caps the block-descent sweeps of one penalty round and
+    ``block_maxiter`` the L-BFGS iterations of one block solve.  The
+    penalty schedule, stop rules and residual gate are module constants.
     """
 
     w_cardinality: int | None = None
     restarts: int = 16
     seed: int = 0
-    lambda_init: float = 1.0
-    lambda_factor: float = 10.0
-    max_rounds: int = 8
     max_sweeps: int = 30
-    window: int = 50
-    objective_tol: float = 1e-9
-    residual_tol: float = 1e-6
     block_maxiter: int = 25
-    polish_maxiter: int = 4000
 
 
 @dataclass(frozen=True)
@@ -346,60 +353,38 @@ class _WynerProblem:
 
 def _wyner_sweep(prob: _WynerProblem, a, blist, lam, maxiter):
     """One cycle of exact block minimizations; returns updated parameters."""
+    cond = prob.cond_given_w(blist)
+    lcond = _optim.safe_log(cond)
 
-    def solve_a():
-        nonlocal a
-        cond = prob.cond_given_w(blist)
-        lcond = _optim.safe_log(cond)
+    def fun_a(av):
+        f, _, qx, lqx, _ = prob.objective(av, cond, lcond, lam)
+        return f, prob.grad_factor(cond, lcond, qx, lqx, lam).sum(axis=1)
 
-        def fun(z):
-            av = _optim.softmax_rows(z)
-            f, _, qx, lqx, _ = prob.objective(av, cond, lcond, lam)
-            grad_a = prob.grad_factor(cond, lcond, qx, lqx, lam).sum(axis=1)
-            return f, _optim.simplex_chain(av, grad_a)
-
-        z0 = _optim.rows_to_logits(a)
-        f0 = fun(z0)[0]
-        z, f = _optim.lbfgs(fun, z0, maxiter)
-        if f <= f0:
-            a = _optim.softmax_rows(z)
-
-    def solve_b(k):
+    a = _optim.improve_rows(fun_a, a, maxiter)
+    for k in range(len(blist)):
         cond_rest = np.ones((prob.w_card, len(prob.p)))
         for j in range(len(blist)):
             if j != k:
                 cond_rest *= blist[j][:, prob.digs[j]]
-        onehot = prob.onehots[k]
-        shape = blist[k].shape
 
-        def fun(z):
-            b = _optim.softmax_rows(z.reshape(shape))
+        def fun_b(b, k=k, cond_rest=cond_rest):
             cond = cond_rest * b[:, prob.digs[k]]
             lcond = _optim.safe_log(cond)
             f, _, qx, lqx, _ = prob.objective(a, cond, lcond, lam)
             t_mat = prob.grad_factor(cond, lcond, qx, lqx, lam)
-            grad_b = a[:, None] * (t_mat @ onehot) / np.maximum(b, 1e-12)
-            return f, _optim.simplex_chain(b, grad_b).reshape(-1)
+            return f, a[:, None] * (t_mat @ prob.onehots[k]) / np.maximum(b, 1e-12)
 
-        z0 = _optim.rows_to_logits(blist[k]).reshape(-1)
-        f0 = fun(z0)[0]
-        z, f = _optim.lbfgs(fun, z0, maxiter)
-        if f <= f0:
-            blist[k] = _optim.softmax_rows(z.reshape(shape))
-
-    solve_a()
-    for k in range(len(blist)):
-        solve_b(k)
+        blist[k] = _optim.improve_rows(fun_b, blist[k], maxiter)
     return a, blist
 
 
-def _wyner_polish(prob: _WynerProblem, a, blist, params: WynerParams):
+def _wyner_polish(prob: _WynerProblem, a, blist):
     """Exact alternating updates that only reduce the marginal mismatch."""
-    target = params.residual_tol * 0.25
+    target = RESIDUAL_TOL * 0.25
     best_tv = np.inf
     stall = 0
     iters = 0
-    for _ in range(params.polish_maxiter):
+    for _ in range(POLISH_MAXITER):
         cond = prob.cond_given_w(blist)
         qws = a[:, None] * cond
         qx = qws.sum(axis=0)
@@ -433,30 +418,28 @@ def _wyner_single(prob: _WynerProblem, rng: np.random.Generator, params: WynerPa
     blist = [
         _optim.softmax_rows(rng.normal(size=(prob.w_card, c))) for c in prob.cards
     ]
-    lam = params.lambda_init
+    lam = LAMBDA_INIT
     sweeps = 0
     # The lambda rounds only need to reach the coarse neighbourhood of the
     # feasible set; the exact alternating polish below closes the last gap
     # to the residual gate much faster than further escalation would.
-    coarse_gate = max(params.residual_tol, 1e-8) * 100.0
-    sweep_stop = max(params.objective_tol, 1e-8)
-    for _ in range(params.max_rounds):
-        history = [prob.objective_at(a, blist, lam)[0]]
+    coarse_gate = RESIDUAL_TOL * 100.0
+    for _ in range(MAX_ROUNDS):
+        # A round stops once the objective sits at most SWEEP_STOP below its start.
+        round_start = prob.objective_at(a, blist, lam)[0]
         for _ in range(params.max_sweeps):
             a, blist = _wyner_sweep(prob, a, blist, lam, params.block_maxiter)
             sweeps += 1
-            history.append(prob.objective_at(a, blist, lam)[0])
-            span = min(params.window, len(history) - 1)
-            if history[-1 - span] - history[-1] <= sweep_stop:
+            if round_start - prob.objective_at(a, blist, lam)[0] <= SWEEP_STOP:
                 break
         if prob.residual(a, blist) <= coarse_gate:
             break
-        lam *= params.lambda_factor
-    a, blist, polish_iters = _wyner_polish(prob, a, blist, params)
+        lam *= LAMBDA_FACTOR
+    a, blist, polish_iters = _wyner_polish(prob, a, blist)
     _, qws, qx, _, i_nats = prob.objective_at(a, blist, 0.0)
     residual = 0.5 * float(np.abs(prob.p - qx).sum())
     value_bits = max(0.0, i_nats / _optim.LN2)
-    return value_bits, residual, sweeps + polish_iters, (a, blist, qws, qx)
+    return value_bits, residual, sweeps + polish_iters, (qws, qx)
 
 
 def _posterior_channel(prob: _WynerProblem, qws, qx) -> AuxChannel:
@@ -479,8 +462,9 @@ def wyner_estimate(
     Minimizes I(X-bar; W) over mixture weights p(w) and per-source rows
     p(x_k|w) with an escalating penalty on the divergence between the true
     law and the induced mixture; any parameter point whose marginal residual
-    passes ``residual_tol`` certifies an upper bound on the infimum.  The
-    best converged restart wins (ties to the lowest restart index); when no
+    is at most ``RESIDUAL_TOL`` certifies an upper bound on the infimum.
+    ``tuning`` sets the other fields of :class:`WynerParams`.  The best
+    converged restart wins (ties to the lowest restart index); when no
     restart converges, the closest-to-feasible one is returned flagged
     not-converged.
     """
@@ -493,30 +477,21 @@ def wyner_estimate(
     if w_card < 1 or params.restarts < 1:
         raise ValueError("w_cardinality and restarts must be >= 1")
     prob = _WynerProblem(pmf, w_card)
-    best = None
-    total_iters = 0
-    for r in range(params.restarts):
-        rng = np.random.default_rng([params.seed, r])
-        value, residual, iters, state = _wyner_single(prob, rng, params)
-        total_iters += iters
-        converged = residual <= params.residual_tol
-        candidate = (value, residual, converged, state)
-        if best is None:
-            best = candidate
-        elif converged and not best[2]:
-            best = candidate
-        elif converged == best[2]:
-            if converged and value < best[0]:
-                best = candidate
-            elif not converged and residual < best[1]:
-                best = candidate
-    value, residual, converged, (a, blist, qws, qx) = best
-    witness = _posterior_channel(prob, qws, qx)
+    runs = [
+        _wyner_single(prob, np.random.default_rng([params.seed, r]), params)
+        for r in range(params.restarts)
+    ]
+
+    def rank(run):
+        converged = run[1] <= RESIDUAL_TOL
+        return (not converged, run[0] if converged else run[1])
+
+    value, residual, _, (qws, qx) = min(runs, key=rank)
     return CommonInfoResult(
         value,
-        witness,
+        _posterior_channel(prob, qws, qx),
         "wyner_alt_min",
-        Diagnostics(total_iters, residual, converged),
+        Diagnostics(sum(run[2] for run in runs), residual, residual <= RESIDUAL_TOL),
     )
 
 
@@ -624,19 +599,14 @@ def verify_c2(pmf: JointPmf) -> C2Report:
 
 
 def relaxation_spot_check(
-    pmf: JointPmf,
-    restarts: int = 6,
-    seed: int = 0,
-    w_cardinality: int | None = None,
-    mu_schedule: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5, 1e6),
-    maxiter: int = 300,
-    flag_tol: float = 1e-4,
+    pmf: JointPmf, restarts: int = 6, seed: int = 0
 ) -> SpotCheckResult:
-    """Soft-channel maximization of I(X-bar; W) under penalized Markov slack.
+    """Soft-channel maximization of I(X-bar; W) under penalized Markov slack,
+    with |W| = support size + 1 and one solve per ``SPOT_MU_SCHEDULE`` value.
 
     If randomized soft witnesses could beat the component construction, the
     penalized maxima would exceed C by more than the finite-penalty bias;
-    ``exceeds`` flags that situation for investigation.
+    ``exceeds`` flags a value above C + ``SPOT_FLAG_TOL`` for investigation.
     """
     c = gk_common_information(pmf).value
     view = pmf.support
@@ -645,7 +615,7 @@ def relaxation_spot_check(
         entropy_of_vector(np.bincount(d, weights=view.p, minlength=cc)) * _optim.LN2
         for d, cc in zip(view.digits, pmf.cardinalities)
     ]
-    w_card = view.w_cardinality(w_cardinality)
+    w_card = view.w_cardinality(None)
 
     def objective(mu):
         def penalized(ev):
@@ -660,11 +630,11 @@ def relaxation_spot_check(
 
         return penalized
 
-    objectives = [objective(mu) for mu in mu_schedule]
+    objectives = [objective(mu) for mu in SPOT_MU_SCHEDULE]
     best_value = -np.inf
     best_slack = np.inf
     for r in range(restarts):
-        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter)
+        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, SPOT_MAXITER)
         ev = _optim.ChannelEval(view, rho)
         i_bits = max(0.0, (h_x + ev.h_w - ev.h_joint) / _optim.LN2)
         slacks = [
@@ -675,5 +645,5 @@ def relaxation_spot_check(
             best_value = i_bits
             best_slack = max(slacks)
     return SpotCheckResult(
-        best_value, best_slack, c, best_value > c + flag_tol
+        best_value, best_slack, c, best_value > c + SPOT_FLAG_TOL
     )

@@ -10,6 +10,7 @@ witness, and the search returns Unknown otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -117,15 +118,13 @@ def _seed_channels(pmf: JointPmf) -> list[AuxChannel]:
     ]
 
 
-def _refine(pmf: JointPmf, objectives, w_cardinality, restarts, seed) -> list[AuxChannel]:
-    """One soft channel per restart r, searched from seed (seed, r)."""
+def _refine(pmf: JointPmf, objectives, w_cardinality, restarts, seed):
+    """One soft channel per restart r, searched from seed (seed, r) on demand."""
     view = pmf.support
     w_card = view.w_cardinality(w_cardinality)
-    channels = []
     for r in range(restarts):
         rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
-        channels.append(view.embed(rho / rho.sum(axis=1, keepdims=True), w_card))
-    return channels
+        yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
 
 
 def _max_delta_objectives(pmf: JointPmf, budget: float):
@@ -163,9 +162,9 @@ def max_delta_at_r0(
     """
     if r0_budget < 0:
         raise ValueError("r0_budget must be non-negative")
-    candidates = _seed_channels(pmf) + _refine(
+    candidates = chain(_seed_channels(pmf), _refine(
         pmf, _max_delta_objectives(pmf, r0_budget), w_cardinality, restarts, seed
-    )
+    ))
     # The constant channel has r0 exactly 0, so it fits every budget and
     # ``best`` is set by the time the loop ends.
     best = None
@@ -232,11 +231,11 @@ def is_achievable(
     """One-sided membership test: certify with a witness or answer Unknown.
 
     The Unknown verdict never claims non-membership; the witness search is
-    heuristic.
+    heuristic, and it stops at the first candidate that certifies ``t``.
     """
-    candidates = _seed_channels(pmf) + _refine(
+    candidates = chain(_seed_channels(pmf), _refine(
         pmf, [_membership_objective(pmf, t)], w_cardinality, restarts, seed
-    )
+    ))
     for cand in candidates:
         if is_achievable_with(pmf, cand, t):
             return AchievabilityResult("achievable", cand)

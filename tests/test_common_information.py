@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import graywyner as gw
+from graywyner import common_information
 from graywyner.errors import (
     KTooSmallError,
     SupportTooLargeError,
@@ -160,6 +163,63 @@ class TestWynerEstimate:
     def test_k_too_small(self):
         with pytest.raises(KTooSmallError):
             gw.wyner_estimate(fair_bit(), restarts=1, seed=0)
+
+
+class TestWynerRestartSelection:
+    """The winner is the best converged restart (ties to the lowest index),
+    else the lowest residual flagged not converged; iterations sum."""
+
+    @staticmethod
+    def scripted(monkeypatch, runs):
+        # Restart r returns runs[r] = (value, residual, iterations) with a
+        # mixture putting all weight on W = r, so the witness names r.
+        script = iter(enumerate(runs))
+
+        def fake(prob, rng, params):
+            r, (value, residual, iters) = next(script)
+            qws = np.zeros((prob.w_card, len(prob.p)))
+            qws[r] = prob.p
+            return value, residual, iters, (qws, prob.p)
+
+        monkeypatch.setattr(common_information, "_wyner_single", fake)
+        return gw.wyner_estimate(dsbs(0.1), w_cardinality=4, restarts=len(runs))
+
+    @staticmethod
+    def winner(result):
+        return int(np.flatnonzero(result.witness.rows[0])[0])
+
+    def test_converged_beats_lower_unconverged_value(self, monkeypatch):
+        result = self.scripted(monkeypatch, [(0.2, 1e-3, 1), (0.9, 1e-7, 1)])
+        assert self.winner(result) == 1
+        assert result.value == 0.9
+        assert result.diagnostics.converged
+
+    def test_lowest_converged_value_wins_ties_to_lowest_index(self, monkeypatch):
+        runs = [(0.7, 1e-7, 1), (0.4, 1e-8, 1), (0.4, 1e-9, 1), (0.1, 1e-5, 1)]
+        result = self.scripted(monkeypatch, runs)
+        assert self.winner(result) == 1
+        assert (result.value, result.diagnostics.residual) == (0.4, 1e-8)
+        assert result.diagnostics.converged
+
+    def test_none_converged_lowest_residual_wins(self, monkeypatch):
+        runs = [(0.1, 1e-2, 1), (0.5, 1e-4, 1), (0.2, 1e-4, 1)]
+        result = self.scripted(monkeypatch, runs)
+        assert self.winner(result) == 1
+        assert (result.value, result.diagnostics.residual) == (0.5, 1e-4)
+        assert not result.diagnostics.converged
+
+    def test_iterations_sum_over_restarts(self, monkeypatch):
+        runs = [(0.3, 1e-7, 3), (0.2, 1e-7, 5), (0.1, 1e-2, 7)]
+        result = self.scripted(monkeypatch, runs)
+        assert self.winner(result) == 1
+        assert result.diagnostics.iterations == 15
+
+
+def test_wyner_settings_are_the_five_fields():
+    names = [f.name for f in dataclasses.fields(gw.WynerParams)]
+    assert names == ["w_cardinality", "restarts", "seed", "max_sweeps", "block_maxiter"]
+    with pytest.raises(TypeError):
+        gw.wyner_estimate(dsbs(0.1), restarts=1, residual_tol=1e-3)
 
 
 class TestVerifyChain:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import graywyner as gw
+from graywyner import _optim
 from graywyner.errors import KTooSmallError, ShapeMismatchError
 
 from conftest import (
@@ -153,6 +154,26 @@ class TestIsAchievable:
         result = gw.is_achievable(pmf, t, restarts=2, seed=3)
         assert result.verdict == "unknown"
         assert result.witness is None
+
+    def test_stops_at_first_certifying_candidate(self, ex2, monkeypatch):
+        # The component witness certifies this tuple, so no refinement runs;
+        # the max-delta search still refines once per restart.
+        calls = []
+        fit_channel = _optim.fit_channel
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_channel(*args, **kwargs)
+
+        monkeypatch.setattr(_optim, "fit_channel", counted)
+        t = gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0)
+        result = gw.is_achievable(ex2, t, restarts=2, seed=3)
+        assert result.verdict == "achievable"
+        component = gw.gk_common_information(ex2).witness
+        assert np.array_equal(result.witness.rows, component.rows)
+        assert calls == []
+        gw.max_delta_at_r0(ex2, 1.0, restarts=2, seed=3)
+        assert len(calls) == 2
 
     def test_search_certifies_beyond_the_analytic_seeds(self):
         # Interior tuple dominated only by a soft witness: private rates sit
