@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from graywyner.errors import (
 )
 
 from conftest import (
+    acceptance_joints,
     binary_entropy,
     copy_pair,
     copy_triple,
@@ -163,6 +165,48 @@ class TestWynerEstimate:
     def test_k_too_small(self):
         with pytest.raises(KTooSmallError):
             gw.wyner_estimate(fair_bit(), restarts=1, seed=0)
+
+
+# (acceptance law, value, residual, iterations, SHA-256 of the witness rows)
+# of wyner_estimate(law, restarts=2, **LIGHT), recorded from the estimator
+# as it ran through scipy.optimize.minimize; K and support size per line.
+WYNER_PINS = [
+    (19, 5.019002820792437e-09, 9.440823567352652e-09, 24,
+     "791e2896fc5168844b6e8b7312deebf0eda22e4dccce22a5637d704841583d04"),  # K=2, 2
+    (23, 0.11256266440426373, 2.0996199570633145e-11, 98,
+     "79a3087bf71166344256eb8ec9d84148254c94ffe8e846b95df9c1b05fdd6714"),  # K=2, 3
+    (36, 0.7613267227058792, 4.628366023773367e-10, 100,
+     "f5dcbbff8a02e95af7ef1dc4e896d240f26cac20071fd1d7a22269d1a7eff943"),  # K=2, 4
+    (26, 1.0825261272123714, 1.0359872334997355e-10, 122,
+     "7c7010960106a3ebe801a2b330311958d0fee854b478acf61a3032b1d3d20215"),  # K=3, 5
+    (16, 0.5033177532580384, 1.9580080443809544e-07, 115,
+     "c2e4080b466337ced0cf675e511b82dbf61c5c7238cc0ffb6b958b3abee8658e"),  # K=2, 6
+    (21, 1.2163412657120292, 1.6926445908262144e-07, 118,
+     "098add694edbb6fa54a4e94d8150c40d4d9319c3ff9492275c271a414449e508"),  # K=3, 7
+    (31, 1.670058192642801, 1.0867719975327095e-07, 271,
+     "11d876e6708dcad185cb049def06b7821c0a6cf2634b3e8c50dd1577c9b84669"),  # K=3, 8
+]
+
+
+@pytest.fixture(scope="module")
+def acceptance_laws():
+    return acceptance_joints(100)
+
+
+@pytest.mark.parametrize(
+    "index, value, residual, iterations, digest", WYNER_PINS,
+    ids=[f"law{pin[0]}" for pin in WYNER_PINS],
+)
+def test_wyner_estimate_pinned_on_random_laws(
+    acceptance_laws, index, value, residual, iterations, digest
+):
+    """Seeded estimates stay bit for bit; the golden CLI files pin only the
+    two examples."""
+    result = gw.wyner_estimate(acceptance_laws[index], restarts=2, **LIGHT)
+    assert result.value == value
+    assert result.diagnostics == common_information.Diagnostics(iterations, residual, True)
+    rows = np.ascontiguousarray(result.witness.rows)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 class TestWynerRestartSelection:
