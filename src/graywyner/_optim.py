@@ -2,25 +2,35 @@
 
 Channels and mixture weights are optimized through row-wise softmax logits
 so that iterates stay strictly inside the simplex.  ``lbfgs`` is the one
-L-BFGS-B solve over such logits, ``improve_rows`` a warm-started solve that
-keeps only an improvement, and ``fit_channel`` the one soft-channel search:
-a seeded random start, then one solve per objective of a penalty schedule,
-each objective evaluated through a :class:`ChannelEval` of a support view.
+L-BFGS-B solve over such logits, for a stack of independent problems of
+one shape (the Wyner estimator's restarts) that share each evaluation
+call; ``improve_rows`` is a warm-started solve that keeps, row by row, only
+an improvement, and ``fit_channel`` the one soft-channel search: a seeded
+random start, then one solve of a one-row stack per objective of a penalty
+schedule, each objective evaluated through a :class:`ChannelEval` of a
+support view.
 
 ``lbfgs`` drives scipy's compiled L-BFGS-B step, the private
 ``scipy.optimize._lbfgsb.setulb``, in its own loop.  The problems here have
 at most a few dozen variables and a Wyner estimate makes thousands of
 solves, so the per-call memoisation, copying and option handling of
 ``scipy.optimize.minimize`` cost several times the solver core.  The loop
-replays what ``minimize(..., method="L-BFGS-B")`` does with these settings
-(same workspace, same stop rules, same returned value), so its results are
-bit for bit those of the public call; ``tests/test_optim.py`` checks that
-against ``minimize`` and fails if a scipy release changes either side.
+replays, for every row of the stack, what ``minimize(..., method="L-BFGS-B")``
+does with these settings (same workspace, same stop rules, same returned
+value), so each row's result is bit for bit that of the public call on that
+row alone; ``tests/test_optim.py`` checks that against ``minimize`` and
+fails if a scipy release changes either side.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
+import scipy
 from scipy.optimize import _lbfgsb
 
 LN2 = float(np.log(2.0))
@@ -52,56 +62,112 @@ def simplex_chain(rows: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
     return rows * (grad_rows - inner)
 
 
-def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, float]:
-    """Minimize ``fun`` over logits z from ``z0``, where ``fun`` maps
-    ``softmax_rows(z)`` to (value, d value / d rows).
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy,
+    which the compiled L-BFGS-B step calls, or None where it is absent;
+    looked up once."""
+    pattern = os.path.join(
+        os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*.so"
+    )
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads
+            put = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
 
-    Returns z, the value at the last evaluation (which is the value at z
-    unless the line search failed) and the value at ``z0``, the first
+
+def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize, independently for every row r of the stack ``z0`` (leading
+    axis), an objective of the logits z[r].
+
+    ``fun`` maps ``softmax_rows(z)`` of the whole stack to the values, shape
+    (R,), and the gradients with respect to the rows; row r of its results
+    must depend on row r alone.  Each row keeps its own L-BFGS-B workspace,
+    iteration count and stop rules, so it ends exactly where a solve of that
+    row alone would.  The rows share the evaluation calls: one call serves
+    every row that asks for an evaluation, and the rows that have stopped
+    are evaluated along with them and their results dropped, which costs
+    less than gathering the asking rows out of arrays this small.
+
+    Returns z, the value at each row's last evaluation (the value at z[r]
+    unless its line search failed) and the value at ``z0[r]``, its first
     evaluation.
     """
-    shape = z0.shape
-    x = np.array(z0.reshape(-1), dtype=np.float64)
-    n = x.size
-    # Workspace as scipy's ``_minimize_lbfgsb`` sizes it; nbd = 0 leaves
-    # every variable unbounded, so the bound values play no part.
+    stack = z0.shape[0]
+    x = np.array(z0.reshape(stack, -1), dtype=np.float64)
+    n = x.shape[1]
+    f, g = np.zeros(stack), np.zeros((stack, n))
+    # One workspace per row, as scipy's ``_minimize_lbfgsb`` sizes it: x, g,
+    # wa, iwa, task, lsave, isave, dsave and ln_task.  nbd = 0 leaves every
+    # variable unbounded, so the bound values play no part.
     no_bound = np.zeros(n)
     nbd = np.zeros(n, np.int32)
-    wa = np.zeros(2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
-    f, g = 0.0, np.zeros(n)
+    work = [
+        (x[r], g[r], np.zeros(2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR),
+         np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32),
+         np.zeros(44, np.int32), np.zeros(29), np.zeros(2, np.int32))
+        for r in range(stack)
+    ]
     f_start = None
-    iterations = 0
-    while True:
-        _lbfgsb.setulb(MAXCOR, x, no_bound, no_bound, nbd, f, g, FACTR, GTOL,
-                       wa, iwa, task, lsave, isave, dsave, MAXLS, ln_task)
-        if task[0] == 3:  # evaluate f and g at x
-            rows = softmax_rows(x.reshape(shape))
-            f, grad_rows = fun(rows)
-            g = simplex_chain(rows, grad_rows).reshape(-1)
-            if f_start is None:
-                f_start = f
-        elif task[0] == 1:  # a new iterate
-            # scipy also stops past maxfun = 15,000 evaluations, which cannot
-            # bind here: MAXLS + 1 per iteration times maxiter <= 300 is 6,300.
-            iterations += 1
-            if iterations >= maxiter:
-                task[:] = (5, 504)  # stop: iteration limit
-        else:
-            break
-    return x.reshape(shape), float(f), float(f_start)
+    iterations = [0] * stack
+    active = range(stack)
+    # After an idle pause, the multithreaded OpenBLAS behind ``setulb`` takes
+    # ~100 ms to wake on each of the first solves of a process; these
+    # problems are far too small to gain from more than one thread.
+    threads = _blas_threads()
+    if threads:
+        get, put = threads
+        previous = get()
+        put(1)
+    try:
+        while active:
+            live = []
+            for r in active:
+                xr, gr, wa, iwa, task, lsave, isave, dsave, ln_task = work[r]
+                while True:
+                    _lbfgsb.setulb(MAXCOR, xr, no_bound, no_bound, nbd, f[r], gr, FACTR,
+                                   GTOL, wa, iwa, task, lsave, isave, dsave, MAXLS, ln_task)
+                    if task[0] != 1:
+                        break
+                    # A new iterate.  scipy also stops past maxfun = 15,000
+                    # evaluations, which cannot bind here: MAXLS + 1 per
+                    # iteration times maxiter <= 300 is 6,300.
+                    iterations[r] += 1
+                    if iterations[r] >= maxiter:
+                        task[:] = (5, 504)  # stop: iteration limit
+                if task[0] == 3:  # evaluate f and g at x[r]; else converged or stopped
+                    live.append(r)
+            active = live
+            if live:
+                rows = softmax_rows(x.reshape(z0.shape))
+                values, grad_rows = fun(rows)
+                for r in live:
+                    f[r] = values[r]
+                # Only the rows in ``live`` read their g again.
+                g[:] = simplex_chain(rows, grad_rows).reshape(stack, n)
+                if f_start is None:  # the first round evaluates every row at z0
+                    f_start = f.copy()
+    finally:
+        if threads:
+            put(previous)
+    return x.reshape(z0.shape), f, f_start
 
 
 def improve_rows(fun, rows: np.ndarray, maxiter: int) -> np.ndarray:
-    """One ``lbfgs`` solve from ``rows_to_logits(rows)``; its rows replace
-    ``rows`` only if its value is no worse than at the softmax of that start."""
+    """One stacked ``lbfgs`` solve from ``rows_to_logits(rows)``; each row
+    r's solved rows replace ``rows[r]`` only if their value is no worse than
+    at the softmax of that start.  ``rows`` itself comes back when no row
+    improves."""
     z, f, f_start = lbfgs(fun, rows_to_logits(rows), maxiter)
-    return softmax_rows(z) if f <= f_start else rows
+    better = (f <= f_start).reshape((-1,) + (1,) * (rows.ndim - 1))
+    return np.where(better, softmax_rows(z), rows) if better.any() else rows
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:
@@ -132,13 +198,14 @@ def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.
     """Soft channel rows on the support of ``view``: standard-normal logits
     from ``default_rng(seed)``, then one warm-started L-BFGS solve per
     objective, which maps a :class:`ChannelEval` to (value, d value / d t).
+    Each solve is the one-row stack of ``lbfgs``.
     """
-    z = np.random.default_rng(seed).normal(size=(view.size, w_cardinality))
+    z = np.random.default_rng(seed).normal(size=(1, view.size, w_cardinality))
     for objective in objectives:
 
         def fun(rho, objective=objective):
-            f, grad_t = objective(ChannelEval(view, rho))
-            return f, grad_t * view.p[:, None]
+            f, grad_t = objective(ChannelEval(view, rho[0]))
+            return np.array([f]), (grad_t * view.p[:, None])[None]
 
         z, _, _ = lbfgs(fun, z, maxiter)
-    return softmax_rows(z)
+    return softmax_rows(z[0])

@@ -13,7 +13,12 @@ Two quantities live here:
   infimum of I(X-bar; W) over joints that reproduce the source law and make
   the sources conditionally independent given W.  The estimator minimizes
   I under a marginal-matching penalty with escalating weight, then polishes
-  feasibility with exact alternating (EM) updates.
+  feasibility with exact alternating (EM) updates.  Its seeded restarts run
+  in lockstep: every block-descent sweep solves the same blocks in the same
+  order, so each sweep of all restarts still in their penalty rounds is one
+  stacked L-BFGS-B solve per block (``_optim.lbfgs``), while each restart
+  keeps its own penalty weight, stop rule, gate and polish.  The results
+  are those of running the restarts one after another.
 
 Verification helpers check the bound chain C <= min MI <= max MI <= B, the
 monotonicity of C under dropping a variable, the equal-pairwise-MI special
@@ -311,7 +316,9 @@ def pairwise_mi_bounds(pmf: JointPmf) -> tuple[float, float]:
 
 class _WynerProblem:
     """Support-compacted source data shared by all restarts; the mixture is
-    q(w, s) = a[w] * cond[w, s] with cond the product of the rows p(x_k|w)."""
+    q(w, s) = a[w] * cond[w, s] with cond the product of the rows p(x_k|w).
+    The methods take one restart's parameters or a stack of them along a
+    leading restart axis."""
 
     def __init__(self, pmf: JointPmf, w_card: int):
         self.view = pmf.support
@@ -323,27 +330,35 @@ class _WynerProblem:
         self.lp = np.log(self.p)
 
     def cond_given_w(self, blist: list[np.ndarray]) -> np.ndarray:
-        cond = blist[0][:, self.digs[0]].copy()
+        # The gather is not C-ordered, its copy is; the order in which the
+        # sums over W add up, and so their last bits, follow the layout.
+        cond = blist[0][..., self.digs[0]].copy()
         for k in range(1, len(blist)):
-            cond *= blist[k][:, self.digs[k]]
+            cond *= blist[k][..., self.digs[k]]
         return cond
 
     def objective(self, a, cond, lcond, lam):
-        """(I + lam * D(p || q) in nats, q(w, s), q(s), log q(s), I in nats)."""
-        qws = a[:, None] * cond
-        qx = qws.sum(axis=0)
-        lqx = _optim.safe_log(qx)
-        i_nats = float((qws * (lcond - lqx[None, :])).sum())
-        d_nats = float((self.p * (self.lp - lqx)).sum())
-        return i_nats + lam * d_nats, qws, qx, lqx, i_nats
+        """(I + lam * D(p || q) in nats, q(w, s), q(s), I in nats, and the
+        pieces of ``grad_factor``: log q(s|w) - log q(s) and p(s) / q(s))."""
+        qws = a[..., None] * cond
+        qx = qws.sum(axis=-2)
+        safe_qx = np.maximum(qx, _optim.TINY)
+        lqx = np.log(safe_qx)
+        pmi = lcond - lqx[..., None, :]
+        i_nats = (qws * pmi).sum(axis=(-2, -1))
+        d_nats = (self.p * (self.lp - lqx)).sum(axis=-1)
+        return i_nats + lam * d_nats, qws, qx, i_nats, (pmi, self.p / safe_qx)
 
     def objective_at(self, a, blist, lam):
         cond = self.cond_given_w(blist)
         return self.objective(a, cond, _optim.safe_log(cond), lam)
 
-    def grad_factor(self, cond, lcond, qx, lqx, lam) -> np.ndarray:
-        """Shared factor of the mixture-weight and per-source row gradients."""
-        return cond * ((lcond - lqx[None, :]) - lam * (self.p / np.maximum(qx, _optim.TINY))[None, :])
+    @staticmethod
+    def grad_factor(cond, pieces, lam) -> np.ndarray:
+        """Shared factor of the mixture-weight and per-source row gradients
+        of a stack of restarts with penalty weights ``lam``."""
+        pmi, ratio = pieces
+        return cond * (pmi - lam[:, None, None] * ratio[:, None, :])
 
     def residual(self, a, blist) -> float:
         cond = self.cond_given_w(blist)
@@ -352,27 +367,30 @@ class _WynerProblem:
 
 
 def _wyner_sweep(prob: _WynerProblem, a, blist, lam, maxiter):
-    """One cycle of exact block minimizations; returns updated parameters."""
+    """One cycle of exact block minimizations for a stack of restarts, with
+    the restart on the leading axis of ``a`` (R, |W|), every ``blist[k]``
+    (R, |W|, |X_k|) and ``lam`` (R,); returns the updated parameters.  Each
+    block is one stacked ``improve_rows`` solve."""
     cond = prob.cond_given_w(blist)
     lcond = _optim.safe_log(cond)
 
     def fun_a(av):
-        f, _, qx, lqx, _ = prob.objective(av, cond, lcond, lam)
-        return f, prob.grad_factor(cond, lcond, qx, lqx, lam).sum(axis=1)
+        f, _, _, _, pieces = prob.objective(av, cond, lcond, lam)
+        return f, prob.grad_factor(cond, pieces, lam).sum(axis=-1)
 
     a = _optim.improve_rows(fun_a, a, maxiter)
     for k in range(len(blist)):
-        cond_rest = np.ones((prob.w_card, len(prob.p)))
+        cond_rest = np.ones(cond.shape)
         for j in range(len(blist)):
             if j != k:
-                cond_rest *= blist[j][:, prob.digs[j]]
+                cond_rest *= blist[j][..., prob.digs[j]]
 
         def fun_b(b, k=k, cond_rest=cond_rest):
-            cond = cond_rest * b[:, prob.digs[k]]
+            cond = cond_rest * b[..., prob.digs[k]]
             lcond = _optim.safe_log(cond)
-            f, _, qx, lqx, _ = prob.objective(a, cond, lcond, lam)
-            t_mat = prob.grad_factor(cond, lcond, qx, lqx, lam)
-            return f, a[:, None] * (t_mat @ prob.onehots[k]) / np.maximum(b, 1e-12)
+            f, _, _, _, pieces = prob.objective(a, cond, lcond, lam)
+            t_mat = prob.grad_factor(cond, pieces, lam)
+            return f, a[..., None] * (t_mat @ prob.onehots[k]) / np.maximum(b, 1e-12)
 
         blist[k] = _optim.improve_rows(fun_b, blist[k], maxiter)
     return a, blist
@@ -413,7 +431,14 @@ def _wyner_polish(prob: _WynerProblem, a, blist):
     return a, blist, iters
 
 
-def _wyner_single(prob: _WynerProblem, rng: np.random.Generator, params: WynerParams):
+def _wyner_restart(prob: _WynerProblem, rng: np.random.Generator, max_sweeps: int):
+    """One restart: its penalty rounds, then the polish and final evaluation.
+
+    A generator, so that ``_wyner_restarts`` can sweep restarts together:
+    it yields (a, blist, lam) for every sweep it needs and takes the swept
+    (a, blist) back.  Returns (value in bits, residual, sweeps plus polish
+    iterations, (q(w, s), q(s))).
+    """
     a = _optim.softmax_rows(rng.normal(size=prob.w_card))
     blist = [
         _optim.softmax_rows(rng.normal(size=(prob.w_card, c))) for c in prob.cards
@@ -427,8 +452,8 @@ def _wyner_single(prob: _WynerProblem, rng: np.random.Generator, params: WynerPa
     for _ in range(MAX_ROUNDS):
         # A round stops once the objective sits at most SWEEP_STOP below its start.
         round_start = prob.objective_at(a, blist, lam)[0]
-        for _ in range(params.max_sweeps):
-            a, blist = _wyner_sweep(prob, a, blist, lam, params.block_maxiter)
+        for _ in range(max_sweeps):
+            a, blist = yield a, blist, lam
             sweeps += 1
             if round_start - prob.objective_at(a, blist, lam)[0] <= SWEEP_STOP:
                 break
@@ -436,10 +461,46 @@ def _wyner_single(prob: _WynerProblem, rng: np.random.Generator, params: WynerPa
             break
         lam *= LAMBDA_FACTOR
     a, blist, polish_iters = _wyner_polish(prob, a, blist)
-    _, qws, qx, _, i_nats = prob.objective_at(a, blist, 0.0)
+    _, qws, qx, i_nats, _ = prob.objective_at(a, blist, 0.0)
     residual = 0.5 * float(np.abs(prob.p - qx).sum())
-    value_bits = max(0.0, i_nats / _optim.LN2)
+    value_bits = max(0.0, float(i_nats) / _optim.LN2)
     return value_bits, residual, sweeps + polish_iters, (qws, qx)
+
+
+def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
+    """The result of every restart, the restarts run in lockstep.
+
+    Every sweep solves the blocks in the same order and shapes, so at each
+    step the restarts still in their penalty rounds are swept as one stack
+    (``_wyner_sweep``) while each keeps its own penalty weight, stop rule
+    and gate; a restart that finishes polishes and leaves the stack.
+    Restart r draws from ``default_rng([seed, r])``.
+    """
+    restarts = [
+        _wyner_restart(prob, np.random.default_rng([params.seed, r]), params.max_sweeps)
+        for r in range(params.restarts)
+    ]
+    runs = [None] * len(restarts)
+    requests = {}
+
+    def advance(r, swept):
+        try:
+            requests[r] = restarts[r].send(swept)
+        except StopIteration as finished:
+            requests.pop(r, None)
+            runs[r] = finished.value
+
+    for r in range(len(restarts)):
+        advance(r, None)
+    while requests:
+        live = list(requests)
+        a = np.stack([requests[r][0] for r in live])
+        blist = [np.stack([requests[r][1][k] for r in live]) for k in range(len(prob.cards))]
+        lam = np.array([requests[r][2] for r in live])
+        a, blist = _wyner_sweep(prob, a, blist, lam, params.block_maxiter)
+        for i, r in enumerate(live):
+            advance(r, (a[i], [b[i] for b in blist]))
+    return runs
 
 
 def _posterior_channel(prob: _WynerProblem, qws, qx) -> AuxChannel:
@@ -477,10 +538,7 @@ def wyner_estimate(
     if w_card < 1 or params.restarts < 1:
         raise ValueError("w_cardinality and restarts must be >= 1")
     prob = _WynerProblem(pmf, w_card)
-    runs = [
-        _wyner_single(prob, np.random.default_rng([params.seed, r]), params)
-        for r in range(params.restarts)
-    ]
+    runs = _wyner_restarts(prob, params)
 
     def rank(run):
         converged = run[1] <= RESIDUAL_TOL

@@ -47,6 +47,13 @@ class RateEquivocationTuple:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One budget of a sweep and its best certified witness.
+
+    ``converged`` is always true: the constant channel has r0 = 0, so it
+    meets every budget and each point is certified by some candidate.  The
+    field stays because the CLI's sweep output prints it.
+    """
+
     r0_budget: float
     delta: float
     converged: bool

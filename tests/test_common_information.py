@@ -11,6 +11,7 @@ from graywyner.errors import (
     SupportTooLargeError,
 )
 
+import sequential_reference
 from conftest import (
     acceptance_joints,
     binary_entropy,
@@ -209,6 +210,43 @@ def test_wyner_estimate_pinned_on_random_laws(
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
+def estimate_both_ways(monkeypatch, pmf, **kwargs):
+    """``wyner_estimate`` with its restarts in lockstep and, as the reference,
+    one after another; also the stack size of every lockstep sweep."""
+    sizes = []
+    sweep = common_information._wyner_sweep
+
+    def counted(prob, a, *args):
+        sizes.append(len(a))
+        return sweep(prob, a, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(common_information, "_wyner_sweep", counted)
+        lockstep = gw.wyner_estimate(pmf, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(common_information, "_wyner_restarts", sequential_reference.wyner_runs)
+        sequential = gw.wyner_estimate(pmf, **kwargs)
+    return lockstep, sequential, sizes
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_lockstep_restarts_match_sequential_loop(acceptance_laws, monkeypatch, index):
+    """Sweeping the restarts as one stack changes no byte of the estimate."""
+    restarts = 1 + index % 4
+    lockstep, sequential, sizes = estimate_both_ways(
+        monkeypatch, acceptance_laws[index], restarts=restarts, seed=index, **LIGHT
+    )
+    assert lockstep.value == sequential.value
+    assert lockstep.diagnostics == sequential.diagnostics
+    assert lockstep.witness.rows.tobytes() == sequential.witness.rows.tobytes()
+    assert sizes[0] == restarts
+    assert sizes == sorted(sizes, reverse=True)
+    if index == 7:
+        # Law 7's restarts take different numbers of sweeps: the stack
+        # shrinks from 4 to 2 and then to 1 while the others keep solving.
+        assert sorted(set(sizes)) == [1, 2, 4]
+
+
 class TestWynerRestartSelection:
     """The winner is the best converged restart (ties to the lowest index),
     else the lowest residual flagged not converged; iterations sum."""
@@ -217,15 +255,15 @@ class TestWynerRestartSelection:
     def scripted(monkeypatch, runs):
         # Restart r returns runs[r] = (value, residual, iterations) with a
         # mixture putting all weight on W = r, so the witness names r.
-        script = iter(enumerate(runs))
+        def fake(prob, params):
+            results = []
+            for r, (value, residual, iters) in enumerate(runs):
+                qws = np.zeros((prob.w_card, len(prob.p)))
+                qws[r] = prob.p
+                results.append((value, residual, iters, (qws, prob.p)))
+            return results
 
-        def fake(prob, rng, params):
-            r, (value, residual, iters) = next(script)
-            qws = np.zeros((prob.w_card, len(prob.p)))
-            qws[r] = prob.p
-            return value, residual, iters, (qws, prob.p)
-
-        monkeypatch.setattr(common_information, "_wyner_single", fake)
+        monkeypatch.setattr(common_information, "_wyner_restarts", fake)
         return gw.wyner_estimate(dsbs(0.1), w_cardinality=4, restarts=len(runs))
 
     @staticmethod
