@@ -1,4 +1,4 @@
-"""Reference solvers that the lockstep Wyner estimator must reproduce.
+"""Reference code that the stacked and chunked solvers must reproduce.
 
 ``reference`` is one L-BFGS-B solve through ``scipy.optimize.minimize``,
 the public call that ``_optim.lbfgs`` replays for every row of a stack.
@@ -7,12 +7,19 @@ each block solve a stack of one restart, as the package did before it swept
 all restarts as one stack.  The loop and its objective are kept here as
 they were, with one array per restart, so that tests can require byte-equal
 results from the stacked code.
+
+``brute_force_oracle`` is the set-partition oracle as it was before it
+scored partitions in chunks: one partition at a time from
+``iter_set_partitions``, each checked with the scalar slack test.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 
 from graywyner import _optim, common_information as ci
+from graywyner.distributions import deterministic_channel, validate
+from graywyner.errors import SupportTooLargeError
+from graywyner.infotheory import entropy_of_vector
 
 
 def reference(fun, z0, maxiter):
@@ -132,3 +139,55 @@ def wyner_runs(prob, params):
         wyner_single(prob, np.random.default_rng([params.seed, r]), params)
         for r in range(params.restarts)
     ]
+
+
+def scalar_slack(pmf, labels, m):
+    """The oracle's slack test of one labelling with ``m`` blocks: the
+    largest H(X_k, W) - H(X_k) over k, stopping at the first k above
+    ``BRUTE_SLACK_TOL``."""
+    view = pmf.support
+    worst = 0.0
+    for d, c in zip(view.digits, pmf.cardinalities):
+        h = entropy_of_vector(np.bincount(d, weights=view.p, minlength=c))
+        joint_kw = np.bincount(d * m + labels, weights=view.p, minlength=c * m)
+        slack = max(0.0, entropy_of_vector(joint_kw) - h)
+        worst = max(worst, slack)
+        if worst > ci.BRUTE_SLACK_TOL:
+            break
+    return worst
+
+
+def brute_force_oracle(pmf):
+    """Exhaustive maximum of H(W) over feasible deterministic W, scoring
+    every set partition of the support one after another."""
+    validate(pmf)
+    ci._require_sources(pmf)
+    view = pmf.support
+    if view.size > ci.BRUTE_SUPPORT_LIMIT:
+        raise SupportTooLargeError(
+            f"support size {view.size} exceeds {ci.BRUTE_SUPPORT_LIMIT}"
+        )
+    best_value = -1.0
+    best_labels = None
+    best_residual = 0.0
+    checked = 0
+    labels = np.empty(view.size, dtype=int)
+    for partition in ci.iter_set_partitions(range(view.size)):
+        checked += 1
+        m = len(partition)
+        for block_id, block in enumerate(partition):
+            labels[block] = block_id
+        worst = scalar_slack(pmf, labels, m)
+        if worst > ci.BRUTE_SLACK_TOL:
+            continue
+        value = entropy_of_vector(np.bincount(labels, weights=view.p, minlength=m))
+        if value > best_value:
+            best_value = value
+            best_labels = labels.copy()
+            best_residual = worst
+    full = np.zeros(pmf.num_outcomes, dtype=int)
+    full[view.indices] = best_labels
+    witness = deterministic_channel(pmf, full, int(best_labels.max()) + 1)
+    return ci.CommonInfoResult(
+        best_value, witness, "brute_force", ci.Diagnostics(checked, best_residual, True)
+    )

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,131 @@ class TestBruteForceOracle:
             assert fast == pytest.approx(brute, abs=1e-9)
 
 
+def three_component_law():
+    """Components {0, 1} x {0, 1}, (2, 2) and (3, 3): every coarsening of
+    the three is feasible, so five partitions compete.  The last component
+    has mass 1e-20, too small to move an entropy near 1 bit, so three of
+    them tie at exactly 1.0 and the first of those in table order wins."""
+    probs = np.zeros((4, 4))
+    probs[:2, :2] = [[0.1, 0.15], [0.05, 0.2]]
+    probs[2, 2] = 0.5
+    probs[3, 3] = 1e-20
+    return gw.JointPmf(("X1", "X2"), (4, 4), probs)
+
+
+def tiny_link_law():
+    """Three copies joined by one outcome of mass 1e-13, so the partitions
+    that cut that link have slack a few times ``BRUTE_SLACK_TOL``."""
+    probs = np.zeros((3, 3))
+    probs[0, 0] = probs[1, 1] = 0.3
+    probs[2, 2] = 0.4 - 1e-13
+    probs[0, 1] = 1e-13
+    return gw.JointPmf(("X1", "X2"), (3, 3), probs)
+
+
+def laws_by_support_size():
+    """Random laws with 1 to 8 support outcomes, for K = 2 and K = 3."""
+    rng = np.random.default_rng(53)
+    laws = []
+    for size in range(1, 9):
+        for cards in ((3, 3), (2, 2, 2)):
+            total = int(np.prod(cards))
+            flat = np.zeros(total)
+            flat[rng.choice(total, size=size, replace=False)] = rng.dirichlet(
+                np.ones(size)
+            )
+            names = tuple(f"X{i + 1}" for i in range(len(cards)))
+            laws.append(gw.JointPmf(names, cards, flat))
+    return laws
+
+
+ORACLE_LAWS = {
+    "acceptance": lambda: acceptance_joints(100) + [example1()],
+    "three_components": lambda: [three_component_law()],
+    "tiny_link": lambda: [tiny_link_law()],
+    "support_sizes": laws_by_support_size,
+}
+
+
+@pytest.mark.parametrize("family", ORACLE_LAWS)
+def test_chunked_oracle_matches_scalar_reference(family):
+    """Scoring partitions in chunks changes no byte of the oracle's result."""
+    for pmf in ORACLE_LAWS[family]():
+        chunked = gw.gk_brute_force_oracle(pmf)
+        scalar = sequential_reference.brute_force_oracle(pmf)
+        assert chunked.value == scalar.value
+        assert chunked.diagnostics == scalar.diagnostics
+        assert chunked.witness.w_cardinality == scalar.witness.w_cardinality
+        assert chunked.witness.rows.tobytes() == scalar.witness.rows.tobytes()
+
+
+def test_both_oracles_refuse_example2(ex2):
+    for oracle in (gw.gk_brute_force_oracle, sequential_reference.brute_force_oracle):
+        with pytest.raises(SupportTooLargeError):
+            oracle(ex2)
+
+
+@pytest.mark.parametrize("family", ["three_components", "tiny_link", "support_sizes"])
+def test_prefilter_keeps_every_row_the_scalar_check_keeps(monkeypatch, family):
+    kept = []
+    prefilter = common_information._prefilter
+
+    def recorded(*args):
+        rows = prefilter(*args)
+        kept.extend(tuple(row) for row in rows)
+        return rows
+
+    monkeypatch.setattr(common_information, "_prefilter", recorded)
+    near = 0
+    for pmf in ORACLE_LAWS[family]():
+        kept.clear()
+        gw.gk_brute_force_oracle(pmf)
+        table = common_information._partition_table(pmf.support.size).astype(int)
+        slack = {
+            tuple(row): sequential_reference.scalar_slack(pmf, row, row.max() + 1)
+            for row in table
+        }
+        tol = common_information.BRUTE_SLACK_TOL
+        assert {row for row, s in slack.items() if s <= tol} <= set(kept)
+        assert kept == [row for row in slack if row in set(kept)]  # table order
+        near += sum(tol < slack[row] for row in kept)
+    if family == "tiny_link":
+        # Rows the prefilter passes and the exact check then rejects.
+        assert near > 0
+
+
+def test_oracle_memory_does_not_grow_with_bell_n():
+    """Every partition of this 8 x 8 bijection is feasible, so all Bell(8)
+    rows reach the exact check; one unchunked Bell(8) x 8 x 8 histogram
+    alone would take 2.1 MB."""
+    pmf = gw.JointPmf(("X1", "X2"), (8, 8), np.eye(8)[::-1] / 8)
+    gw.gk_brute_force_oracle(pmf)  # builds and caches the partition table
+    tracemalloc.start()
+    try:
+        result = gw.gk_brute_force_oracle(pmf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == 3.0
+    assert result.diagnostics.iterations == 4140
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_partition_table_is_iter_set_partitions(n):
+    expected = []
+    for partition in gw.iter_set_partitions(range(n)):
+        labels = [0] * n
+        for block_id, block in enumerate(partition):
+            for item in block:
+                labels[item] = block_id
+        expected.append(labels)
+    table = common_information._partition_table(n)
+    assert table.dtype == np.int8
+    assert table.shape == (len(expected), n)
+    assert table.tolist() == expected
+
+
 class TestPairwiseMiBounds:
     def test_example1(self, ex1):
         mn, mx = gw.pairwise_mi_bounds(ex1)
@@ -187,6 +314,36 @@ WYNER_PINS = [
     (31, 1.670058192642801, 1.0867719975327095e-07, 271,
      "11d876e6708dcad185cb049def06b7821c0a6cf2634b3e8c50dd1577c9b84669"),  # K=3, 8
 ]
+
+
+def wyner_dsbs(a0):
+    """Wyner's closed form for the DSBS(a0): 1 + h(a0) - 2 h(a1)."""
+    a1 = (1 - math.sqrt(1 - 2 * a0)) / 2
+    return 1 + binary_entropy(a0) - 2 * binary_entropy(a1)
+
+
+YARDSTICK = [
+    (f"dsbs{a0}", lambda a0=a0: dsbs(a0), wyner_dsbs(a0))
+    for a0 in (0.01, 0.05, 0.11, 0.2, 0.3, 0.45)
+] + [("example1", example1, wyner_dsbs(0.11))]
+
+
+@pytest.mark.parametrize(
+    "make, exact", [case[1:] for case in YARDSTICK], ids=[case[0] for case in YARDSTICK]
+)
+def test_wyner_estimate_against_closed_form(make, exact):
+    """Default estimates converge and never undercut Wyner's closed form by
+    more than 1e-5; an independent fair bit (example 1) adds nothing to B.
+    Run with ``-s`` to see each gap."""
+    result = gw.wyner_estimate(make())
+    gap = result.value - exact
+    print(f"B estimate {result.value:.9f}, closed form {exact:.9f}, gap {gap:.2e}")
+    assert result.diagnostics.converged
+    assert gap >= -1e-5
+
+
+def test_closed_form_of_example1():
+    assert wyner_dsbs(0.11) == pytest.approx(0.857699, abs=1e-6)
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,13 @@ def test_c_below_pairwise_mi_bounds(pmf):
     mn, mx = gw.pairwise_mi_bounds(pmf)
     assert c <= mn + 1e-9
     assert mn <= mx
+
+
+@SETTINGS
+@given(joints())
+def test_brute_force_oracle_equals_exact_c(pmf):
+    oracle = gw.gk_brute_force_oracle(pmf).value
+    assert oracle == pytest.approx(gw.gk_common_information(pmf).value, abs=1e-9)
 
 
 @SETTINGS
