@@ -406,7 +406,10 @@ def exact_equivocation(
 
     Enumerates all support^n source blocks; raises EnumerationTooLargeError
     beyond ``enumeration_limit`` blocks (a desk-scale guard, adjustable).
+    ``cfg`` must be the configuration the codebook was built with.
     """
+    if cfg != codebook.config:
+        raise ValueError(f"cfg {cfg} differs from the codebook's {codebook.config}")
     if not 0 <= k < pmf.k:
         raise IndexError(f"decoder index {k} out of range")
     stats = _PairStats(pmf, w)

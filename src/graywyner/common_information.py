@@ -7,7 +7,9 @@ Two quantities live here:
   maximizer is the maximal common random variable: label the connected
   components of the graph joining, for every positive-probability joint
   outcome, the (variable, symbol) nodes it touches.  A brute-force set
-  partition search over the support serves as an independent oracle.
+  partition search serves as an oracle.  Both work on the support view and
+  certify a label W by H(X_k, W) = H(X_k), which for a function of the
+  joint outcome is exactly the chain W - X_k - rest.
 
 * ``wyner_estimate`` numerically upper-bounds the Wyner-style quantity: the
   infimum of I(X-bar; W) over joints that reproduce the source law and make
@@ -36,6 +38,7 @@ from . import _optim
 from .distributions import (
     AuxChannel,
     JointPmf,
+    SupportView,
     deterministic_channel,
     join_with_aux,
     marginalize,
@@ -45,7 +48,6 @@ from .infotheory import (
     conditional_entropy,
     entropy,
     entropy_of_vector,
-    markov_slack,
     mutual_information,
 )
 
@@ -175,12 +177,12 @@ class _UnionFind:
 
 
 def common_part_labels(pmf: JointPmf) -> np.ndarray:
-    """Component label of every joint outcome (0 for zero-probability ones).
+    """Component label of every support row of ``pmf.support``.
 
     Nodes are (variable, symbol) pairs carrying positive marginal mass; each
-    positive-probability outcome connects its K coordinate nodes.  The
-    induced outcome labels are numbered by first appearance in row-major
-    order, so the result is deterministic.
+    positive-probability outcome connects its K coordinate nodes.  Labels
+    are numbered by first appearance along the support rows (row-major
+    order), so the result is deterministic.
     """
     offsets = np.concatenate(([0], np.cumsum(pmf.cardinalities)[:-1]))
     uf = _UnionFind(int(sum(pmf.cardinalities)))
@@ -189,30 +191,54 @@ def common_part_labels(pmf: JointPmf) -> np.ndarray:
         base = int(offsets[0] + view.digits[0][s])
         for k in range(1, pmf.k):
             uf.union(base, int(offsets[k] + view.digits[k][s]))
-    labels = np.zeros(pmf.num_outcomes, dtype=int)
+    labels = np.empty(view.size, dtype=int)
     next_label: dict[int, int] = {}
-    for s, idx in enumerate(view.indices):
+    for s in range(view.size):
         root = uf.find(int(offsets[0] + view.digits[0][s]))
-        labels[idx] = next_label.setdefault(root, len(next_label))
+        labels[s] = next_label.setdefault(root, len(next_label))
     return labels
+
+
+def _source_entropies(view: SupportView) -> list[float]:
+    """H(X_k) in bits for every source k."""
+    return [entropy_of_vector(np.bincount(d, weights=view.p)) for d in view.digits]
+
+
+def _score_labels(view: SupportView, labels: np.ndarray, h_k) -> tuple[float, float]:
+    """(H(W), max_k [H(X_k, W) - H(X_k)]) for W = ``labels[s]`` on support
+    row s, with ``h_k`` from ``_source_entropies``.  The k-th term is the
+    Markov slack I(rest; W | X_k); it is 0.0 to the bit when W is a
+    function of X_k, since both histograms then hold the same masses in
+    the same order."""
+    m = int(labels.max()) + 1
+    worst = 0.0
+    for d, h in zip(view.digits, h_k):
+        joint_kw = np.bincount(d * m + labels, weights=view.p)
+        worst = max(worst, entropy_of_vector(joint_kw) - h)
+    return entropy_of_vector(np.bincount(labels, weights=view.p)), worst
+
+
+def _label_witness(pmf: JointPmf, labels: np.ndarray) -> AuxChannel:
+    """The deterministic witness W = ``labels[s]`` on support row s and
+    W = 0 on zero-probability outcomes."""
+    full = np.zeros(pmf.num_outcomes, dtype=int)
+    full[pmf.support.indices] = labels
+    return deterministic_channel(pmf, full, int(labels.max()) + 1)
 
 
 def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
     """C(X_1, ..., X_K) with its deterministic witness W*.
 
     The witness is the maximal common random variable; its entropy is the
-    value, it satisfies markov_slack(k) = 0 for all k, and I(X-bar; W*)
-    equals H(W*).
+    value and I(X-bar; W*) equals H(W*).  ``diagnostics.residual`` is the
+    exact label certificate max_k [H(X_k, W*) - H(X_k)], which is 0.0
+    because W* is a function of every X_k.
     """
     _require_sources(pmf)
-    labels = common_part_labels(pmf)
     view = pmf.support
-    m = int(labels.max()) + 1
-    witness = deterministic_channel(pmf, labels, m)
-    masses = np.bincount(labels[view.indices], weights=view.p, minlength=m)
-    value = entropy_of_vector(masses)
-    joint = join_with_aux(pmf, witness)
-    residual = max(markov_slack(joint, k) for k in range(pmf.k))
+    labels = common_part_labels(pmf)
+    value, residual = _score_labels(view, labels, _source_entropies(view))
+    witness = _label_witness(pmf, labels)
     return CommonInfoResult(
         value, witness, "gk_components", Diagnostics(view.size, residual, True)
     )
@@ -297,10 +323,9 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
 
     Enumerates all Bell(n) set partitions of the n positive-probability
     outcomes as candidate labels, keeps those whose Markov slack vanishes
-    for every k, and returns the best entropy.  For a label that is a
-    function of the joint outcome, I(rest; W | X_k) reduces to
-    H(X_k, W) - H(X_k), which is what gets checked against
-    ``BRUTE_SLACK_TOL``.
+    for every k, and returns the best entropy.  Each candidate is scored
+    like the component witness of ``gk_common_information``: its slack
+    H(X_k, W) - H(X_k) is checked against ``BRUTE_SLACK_TOL``.
 
     The partitions come from a cached table of restricted-growth strings
     and are scored ``BRUTE_CHUNK_ROWS`` at a time, so no work array grows
@@ -316,47 +341,24 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
         raise SupportTooLargeError(
             f"support size {view.size} exceeds {BRUTE_SUPPORT_LIMIT}"
         )
-    probs = view.p
-    digs = view.digits
-    h_k = [
-        entropy_of_vector(np.bincount(d, weights=probs, minlength=c))
-        for d, c in zip(digs, pmf.cardinalities)
-    ]
+    h_k = _source_entropies(view)
     codes = []  # the symbols of X_k seen on the support, numbered from 0
-    for d, c in zip(digs, pmf.cardinalities):
+    for d, c in zip(view.digits, pmf.cardinalities):
         seen = np.zeros(c, dtype=np.intp)
         seen[d] = 1
         codes.append(np.cumsum(seen)[d] - 1)
     table = _partition_table(view.size)
-    best_value = -1.0
-    best_labels: np.ndarray | None = None
-    best_residual = 0.0
+    best = (-1.0, None, 0.0)  # value, labels, residual
     for start in range(0, len(table), BRUTE_CHUNK_ROWS):
         chunk = table[start : start + BRUTE_CHUNK_ROWS].astype(np.intp)
-        for labels in _prefilter(chunk, codes, probs, h_k):
-            m = int(labels.max()) + 1
-            worst = 0.0
-            for d, c, h in zip(digs, pmf.cardinalities, h_k):
-                joint_kw = np.bincount(d * m + labels, weights=probs, minlength=c * m)
-                slack = max(0.0, entropy_of_vector(joint_kw) - h)
-                worst = max(worst, slack)
-                if worst > BRUTE_SLACK_TOL:
-                    break
-            if worst > BRUTE_SLACK_TOL:
-                continue
-            value = entropy_of_vector(np.bincount(labels, weights=probs, minlength=m))
-            if value > best_value:
-                best_value = value
-                best_labels = labels.copy()
-                best_residual = worst
-    full = np.zeros(pmf.num_outcomes, dtype=int)
-    full[view.indices] = best_labels
-    witness = deterministic_channel(pmf, full, int(best_labels.max()) + 1)
+        for labels in _prefilter(chunk, codes, view.p, h_k):
+            value, worst = _score_labels(view, labels, h_k)
+            if worst <= BRUTE_SLACK_TOL and value > best[0]:
+                best = (value, labels.copy(), worst)
+    value, labels, residual = best
     return CommonInfoResult(
-        best_value,
-        witness,
-        "brute_force",
-        Diagnostics(len(table), best_residual, True),
+        value, _label_witness(pmf, labels), "brute_force",
+        Diagnostics(len(table), residual, True),
     )
 
 
@@ -735,10 +737,7 @@ def relaxation_spot_check(
     c = gk_common_information(pmf).value
     view = pmf.support
     h_x = entropy_of_vector(view.p) * _optim.LN2
-    h_k = [
-        entropy_of_vector(np.bincount(d, weights=view.p, minlength=cc)) * _optim.LN2
-        for d, cc in zip(view.digits, pmf.cardinalities)
-    ]
+    h_k = [h * _optim.LN2 for h in _source_entropies(view)]
     w_card = view.w_cardinality(None)
 
     def objective(mu):

@@ -89,10 +89,6 @@ class JointPmf:
         """Row-major indices of outcomes with positive probability."""
         return np.flatnonzero(self.flat > 0.0)
 
-    def outcome_index(self, symbols: Sequence[int]) -> int:
-        """Row-major index of a joint outcome given per-variable symbols."""
-        return int(np.ravel_multi_index(tuple(symbols), self.cardinalities))
-
     def outcome_symbols(self, index: int) -> tuple[int, ...]:
         """Per-variable symbols of a row-major joint outcome index."""
         return tuple(int(s) for s in np.unravel_index(index, self.cardinalities))
@@ -275,9 +271,10 @@ def condition(pmf: JointPmf, on: int, value: int) -> JointPmf:
     )
 
 
-def join_with_aux(pmf: JointPmf, w: AuxChannel, w_name: str = "W") -> JointPmf:
+def join_with_aux(pmf: JointPmf, w: AuxChannel) -> JointPmf:
     """Joint law of (X_1, ..., X_K, W); W becomes the last variable."""
     check_channel(pmf, w)
+    w_name = "W"
     while w_name in pmf.variable_names:
         w_name += "_"
     tensor = pmf.flat[:, None] * w.rows

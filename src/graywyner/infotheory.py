@@ -24,10 +24,10 @@ from .errors import (
 MEASURE_TOL = 1e-9
 
 
-def _clamp(value: float, tol: float = MEASURE_TOL) -> float:
-    if value < -tol:
+def _clamp(value: float) -> float:
+    if value < -MEASURE_TOL:
         raise NegativeMeasureError(
-            f"information measure came out {value:.3e} bits (< -{tol:g})"
+            f"information measure came out {value:.3e} bits (< -{MEASURE_TOL:g})"
         )
     return 0.0 if value <= 0.0 else float(value)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,20 @@ class TestExactEquivocation:
                 assert e <= h_rest + 1e-9
                 values[n] = e
             assert values[4] >= values[2] - 0.1
+
+    @pytest.mark.parametrize(
+        "other", [dict(seed=4), dict(n=3)], ids=["other_seed", "other_n"]
+    )
+    def test_config_must_match_codebook(self, other):
+        # A mismatched seed used to return a wrong value silently, and a
+        # mismatched n failed inside numpy broadcasting.
+        pmf = copy_pair()
+        w = gw.constant_channel(pmf)
+        cfg = gw.CodeConfig(n=4, slack=0.0, seed=3)
+        book = gw.build_codebook(pmf, w, cfg)
+        assert gw.exact_equivocation(pmf, w, book, cfg, 0) == pytest.approx(0.09375)
+        with pytest.raises(ValueError, match="differs from the codebook"):
+            gw.exact_equivocation(pmf, w, book, dataclasses.replace(cfg, **other), 0)
 
     def test_enumeration_guard(self, ex2):
         w = example2_w_x0()

@@ -90,10 +90,13 @@ class TestBruteForceOracle:
             assert sum(1 for _ in gw.iter_set_partitions(range(n))) == bell
 
     def test_slack_shortcut_matches_markov_slack(self):
-        # The oracle scores a deterministic label via H(X_k, W) - H(X_k);
-        # cross-check the identity against the general definition.
+        # Exact C and the oracle score a deterministic label via
+        # H(X_k, W) - H(X_k); cross-check the identity and the shared
+        # scorer against the general definition.
         rng = np.random.default_rng(43)
         pmf = random_joint(rng, k=2, max_support=6)
+        view = pmf.support
+        h_k = common_information._source_entropies(view)
         support = pmf.support_indices()
         labels = np.zeros(pmf.num_outcomes, dtype=int)
         labels[support] = np.arange(len(support)) % 2
@@ -102,8 +105,13 @@ class TestBruteForceOracle:
         for k in range(2):
             direct = gw.markov_slack(joint, k)
             h_kw = gw.entropy(joint, [k, 2])
-            h_k = gw.entropy(joint, [k])
-            assert direct == pytest.approx(max(0.0, h_kw - h_k), abs=1e-12)
+            h_k_dense = gw.entropy(joint, [k])
+            assert direct == pytest.approx(max(0.0, h_kw - h_k_dense), abs=1e-12)
+        worst = max(gw.markov_slack(joint, k) for k in range(2))
+        _, slack = common_information._score_labels(view, labels[support], h_k)
+        assert slack == pytest.approx(worst, abs=1e-12)
+        components = common_information.common_part_labels(pmf)
+        assert common_information._score_labels(view, components, h_k)[1] == 0.0
 
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(47)

@@ -92,8 +92,9 @@ def test_brute_force_oracle_equals_exact_c(pmf):
 @SETTINGS
 @given(joints())
 def test_component_witness_has_zero_markov_slack(pmf):
-    witness = gw.gk_common_information(pmf).witness
-    joint = gw.join_with_aux(pmf, witness)
+    result = gw.gk_common_information(pmf)
+    assert result.diagnostics.residual == 0.0
+    joint = gw.join_with_aux(pmf, result.witness)
     for k in range(pmf.k):
         assert gw.markov_slack(joint, k) <= 1e-12
 
