@@ -5,7 +5,8 @@ calls one or two library functions, and prints a structured (JSON) or CSV
 report.  No numeric logic lives here.  Randomized subcommands require an
 explicit --seed so output is byte-identical across reruns.
 
-Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage error.
+Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage error
+(including a value the library rejects, such as --n 0 or a negative budget).
 """
 
 from __future__ import annotations
@@ -251,6 +252,8 @@ def _cmd_simulate(args) -> int:
     n_values = _parse_ints(args.n_grid) if args.n_grid else [args.n]
     if any(v is None for v in n_values) or not n_values:
         raise _UsageError("provide --n or --n-grid")
+    # Run everything first, so that a rejected value leaves stdout empty.
+    runs = [_simulate_once(pmf, w, args, n, seed) for n in n_values]
     if args.format == "csv":
         print(CSV_TREND_SCHEMA)
         columns = ["n", "encoder_failure_rate"]
@@ -258,8 +261,7 @@ def _cmd_simulate(args) -> int:
         if args.exact_equivocation:
             columns += [f"equivocation_{k + 1}" for k in range(pmf.k)]
         print(",".join(columns))
-        for n in n_values:
-            _, report, equivocations = _simulate_once(pmf, w, args, n, seed)
+        for n, (_, report, equivocations) in zip(n_values, runs):
             row = [str(n), repr(report.encoder_failure_rate)]
             row += [repr(v) for v in report.error_rates]
             if args.exact_equivocation:
@@ -267,8 +269,7 @@ def _cmd_simulate(args) -> int:
             print(",".join(row))
         return 0
     reports = []
-    for n in n_values:
-        cfg, report, equivocations = _simulate_once(pmf, w, args, n, seed)
+    for cfg, report, equivocations in runs:
         reports.append(
             {
                 "config": {
@@ -468,7 +469,7 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
             return int(exc.code) if exc.code else 0
         try:
             return args.handler(args)
-        except _UsageError as exc:
+        except (_UsageError, ValueError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
         except GrayWynerError as exc:

@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import AuxChannel, JointPmf, check_channel
+from .distributions import AuxChannel, JointPmf
 from .errors import (
     CodebookTooLargeError,
     EnumerationTooLargeError,
     ShapeMismatchError,
 )
-from .infotheory import entropy_of_vector
+from .infotheory import PairStats, entropy_of_vector
 
 M0_LIMIT = 1 << 24
 BIN_TABLE_LIMIT = 1 << 22
@@ -75,9 +75,11 @@ class DecoderFailure:
 
 @dataclass(eq=False)
 class Codebook:
-    """Realized code: W-codewords plus seeded-hash bin configuration."""
+    """Realized code: W-codewords plus seeded-hash bin configuration, and
+    ``stats`` of the one law and channel the code accepts."""
 
     config: CodeConfig
+    stats: PairStats = field(repr=False)
     w_cardinality: int
     m0: int
     bin_counts: tuple[int, ...]
@@ -106,47 +108,6 @@ class SimReport:
     target_equivocations: tuple[float, ...]
     m0: int
     bin_counts: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Shared per-(pmf, w) quantities
-# ---------------------------------------------------------------------------
-
-
-class _PairStats:
-    """Cost matrices (-log2 of pair probabilities) and target entropies."""
-
-    def __init__(self, pmf: JointPmf, w: AuxChannel):
-        check_channel(pmf, w)
-        self.pmf = pmf
-        self.w = w
-        self.pair_full = pmf.flat[:, None] * w.rows
-        with np.errstate(divide="ignore"):
-            self.cost_full = -np.log2(self.pair_full)
-        self.h_pair = entropy_of_vector(self.pair_full)
-        self.p_w = self.pair_full.sum(axis=0)
-        self.h_w = entropy_of_vector(self.p_w)
-        self.digits = [pmf.digits(k) for k in range(pmf.k)]
-        self.pair_k = []
-        self.cost_k = []
-        self.h_pair_k = []
-        for k in range(pmf.k):
-            agg = np.zeros((pmf.cardinalities[k], w.w_cardinality))
-            np.add.at(agg, self.digits[k], self.pair_full)
-            self.pair_k.append(agg)
-            with np.errstate(divide="ignore"):
-                self.cost_k.append(-np.log2(agg))
-            self.h_pair_k.append(entropy_of_vector(agg))
-
-    def private_rate(self, k: int) -> float:
-        return max(0.0, self.h_pair_k[k] - self.h_w)
-
-    def common_rate(self) -> float:
-        h_x = entropy_of_vector(self.pmf.flat)
-        return max(0.0, h_x + self.h_w - self.h_pair)
-
-    def equivocation_target(self, k: int) -> float:
-        return max(0.0, self.h_pair - self.h_pair_k[k])
 
 
 def _bin_of_sequence(seed: int, k: int, seq: np.ndarray, m: int) -> int:
@@ -184,13 +145,11 @@ def _code_size(rate: float, n: int) -> int:
 
 def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
     """Draw the W-codebook and fix the bin configuration for (pmf, w, cfg)."""
-    stats = _PairStats(pmf, w)
-    m0 = _code_size(stats.common_rate() + cfg.slack, cfg.n)
+    stats = PairStats(pmf, w)
+    m0 = _code_size(stats.mi + cfg.slack, cfg.n)
     if m0 > M0_LIMIT:
         raise CodebookTooLargeError(f"M0 = {m0} exceeds the 2^24 guard")
-    bin_counts = tuple(
-        _code_size(stats.private_rate(k) + cfg.slack, cfg.n) for k in range(pmf.k)
-    )
+    bin_counts = tuple(_code_size(h + cfg.slack, cfg.n) for h in stats.h_given_w)
     if cfg.n * math.log2(max(2, w.w_cardinality)) > 62:
         raise CodebookTooLargeError("W-pattern index would overflow 64 bits")
     rng = np.random.default_rng([cfg.seed, 0])
@@ -202,6 +161,7 @@ def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
     pattern_digits = _base_digits(unique_ids, w.w_cardinality, cfg.n)
     return Codebook(
         config=cfg,
+        stats=stats,
         w_cardinality=w.w_cardinality,
         m0=m0,
         bin_counts=bin_counts,
@@ -216,13 +176,20 @@ def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
 # ---------------------------------------------------------------------------
 
 
-def _encode_outcomes(
-    codebook: Codebook, stats: _PairStats, o_seq: np.ndarray
-) -> int:
+def _own_stats(codebook: Codebook, pmf: JointPmf, w: AuxChannel) -> PairStats:
+    """The codebook's statistics, once ``pmf`` and ``w`` are its own objects."""
+    stats = codebook.stats
+    if pmf != stats.pmf or w != stats.w:
+        raise ValueError("pmf and w must be the objects the codebook was built from")
+    return stats
+
+
+def _encode_outcomes(codebook: Codebook, o_seq: np.ndarray) -> int:
     """Smallest typical codeword index (1-based) or 0 on encoder failure."""
+    stats = codebook.stats
     n = codebook.n
     tol = codebook.config.typicality_tolerance
-    pos_cost = stats.cost_full[o_seq]  # (n, Wc)
+    pos_cost = stats.cost[o_seq]  # (n, Wc)
     scores = pos_cost[np.arange(n)[None, :], codebook.pattern_digits].sum(axis=1)
     typical = np.abs(scores - n * stats.h_pair) <= n * tol
     if not typical.any():
@@ -237,14 +204,14 @@ def encode(
     source_block: np.ndarray,
 ) -> Messages | EncoderFailure:
     """Messages (j0, bin indices) for one block of K source sequences."""
+    _own_stats(codebook, pmf, w)
     block = np.asarray(source_block, dtype=np.int64)
     if block.shape != (pmf.k, codebook.n):
         raise ShapeMismatchError(
             f"source_block must have shape ({pmf.k}, {codebook.n}), got {block.shape}"
         )
-    stats = _PairStats(pmf, w)
     o_seq = np.ravel_multi_index(tuple(block), pmf.cardinalities)
-    j0 = _encode_outcomes(codebook, stats, o_seq)
+    j0 = _encode_outcomes(codebook, o_seq)
     if j0 == 0:
         return EncoderFailure()
     bins = tuple(
@@ -254,11 +221,11 @@ def encode(
     return Messages(j0, bins)
 
 
-def _bin_groups(codebook: Codebook, k: int, alphabet: int):
-    """Per-bin membership of all alphabet^n sequences of source k (cached)."""
-    key = ("groups", k, alphabet)
-    if key in codebook._caches:
-        return codebook._caches[key]
+def _bin_groups(codebook: Codebook, k: int):
+    """Per-bin membership of all sequences of source k (cached)."""
+    if k in codebook._caches:
+        return codebook._caches[k]
+    alphabet = codebook.stats.pmf.cardinalities[k]
     total = alphabet**codebook.n
     if total > BIN_TABLE_LIMIT:
         raise EnumerationTooLargeError(
@@ -272,14 +239,13 @@ def _bin_groups(codebook: Codebook, k: int, alphabet: int):
     starts = np.searchsorted(sorted_bins, np.arange(m), side="left")
     ends = np.searchsorted(sorted_bins, np.arange(m), side="right")
     value = (digits, order, starts, ends)
-    codebook._caches[key] = value
+    codebook._caches[k] = value
     return value
 
 
-def _decode_inner(
-    codebook: Codebook, stats: _PairStats, k: int, j0: int, jk: int
-):
-    digits, order, starts, ends = _bin_groups(codebook, k, stats.pmf.cardinalities[k])
+def _decode_inner(codebook: Codebook, k: int, j0: int, jk: int):
+    stats = codebook.stats
+    digits, order, starts, ends = _bin_groups(codebook, k)
     members = order[starts[jk - 1] : ends[jk - 1]]
     if len(members) == 0:
         return DecoderFailure()
@@ -304,14 +270,14 @@ def decode(
     jk: int,
 ) -> np.ndarray | DecoderFailure:
     """Reconstruct X_k^n from (j0, jk), or DecoderFailure."""
+    _own_stats(codebook, pmf, w)
     if not 0 <= k < pmf.k:
         raise IndexError(f"decoder index {k} out of range")
     if not 1 <= j0 <= codebook.m0:
         raise ValueError(f"j0 = {j0} outside 1..{codebook.m0}")
     if not 1 <= jk <= codebook.bin_counts[k]:
         raise ValueError(f"jk = {jk} outside 1..{codebook.bin_counts[k]}")
-    stats = _PairStats(pmf, w)
-    return _decode_inner(codebook, stats, k, j0, jk)
+    return _decode_inner(codebook, k, j0, jk)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +297,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stats = _PairStats(pmf, w)
     codebook = build_codebook(pmf, w, cfg)
+    stats = codebook.stats
     n = cfg.n
     flat = pmf.flat
     errors = np.zeros(pmf.k, dtype=np.int64)
@@ -341,15 +307,15 @@ def run_trials(
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, 2, trial])
         o_seq = rng.choice(pmf.num_outcomes, size=n, p=flat)
-        j0 = _encode_outcomes(codebook, stats, o_seq)
+        j0 = _encode_outcomes(codebook, o_seq)
         if j0 == 0:
             failures += 1
             errors += 1
             continue
-        for k in range(pmf.k):
-            xk = stats.digits[k][o_seq]
+        block = np.unravel_index(o_seq, pmf.cardinalities)
+        for k, xk in enumerate(block):
             jk = _bin_of_sequence(cfg.seed, k, xk, codebook.bin_counts[k]) + 1
-            result = _decode_inner(codebook, stats, k, j0, jk)
+            result = _decode_inner(codebook, k, j0, jk)
             if isinstance(result, DecoderFailure) or not np.array_equal(result, xk):
                 errors[k] += 1
                 decode_errors[k] += 1
@@ -361,9 +327,9 @@ def run_trials(
         decoder_error_rates=(
             tuple(float(e) / successes for e in decode_errors) if successes else None
         ),
-        target_common_rate=stats.common_rate(),
-        target_private_rates=tuple(stats.private_rate(k) for k in range(pmf.k)),
-        target_equivocations=tuple(stats.equivocation_target(k) for k in range(pmf.k)),
+        target_common_rate=stats.mi,
+        target_private_rates=stats.h_given_w,
+        target_equivocations=stats.h_given_wk,
         m0=codebook.m0,
         bin_counts=codebook.bin_counts,
     )
@@ -406,13 +372,13 @@ def exact_equivocation(
 
     Enumerates all support^n source blocks; raises EnumerationTooLargeError
     beyond ``enumeration_limit`` blocks (a desk-scale guard, adjustable).
-    ``cfg`` must be the configuration the codebook was built with.
+    ``pmf``, ``w`` and ``cfg`` must be the ones the codebook was built with.
     """
     if cfg != codebook.config:
         raise ValueError(f"cfg {cfg} differs from the codebook's {codebook.config}")
+    stats = _own_stats(codebook, pmf, w)
     if not 0 <= k < pmf.k:
         raise IndexError(f"decoder index {k} out of range")
-    stats = _PairStats(pmf, w)
     view = pmf.support
     s_sup = view.size
     n = cfg.n
@@ -421,7 +387,7 @@ def exact_equivocation(
             f"{s_sup}^{n} source blocks exceed the limit of {enumeration_limit}"
         )
     blocks = s_sup**n
-    cost_sup = stats.cost_full[view.indices]
+    cost_sup = stats.cost[view.indices]
 
     # j0 per block: distinct codeword patterns in ascending first-occurrence
     # order claim still-unset blocks they are typical with.

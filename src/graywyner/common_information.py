@@ -40,16 +40,10 @@ from .distributions import (
     JointPmf,
     SupportView,
     deterministic_channel,
-    join_with_aux,
     marginalize,
 )
 from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
-from .infotheory import (
-    conditional_entropy,
-    entropy,
-    entropy_of_vector,
-    mutual_information,
-)
+from .infotheory import PairStats, entropy, entropy_of_vector, mutual_information
 
 BRUTE_SUPPORT_LIMIT = 8
 BRUTE_SLACK_TOL = 1e-12
@@ -704,13 +698,11 @@ def verify_c2(pmf: JointPmf) -> C2Report:
     """
     result = gk_common_information(pmf)
     c = result.value
-    joint = join_with_aux(pmf, result.witness)
-    w_axis = pmf.k
+    stats = PairStats(pmf, result.witness)
     rate_residuals = tuple(
-        (entropy(pmf, [k]) - c) - conditional_entropy(joint, [k], [w_axis])
-        for k in range(pmf.k)
+        (entropy(pmf, [k]) - c) - h for k, h in enumerate(stats.h_given_w)
     )
-    mi_residual = c - mutual_information(joint, range(pmf.k), [w_axis])
+    mi_residual = c - stats.mi
     worst = max(max(abs(r) for r in rate_residuals), abs(mi_residual))
     if worst > C2_TOL:
         raise WitnessInfeasibleError(

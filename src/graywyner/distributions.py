@@ -120,7 +120,7 @@ class SupportView:
         self.indices = pmf.support_indices()
         self.p = pmf.flat[self.indices]
         self.num_outcomes = pmf.num_outcomes
-        self.digits = tuple(pmf.digits(k)[self.indices] for k in range(pmf.k))
+        self.digits = np.unravel_index(self.indices, pmf.cardinalities)
         self.onehots = tuple(
             np.equal.outer(d, np.arange(c)).astype(float)
             for d, c in zip(self.digits, pmf.cardinalities)

@@ -9,11 +9,12 @@ non-negative.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import JointPmf, check_selection
+from .distributions import AuxChannel, JointPmf, check_channel, check_selection
 from .errors import (
     EmptySelectionError,
     MissingAuxAxisError,
@@ -131,3 +132,51 @@ def markov_slack(pmf_with_w: JointPmf, k: int) -> float:
         raise IndexError(f"source index {k} out of range for {w_axis} sources")
     others = tuple(i for i in range(w_axis) if i != k)
     return conditional_mutual_information(pmf_with_w, others, (w_axis,), (k,))
+
+
+class PairStats:
+    """The statistics of a source law with an auxiliary channel W, in bits.
+
+    ``pair`` is p(x-bar, w) with one row per joint outcome, ``p_w`` is p(w)
+    and ``pair_k[k]`` is p(x_k, w); ``cost`` and ``cost_k`` are their -log2
+    tables (inf on zero cells), built on first use.  ``h_pair`` = H(X-bar, W)
+    and ``h_pair_k[k]`` = H(X_k, W).  The measures of the region's corner
+    are ``mi`` = I(X-bar; W), ``h_given_w[k]`` = H(X_k | W) and
+    ``h_given_wk[k]`` = H(X-bar | W, X_k), each floored at zero.
+    """
+
+    def __init__(self, pmf: JointPmf, w: AuxChannel):
+        check_channel(pmf, w)
+        self.pmf = pmf
+        self.w = w
+        view = pmf.support
+        m = w.w_cardinality
+        self.pair = pmf.flat[:, None] * w.rows
+        self.p_w = self.pair.sum(axis=0)
+        # Summed over support rows in outcome order; the rows left out hold
+        # only zeros, so each cell gets the bits of a sum over all outcomes.
+        on_support = self.pair[view.indices].reshape(-1)
+        self.pair_k = tuple(
+            np.bincount(
+                (d[:, None] * m + np.arange(m)).reshape(-1),
+                weights=on_support,
+                minlength=c * m,
+            ).reshape(c, m)
+            for d, c in zip(view.digits, pmf.cardinalities)
+        )
+        self.h_pair = entropy_of_vector(self.pair)
+        self.h_pair_k = tuple(entropy_of_vector(t) for t in self.pair_k)
+        h_w = entropy_of_vector(self.p_w)
+        self.mi = max(0.0, entropy_of_vector(pmf.flat) + h_w - self.h_pair)
+        self.h_given_w = tuple(max(0.0, h - h_w) for h in self.h_pair_k)
+        self.h_given_wk = tuple(max(0.0, self.h_pair - h) for h in self.h_pair_k)
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return -np.log2(self.pair)
+
+    @cached_property
+    def cost_k(self) -> tuple[np.ndarray, ...]:
+        with np.errstate(divide="ignore"):
+            return tuple(-np.log2(t) for t in self.pair_k)

@@ -16,15 +16,9 @@ import numpy as np
 
 from . import _optim
 from .common_information import gk_common_information
-from .distributions import (
-    AuxChannel,
-    JointPmf,
-    constant_channel,
-    copy_channel,
-    join_with_aux,
-)
+from .distributions import AuxChannel, JointPmf, constant_channel, copy_channel
 from .errors import KTooSmallError, ShapeMismatchError
-from .infotheory import conditional_entropy, entropy, mutual_information
+from .infotheory import PairStats, entropy
 
 ACHIEVABILITY_TOL = 1e-9
 
@@ -77,15 +71,8 @@ def corner_point(pmf: JointPmf, w: AuxChannel) -> RateEquivocationTuple:
     Delta terms use H(X-bar|W, X_k) = H(X-bar, W) - H(X_k, W), which holds
     because X_k is a coordinate of X-bar.
     """
-    joint = join_with_aux(pmf, w)
-    w_axis = pmf.k
-    r0 = mutual_information(joint, range(pmf.k), [w_axis])
-    rk = tuple(
-        conditional_entropy(joint, [k], [w_axis]) for k in range(pmf.k)
-    )
-    h_all = entropy(joint)
-    delta = sum(max(0.0, h_all - entropy(joint, [k, w_axis])) for k in range(pmf.k))
-    return RateEquivocationTuple(r0, rk, delta)
+    stats = PairStats(pmf, w)
+    return RateEquivocationTuple(stats.mi, stats.h_given_w, sum(stats.h_given_wk))
 
 
 def delta_max(pmf: JointPmf) -> float:
@@ -167,21 +154,8 @@ def max_delta_at_r0(
     extreme points are never missed; the returned delta is the corner-point
     value of the returned witness.
     """
-    if r0_budget < 0:
-        raise ValueError("r0_budget must be non-negative")
-    candidates = chain(_seed_channels(pmf), _refine(
-        pmf, _max_delta_objectives(pmf, r0_budget), w_cardinality, restarts, seed
-    ))
-    # The constant channel has r0 exactly 0, so it fits every budget and
-    # ``best`` is set by the time the loop ends.
-    best = None
-    for cand in candidates:
-        corner = corner_point(pmf, cand)
-        if corner.r0 > r0_budget + ACHIEVABILITY_TOL:
-            continue
-        if best is None or corner.delta > best[0] + 1e-12:
-            best = (corner.delta, cand)
-    return best
+    point = sweep_max_delta(pmf, [r0_budget], w_cardinality, restarts, seed).points[0]
+    return point.delta, point.witness
 
 
 def sweep_max_delta(
@@ -191,13 +165,29 @@ def sweep_max_delta(
     restarts: int = 4,
     seed: int = 0,
 ) -> SweepResult:
-    """max_delta_at_r0 across a grid of budgets; every point is certified."""
+    """max_delta_at_r0 across a grid of budgets; every point is certified.
+
+    The seed channels and their corners are built once for the whole grid;
+    budget i refines from seed ``seed + i``.
+    """
+    budgets = [float(b) for b in r0_budgets]
+    if any(b < 0 for b in budgets):
+        raise ValueError("r0_budget must be non-negative")
+    seeded = [(corner_point(pmf, cand), cand) for cand in _seed_channels(pmf)]
     points = []
-    for i, budget in enumerate(r0_budgets):
-        delta, witness = max_delta_at_r0(
-            pmf, float(budget), w_cardinality, restarts, seed + i
+    for i, budget in enumerate(budgets):
+        refined = _refine(
+            pmf, _max_delta_objectives(pmf, budget), w_cardinality, restarts, seed + i
         )
-        points.append(SweepPoint(float(budget), delta, True, witness))
+        # The constant channel has r0 exactly 0, so it fits every budget and
+        # ``best`` is set by the time the loop ends.
+        best = None
+        for corner, cand in chain(seeded, ((corner_point(pmf, c), c) for c in refined)):
+            if corner.r0 > budget + ACHIEVABILITY_TOL:
+                continue
+            if best is None or corner.delta > best[0] + 1e-12:
+                best = (corner.delta, cand)
+        points.append(SweepPoint(budget, best[0], True, best[1]))
     return SweepResult(tuple(points))
 
 

@@ -228,6 +228,29 @@ class TestErrorPaths:
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "0",
+         "--slack", "0.25", "--trials", "10", "--seed", "7"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "0.25", "--trials", "0", "--seed", "7"),
+        ("region", "check", "--pmf", "{ex2}", "--r0", "-1", "--rk", "1,1,1",
+         "--delta", "6", "--restarts", "1", "--seed", "3"),
+        ("common-info", "--pmf", "{ex2}", "--method", "wyner", "--restarts", "0",
+         "--seed", "7"),
+        ("region", "sweep", "--pmf", "{ex2}", "--r0-grid", "-1", "--restarts", "1",
+         "--seed", "5"),
+    ],
+    ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget"],
+)
+def test_rejected_values_are_usage_errors(docs, argv):
+    code, out, err = cli(*(arg.format(**docs) for arg in argv))
+    assert code == 2
+    assert err.startswith("usage error: ")
+    assert out == ""
+
+
 class TestDeterminism:
     def test_randomized_commands_byte_identical(self, docs):
         commands = [

@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graywyner as gw
+from graywyner.infotheory import PairStats
+
+import sequential_reference as ref
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -104,6 +107,22 @@ def test_component_witness_has_zero_markov_slack(pmf):
 def test_corner_delta_within_delta_max(pair):
     pmf, w = pair
     assert gw.corner_point(pmf, w).delta <= gw.delta_max(pmf) + 1e-9
+
+
+@SETTINGS
+@given(joints_with_channels())
+def test_pair_stats_match_the_join_and_the_codec_tables(pair):
+    pmf, w = pair
+    corner = gw.corner_point(pmf, w)
+    r0, rk, delta = ref.corner_point(pmf, w)
+    assert abs(corner.r0 - r0) <= 1e-14
+    assert all(abs(a - b) <= 1e-14 for a, b in zip(corner.rk, rk))
+    assert abs(corner.delta - delta) <= 1e-14
+    stats, old = PairStats(pmf, w), ref.CodecStats(pmf, w)
+    assert stats.mi == old.common_rate()
+    assert stats.h_given_w == tuple(old.private_rate(k) for k in range(pmf.k))
+    assert stats.h_given_wk == tuple(old.equivocation_target(k) for k in range(pmf.k))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.cost_k, old.cost_k))
 
 
 @SETTINGS

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import graywyner as gw
-from graywyner import _optim
+from graywyner import _optim, region
 from graywyner.errors import KTooSmallError, ShapeMismatchError
 
+import sequential_reference as ref
 from conftest import (
+    acceptance_joints,
     copy_pair,
     dsbs,
+    example1,
     example2,
     example2_w_x0,
     fair_bit,
@@ -129,6 +132,41 @@ class TestSweep:
             assert corner.r0 <= point.r0_budget + 1e-9
             assert corner.delta == pytest.approx(point.delta, abs=1e-12)
             assert point.converged
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "acceptance"])
+    def test_matches_the_per_budget_loop(self, name):
+        # The seed channels are built once per sweep; budget i still
+        # refines from seed + i, so every point equals its own search.
+        if name == "acceptance":
+            cases = [(pmf, [0.0, 0.3, 0.8]) for pmf in acceptance_joints(10)]
+        else:
+            pmf = example1() if name == "example1" else example2()
+            cases = [(pmf, np.linspace(0.0, 1.5, 7))]
+        for pmf, budgets in cases:
+            points = gw.sweep_max_delta(pmf, budgets, restarts=4, seed=4).points
+            expected = ref.sweep_max_delta(pmf, budgets, restarts=4, seed=4)
+            assert len(points) == len(expected)
+            for point, (budget, delta, witness) in zip(points, expected):
+                assert point.r0_budget == budget
+                assert point.delta == delta
+                assert point.witness.w_cardinality == witness.w_cardinality
+                assert point.witness.rows.tobytes() == witness.rows.tobytes()
+
+    def test_component_witness_built_once_per_sweep(self, ex2, monkeypatch):
+        calls = []
+        gk = region.gk_common_information
+
+        def counted(pmf):
+            calls.append(pmf)
+            return gk(pmf)
+
+        monkeypatch.setattr(region, "gk_common_information", counted)
+        gw.sweep_max_delta(ex2, [0.0, 0.5, 1.0, 1.5], restarts=1, seed=9)
+        assert len(calls) == 1
+
+    def test_negative_budget_rejected(self, ex2):
+        with pytest.raises(ValueError, match="non-negative"):
+            gw.sweep_max_delta(ex2, [0.5, -1.0], restarts=1, seed=0)
 
 
 class TestIsAchievable:
