@@ -1,25 +1,19 @@
 """Shared numerics for simplex-parameterized searches.
 
-Channels and mixture weights are optimized through row-wise softmax logits
-so that iterates stay strictly inside the simplex.  ``lbfgs`` is the one
-L-BFGS-B solve over such logits, for a stack of independent problems of
-one shape (the Wyner estimator's restarts) that share each evaluation
-call; ``improve_rows`` is a warm-started solve that keeps, row by row, only
-an improvement, and ``fit_channel`` the one soft-channel search: a seeded
-random start, then one solve of a one-row stack per objective of a penalty
-schedule, each objective evaluated through a :class:`ChannelEval` of a
-support view.
+Channels are optimized through row-wise softmax logits, so iterates stay
+inside the simplex.  ``lbfgs`` is the one L-BFGS-B solve over such logits,
+for a stack of independent problems that share each evaluation call.
+``fit_channel``, the soft-channel search of the region searches and the
+relaxation spot check, is its only caller: a seeded random start, then one
+solve of a one-row stack per objective of a penalty schedule.
 
-``lbfgs`` drives scipy's compiled L-BFGS-B step, the private
-``scipy.optimize._lbfgsb.setulb``, in its own loop.  The problems here have
-at most a few dozen variables and a Wyner estimate makes thousands of
-solves, so the per-call memoisation, copying and option handling of
-``scipy.optimize.minimize`` cost several times the solver core.  The loop
-replays, for every row of the stack, what ``minimize(..., method="L-BFGS-B")``
-does with these settings (same workspace, same stop rules, same returned
-value), so each row's result is bit for bit that of the public call on that
-row alone; ``tests/test_optim.py`` checks that against ``minimize`` and
-fails if a scipy release changes either side.
+``lbfgs`` drives scipy's compiled step, the private
+``scipy.optimize._lbfgsb.setulb``, in its own loop, without the per-call
+overhead of ``scipy.optimize.minimize``.  Each row's result is bit for bit
+that of ``minimize(..., method="L-BFGS-B")`` on that row alone, which
+``tests/test_optim.py`` checks.  ``scipy.optimize`` is imported by the
+first solve, not with this module: loading it takes longer than most
+commands run.
 """
 
 from __future__ import annotations
@@ -30,15 +24,12 @@ import glob
 import os
 
 import numpy as np
-import scipy
-from scipy.optimize import _lbfgsb
 
 LN2 = float(np.log(2.0))
 TINY = 1e-300
-# Tight tolerances keep block solves reproducible.
+# Tight tolerances keep solves reproducible.
 FTOL = 1e-13
 GTOL = 1e-8
-LOGIT_FLOOR = 1e-9
 # scipy's L-BFGS-B defaults: stored corrections, line-search steps per
 # iteration, and ``ftol`` expressed as the relative reduction factor.
 MAXCOR = 10
@@ -52,10 +43,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def rows_to_logits(rows: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(rows, LOGIT_FLOOR))
-
-
 def simplex_chain(rows: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
     """Gradient wrt logits given the gradient wrt softmax rows (last axis)."""
     inner = (rows * grad_rows).sum(axis=-1, keepdims=True)
@@ -64,9 +51,10 @@ def simplex_chain(rows: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with scipy,
-    which the compiled L-BFGS-B step calls, or None where it is absent;
-    looked up once."""
+    """(get, set) of the thread count of scipy's bundled OpenBLAS, which the
+    compiled L-BFGS-B step calls, or None where it is absent."""
+    import scipy
+
     pattern = os.path.join(
         os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*.so"
     )
@@ -83,23 +71,22 @@ def _blas_threads():
     return None
 
 
-def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimize, independently for every row r of the stack ``z0`` (leading
     axis), an objective of the logits z[r].
 
     ``fun`` maps ``softmax_rows(z)`` of the whole stack to the values, shape
     (R,), and the gradients with respect to the rows; row r of its results
     must depend on row r alone.  Each row keeps its own L-BFGS-B workspace,
-    iteration count and stop rules, so it ends exactly where a solve of that
-    row alone would.  The rows share the evaluation calls: one call serves
-    every row that asks for an evaluation, and the rows that have stopped
-    are evaluated along with them and their results dropped, which costs
-    less than gathering the asking rows out of arrays this small.
+    iteration count and stop rules, so it ends where a solve of that row
+    alone would.  One call serves every row that asks for an evaluation;
+    rows that have stopped ride along and their results are dropped.
 
-    Returns z, the value at each row's last evaluation (the value at z[r]
-    unless its line search failed) and the value at ``z0[r]``, its first
-    evaluation.
+    Returns z and the value at each row's last evaluation (the value at
+    z[r] unless its line search failed).
     """
+    from scipy.optimize import _lbfgsb
+
     stack = z0.shape[0]
     x = np.array(z0.reshape(stack, -1), dtype=np.float64)
     n = x.shape[1]
@@ -115,7 +102,6 @@ def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np
          np.zeros(44, np.int32), np.zeros(29), np.zeros(2, np.int32))
         for r in range(stack)
     ]
-    f_start = None
     iterations = [0] * stack
     active = range(stack)
     # After an idle pause, the multithreaded OpenBLAS behind ``setulb`` takes
@@ -148,26 +134,13 @@ def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np
             if live:
                 rows = softmax_rows(x.reshape(z0.shape))
                 values, grad_rows = fun(rows)
-                for r in live:
-                    f[r] = values[r]
+                f[live] = values[live]
                 # Only the rows in ``live`` read their g again.
                 g[:] = simplex_chain(rows, grad_rows).reshape(stack, n)
-                if f_start is None:  # the first round evaluates every row at z0
-                    f_start = f.copy()
     finally:
         if threads:
             put(previous)
-    return x.reshape(z0.shape), f, f_start
-
-
-def improve_rows(fun, rows: np.ndarray, maxiter: int) -> np.ndarray:
-    """One stacked ``lbfgs`` solve from ``rows_to_logits(rows)``; each row
-    r's solved rows replace ``rows[r]`` only if their value is no worse than
-    at the softmax of that start.  ``rows`` itself comes back when no row
-    improves."""
-    z, f, f_start = lbfgs(fun, rows_to_logits(rows), maxiter)
-    better = (f <= f_start).reshape((-1,) + (1,) * (rows.ndim - 1))
-    return np.where(better, softmax_rows(z), rows) if better.any() else rows
+    return x.reshape(z0.shape), f
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:
@@ -207,5 +180,5 @@ def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.
             f, grad_t = objective(ChannelEval(view, rho[0]))
             return np.array([f]), (grad_t * view.p[:, None])[None]
 
-        z, _, _ = lbfgs(fun, z, maxiter)
+        z, _ = lbfgs(fun, z, maxiter)
     return softmax_rows(z[0])

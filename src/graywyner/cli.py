@@ -232,16 +232,13 @@ def _simulate_once(pmf, w, args, n: int, seed: int):
         n=n, slack=args.slack, typicality_tolerance=args.typicality_tolerance,
         seed=seed,
     )
-    report = codec_sim.run_trials(pmf, w, cfg, args.trials)
-    equivocations = None
-    if args.exact_equivocation:
-        codebook = codec_sim.build_codebook(pmf, w, cfg)
-        equivocations = [
-            codec_sim.exact_equivocation(
-                pmf, w, codebook, cfg, k, enumeration_limit=args.enumeration_limit
-            )
-            for k in range(pmf.k)
-        ]
+    codebook = codec_sim.build_codebook(pmf, w, cfg)
+    report = codec_sim._run_trials(codebook, args.trials)
+    limit = args.enumeration_limit
+    equivocations = [
+        codec_sim.exact_equivocation(pmf, w, codebook, cfg, k, enumeration_limit=limit)
+        for k in range(pmf.k)
+    ] if args.exact_equivocation else None
     return cfg, report, equivocations
 
 

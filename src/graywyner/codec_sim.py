@@ -295,10 +295,15 @@ def run_trials(
     Each trial's block comes from a sub-generator seeded by (seed, trial),
     so reports are reproducible and trial order is immaterial.
     """
+    return _run_trials(build_codebook(pmf, w, cfg), trials)
+
+
+def _run_trials(codebook: Codebook, trials: int) -> SimReport:
+    """``run_trials`` on a codebook that is already built."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    codebook = build_codebook(pmf, w, cfg)
     stats = codebook.stats
+    pmf, cfg = stats.pmf, codebook.config
     n = cfg.n
     flat = pmf.flat
     errors = np.zeros(pmf.k, dtype=np.int64)

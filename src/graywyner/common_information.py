@@ -13,14 +13,14 @@ Two quantities live here:
 
 * ``wyner_estimate`` numerically upper-bounds the Wyner-style quantity: the
   infimum of I(X-bar; W) over joints that reproduce the source law and make
-  the sources conditionally independent given W.  The estimator minimizes
-  I under a marginal-matching penalty with escalating weight, then polishes
-  feasibility with exact alternating (EM) updates.  Its seeded restarts run
-  in lockstep: every block-descent sweep solves the same blocks in the same
-  order, so each sweep of all restarts still in their penalty rounds is one
-  stacked L-BFGS-B solve per block (``_optim.lbfgs``), while each restart
-  keeps its own penalty weight, stop rule, gate and polish.  The results
-  are those of running the restarts one after another.
+  the sources conditionally independent given W.  Penalizing conditional
+  dependence gives an information-bottleneck Lagrangian (Tishby, Pereira
+  and Bialek 1999) with a closed-form update of a channel r(w|s), r(w|s)
+  proportional to r(w) prod_k r(x_k(s)|w)^beta.  Raising beta to 1 is
+  deterministic annealing (Rose 1998), and at beta = 1 the update is the EM
+  step of the mixture q(w) prod_k q(x_k|w); B is I(X-bar; W) of that
+  mixture, certified by its marginal residual.  The seeded restarts are
+  updated as one numpy stack.
 
 Verification helpers check the bound chain C <= min MI <= max MI <= B, the
 monotonicity of C under dropping a variable, the equal-pairwise-MI special
@@ -58,12 +58,12 @@ PROP4_B_TOL = 1e-3
 PROP4_CONCLUSION_TOL = 1e-6
 C2_TOL = 1e-9
 
-LAMBDA_INIT = 1.0
-LAMBDA_FACTOR = 10.0
-MAX_ROUNDS = 8
-SWEEP_STOP = 1e-8
 RESIDUAL_TOL = 1e-6
-POLISH_MAXITER = 4000
+# Start betas are 1 - 2^-j0 for these j0 in turn; the first four are <= 0.75.
+START_EXPONENTS = (1, 2, 1, 2, 3, 4, 5, 6)
+STAGE_TOL = 1e-13
+TAIL_STALL = 50
+TAIL_MAXITER = 4000
 
 SPOT_MU_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
 SPOT_MAXITER = 300
@@ -91,16 +91,17 @@ class WynerParams:
 
     ``w_cardinality`` defaults to (joint support size) + 1, enough to
     represent any support-limited law exactly as a mixture of products.
-    ``max_sweeps`` caps the block-descent sweeps of one penalty round and
-    ``block_maxiter`` the L-BFGS iterations of one block solve.  The
-    penalty schedule, stop rules and residual gate are module constants.
+    The two update budgets: ``max_sweeps`` is the number of annealing
+    stages, each at a fixed beta below 1, and ``block_maxiter`` caps the
+    updates of one stage.  The start betas, the beta schedule, the stop
+    rules and the residual gate are module constants.
     """
 
     w_cardinality: int | None = None
     restarts: int = 16
     seed: int = 0
     max_sweeps: int = 30
-    block_maxiter: int = 25
+    block_maxiter: int = 100
 
 
 @dataclass(frozen=True)
@@ -378,200 +379,82 @@ def pairwise_mi_bounds(pmf: JointPmf) -> tuple[float, float]:
 
 
 class _WynerProblem:
-    """Support-compacted source data shared by all restarts; the mixture is
-    q(w, s) = a[w] * cond[w, s] with cond the product of the rows p(x_k|w).
-    The methods take one restart's parameters or a stack of them along a
-    leading restart axis."""
+    """The support view and |W| shared by all restarts.  A stack of channels
+    r(w|s) on the support rows s is held W-major, (R, |W|, S); each channel
+    induces the mixture q(w, s) = a(w) cond(w, s), with a(w) = sum_s p(s)
+    r(w|s) and cond the product over k of the rows r(x_k|w)."""
 
     def __init__(self, pmf: JointPmf, w_card: int):
         self.view = pmf.support
         self.p = self.view.p
-        self.cards = pmf.cardinalities
-        self.digs = self.view.digits
-        self.onehots = self.view.onehots
         self.w_card = w_card
-        self.lp = np.log(self.p)
 
-    def cond_given_w(self, blist: list[np.ndarray]) -> np.ndarray:
-        # The gather is not C-ordered, its copy is; the order in which the
-        # sums over W add up, and so their last bits, follow the layout.
-        cond = blist[0][..., self.digs[0]].copy()
-        for k in range(1, len(blist)):
-            cond *= blist[k][..., self.digs[k]]
-        return cond
-
-    def objective(self, a, cond, lcond, lam):
-        """(I + lam * D(p || q) in nats, q(w, s), q(s), I in nats, and the
-        pieces of ``grad_factor``: log q(s|w) - log q(s) and p(s) / q(s))."""
-        qws = a[..., None] * cond
-        qx = qws.sum(axis=-2)
-        safe_qx = np.maximum(qx, _optim.TINY)
-        lqx = np.log(safe_qx)
-        pmi = lcond - lqx[..., None, :]
-        i_nats = (qws * pmi).sum(axis=(-2, -1))
-        d_nats = (self.p * (self.lp - lqx)).sum(axis=-1)
-        return i_nats + lam * d_nats, qws, qx, i_nats, (pmi, self.p / safe_qx)
-
-    def objective_at(self, a, blist, lam):
-        cond = self.cond_given_w(blist)
-        return self.objective(a, cond, _optim.safe_log(cond), lam)
-
-    @staticmethod
-    def grad_factor(cond, pieces, lam) -> np.ndarray:
-        """Shared factor of the mixture-weight and per-source row gradients
-        of a stack of restarts with penalty weights ``lam``."""
-        pmi, ratio = pieces
-        return cond * (pmi - lam[:, None, None] * ratio[:, None, :])
-
-    def residual(self, a, blist) -> float:
-        cond = self.cond_given_w(blist)
-        qx = (a[:, None] * cond).sum(axis=0)
-        return 0.5 * float(np.abs(self.p - qx).sum())
-
-
-def _wyner_sweep(prob: _WynerProblem, a, blist, lam, maxiter):
-    """One cycle of exact block minimizations for a stack of restarts, with
-    the restart on the leading axis of ``a`` (R, |W|), every ``blist[k]``
-    (R, |W|, |X_k|) and ``lam`` (R,); returns the updated parameters.  Each
-    block is one stacked ``improve_rows`` solve."""
-    cond = prob.cond_given_w(blist)
-    lcond = _optim.safe_log(cond)
-
-    def fun_a(av):
-        f, _, _, _, pieces = prob.objective(av, cond, lcond, lam)
-        return f, prob.grad_factor(cond, pieces, lam).sum(axis=-1)
-
-    a = _optim.improve_rows(fun_a, a, maxiter)
-    for k in range(len(blist)):
-        cond_rest = np.ones(cond.shape)
-        for j in range(len(blist)):
-            if j != k:
-                cond_rest *= blist[j][..., prob.digs[j]]
-
-        def fun_b(b, k=k, cond_rest=cond_rest):
-            cond = cond_rest * b[..., prob.digs[k]]
-            lcond = _optim.safe_log(cond)
-            f, _, _, _, pieces = prob.objective(a, cond, lcond, lam)
-            t_mat = prob.grad_factor(cond, pieces, lam)
-            return f, a[..., None] * (t_mat @ prob.onehots[k]) / np.maximum(b, 1e-12)
-
-        blist[k] = _optim.improve_rows(fun_b, blist[k], maxiter)
-    return a, blist
-
-
-def _wyner_polish(prob: _WynerProblem, a, blist):
-    """Exact alternating updates that only reduce the marginal mismatch."""
-    target = RESIDUAL_TOL * 0.25
-    best_tv = np.inf
-    stall = 0
-    iters = 0
-    for _ in range(POLISH_MAXITER):
-        cond = prob.cond_given_w(blist)
-        qws = a[:, None] * cond
-        qx = qws.sum(axis=0)
-        tv = 0.5 * float(np.abs(prob.p - qx).sum())
-        if tv <= target:
-            break
-        if tv < best_tv - 1e-16:
-            best_tv = tv
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 50:
-                break
-        iters += 1
-        post = qws / np.maximum(qx, _optim.TINY)[None, :]
-        m = post * prob.p[None, :]
-        a = m.sum(axis=1)
-        for k in range(len(blist)):
-            rows = m @ prob.onehots[k]
-            mass = rows.sum(axis=1, keepdims=True)
-            uniform = np.full_like(rows, 1.0 / rows.shape[1])
-            blist[k] = np.where(mass > 0.0, rows / np.maximum(mass, _optim.TINY), uniform)
-        total = a.sum()
-        if total > 0:
-            a = a / total
-    return a, blist, iters
-
-
-def _wyner_restart(prob: _WynerProblem, rng: np.random.Generator, max_sweeps: int):
-    """One restart: its penalty rounds, then the polish and final evaluation.
-
-    A generator, so that ``_wyner_restarts`` can sweep restarts together:
-    it yields (a, blist, lam) for every sweep it needs and takes the swept
-    (a, blist) back.  Returns (value in bits, residual, sweeps plus polish
-    iterations, (q(w, s), q(s))).
-    """
-    a = _optim.softmax_rows(rng.normal(size=prob.w_card))
-    blist = [
-        _optim.softmax_rows(rng.normal(size=(prob.w_card, c))) for c in prob.cards
-    ]
-    lam = LAMBDA_INIT
-    sweeps = 0
-    # The lambda rounds only need to reach the coarse neighbourhood of the
-    # feasible set; the exact alternating polish below closes the last gap
-    # to the residual gate much faster than further escalation would.
-    coarse_gate = RESIDUAL_TOL * 100.0
-    for _ in range(MAX_ROUNDS):
-        # A round stops once the objective sits at most SWEEP_STOP below its start.
-        round_start = prob.objective_at(a, blist, lam)[0]
-        for _ in range(max_sweeps):
-            a, blist = yield a, blist, lam
-            sweeps += 1
-            if round_start - prob.objective_at(a, blist, lam)[0] <= SWEEP_STOP:
-                break
-        if prob.residual(a, blist) <= coarse_gate:
-            break
-        lam *= LAMBDA_FACTOR
-    a, blist, polish_iters = _wyner_polish(prob, a, blist)
-    _, qws, qx, i_nats, _ = prob.objective_at(a, blist, 0.0)
-    residual = 0.5 * float(np.abs(prob.p - qx).sum())
-    value_bits = max(0.0, float(i_nats) / _optim.LN2)
-    return value_bits, residual, sweeps + polish_iters, (qws, qx)
+    def mixture(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, cond) of every channel of the stack ``r``."""
+        m = r * self.p
+        cond = None
+        for d, onehot in zip(self.view.digits, self.view.onehots):
+            rows = m @ onehot
+            rows /= np.maximum(rows.sum(axis=-1, keepdims=True), _optim.TINY)
+            # A gather is not C-ordered, its copy is (see _wyner_restarts).
+            cond = rows[..., d].copy() if cond is None else cond * rows[..., d]
+        return m.sum(axis=-1), cond
 
 
 def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
-    """The result of every restart, the restarts run in lockstep.
+    """(value in bits, residual, updates, (q(w, s), q(s))) of every restart.
 
-    Every sweep solves the blocks in the same order and shapes, so at each
-    step the restarts still in their penalty rounds are swept as one stack
-    (``_wyner_sweep``) while each keeps its own penalty weight, stop rule
-    and gate; a restart that finishes polishes and leaves the stack.
-    Restart r draws from ``default_rng([seed, r])``.
+    Restart r draws a Dirichlet(1) channel from ``default_rng([seed, r])``;
+    with j0 = ``START_EXPONENTS[r % len(START_EXPONENTS)]``, its stage i
+    repeats the update at beta = 1 - 2^-(j0 + i) until no entry moves by
+    ``STAGE_TOL``.  A tail of EM updates (beta = 1) follows until the
+    mixture's residual is at most ``RESIDUAL_TOL / 4`` or has not fallen for
+    ``TAIL_STALL`` updates.  Each operation acts on each channel alone, on
+    C-ordered arrays (sums add up in layout order, which sets their last
+    bits), and a restart that stops leaves the stack, so each ends where it
+    would alone.
     """
-    restarts = [
-        _wyner_restart(prob, np.random.default_rng([params.seed, r]), params.max_sweeps)
-        for r in range(params.restarts)
-    ]
-    runs = [None] * len(restarts)
-    requests = {}
-
-    def advance(r, swept):
-        try:
-            requests[r] = restarts[r].send(swept)
-        except StopIteration as finished:
-            requests.pop(r, None)
-            runs[r] = finished.value
-
-    for r in range(len(restarts)):
-        advance(r, None)
-    while requests:
-        live = list(requests)
-        a = np.stack([requests[r][0] for r in live])
-        blist = [np.stack([requests[r][1][k] for r in live]) for k in range(len(prob.cards))]
-        lam = np.array([requests[r][2] for r in live])
-        a, blist = _wyner_sweep(prob, a, blist, lam, params.block_maxiter)
-        for i, r in enumerate(live):
-            advance(r, (a[i], [b[i] for b in blist]))
-    return runs
-
-
-def _posterior_channel(prob: _WynerProblem, qws, qx) -> AuxChannel:
-    post = (qws / np.maximum(qx, _optim.TINY)[None, :]).T
-    post = np.maximum(post, 0.0)
-    sums = post.sum(axis=1, keepdims=True)
-    post = np.where(sums > 0.0, post / np.maximum(sums, _optim.TINY), 1.0 / prob.w_card)
-    return prob.view.embed(post, prob.w_card)
+    n = params.restarts
+    r = np.stack([
+        np.random.default_rng([params.seed, i]).dirichlet(np.ones(prob.w_card), len(prob.p)).T
+        for i in range(n)
+    ]).copy()
+    j0 = np.resize(np.array(START_EXPONENTS, dtype=float), n)
+    updates = np.zeros(n, dtype=int)
+    for stage in range(params.max_sweeps):
+        live = np.arange(n)
+        for _ in range(params.block_maxiter):
+            a, cond = prob.mixture(r[live])
+            # r(w|s) proportional to a(w) cond(w, s)^beta, with a full exponent
+            # array: numpy's power takes another path for a broadcast one.
+            beta = 1.0 - 2.0 ** -(j0[live, None, None] + stage) + np.zeros_like(cond)
+            t = a[..., None] * cond**beta
+            post = t / np.maximum(t.sum(axis=-2), _optim.TINY)[..., None, :]
+            moved = np.abs(post - r[live]).max(axis=(-2, -1))
+            r[live] = post
+            updates[live] += 1
+            live = live[moved >= STAGE_TOL]
+            if not live.size:
+                break
+    runs, best, stall, live = [None] * n, np.full(n, np.inf), np.zeros(n, dtype=int), np.arange(n)
+    for tail in range(TAIL_MAXITER + 1):
+        a, cond = prob.mixture(r[live])
+        qws = a[..., None] * cond
+        qx = qws.sum(axis=-2)
+        tv = 0.5 * np.abs(prob.p - qx).sum(axis=-1)
+        improved = tv < best[live] - 1e-16
+        best[live] = np.where(improved, tv, best[live])
+        stall[live] = np.where(improved, 0, stall[live] + 1)
+        done = (tv <= RESIDUAL_TOL / 4) | (stall[live] >= TAIL_STALL) | (tail == TAIL_MAXITER)
+        for j in np.flatnonzero(done):
+            i_nats = (qws[j] * (_optim.safe_log(cond[j]) - _optim.safe_log(qx[j]))).sum()
+            runs[live[j]] = (max(0.0, float(i_nats) / _optim.LN2), float(tv[j]),
+                             int(updates[live[j]]), (qws[j], qx[j]))
+        live, rest = live[~done], ~done
+        if not live.size:
+            return runs
+        r[live] = qws[rest] / np.maximum(qx[rest], _optim.TINY)[:, None, :]
+        updates[live] += 1
 
 
 def wyner_estimate(
@@ -583,36 +466,28 @@ def wyner_estimate(
 ) -> CommonInfoResult:
     """Upper-bound estimate of the Wyner-style common information B.
 
-    Minimizes I(X-bar; W) over mixture weights p(w) and per-source rows
-    p(x_k|w) with an escalating penalty on the divergence between the true
-    law and the induced mixture; any parameter point whose marginal residual
-    is at most ``RESIDUAL_TOL`` certifies an upper bound on the infimum.
-    ``tuning`` sets the other fields of :class:`WynerParams`.  The best
-    converged restart wins (ties to the lowest restart index); when no
-    restart converges, the closest-to-feasible one is returned flagged
-    not-converged.
+    Each restart (``_wyner_restarts``) ends at a mixture of products whose
+    I(X-bar; W) certifies an upper bound when its marginal residual is at
+    most ``RESIDUAL_TOL``.  ``tuning`` sets the other fields of
+    :class:`WynerParams`.  The best converged restart wins (ties to the
+    lowest index), else the closest to feasible, flagged not converged;
+    ``diagnostics.iterations`` counts the updates of all restarts.
     """
     _require_sources(pmf)
-    params = WynerParams(
-        w_cardinality=w_cardinality, restarts=restarts, seed=seed, **tuning
-    )
+    params = WynerParams(w_cardinality=w_cardinality, restarts=restarts, seed=seed, **tuning)
     w_card = pmf.support.w_cardinality(params.w_cardinality)
     if w_card < 1 or params.restarts < 1:
         raise ValueError("w_cardinality and restarts must be >= 1")
-    prob = _WynerProblem(pmf, w_card)
-    runs = _wyner_restarts(prob, params)
+    runs = _wyner_restarts(_WynerProblem(pmf, w_card), params)
 
-    def rank(run):
-        converged = run[1] <= RESIDUAL_TOL
-        return (not converged, run[0] if converged else run[1])
+    def rank(run):  # converged first, then by value, else by residual
+        return (run[1] > RESIDUAL_TOL, run[0] if run[1] <= RESIDUAL_TOL else run[1])
 
     value, residual, _, (qws, qx) = min(runs, key=rank)
-    return CommonInfoResult(
-        value,
-        _posterior_channel(prob, qws, qx),
-        "wyner_alt_min",
-        Diagnostics(sum(run[2] for run in runs), residual, residual <= RESIDUAL_TOL),
-    )
+    # The witness is the mixture's posterior q(w|s), uniform where q(s) = 0.
+    post = np.where(qx > 0.0, qws / np.maximum(qx, _optim.TINY), 1.0 / w_card)
+    diagnostics = Diagnostics(sum(run[2] for run in runs), residual, residual <= RESIDUAL_TOL)
+    return CommonInfoResult(value, pmf.support.embed(post.T, w_card), "wyner_alt_min", diagnostics)
 
 
 # ---------------------------------------------------------------------------

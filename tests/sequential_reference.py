@@ -3,10 +3,9 @@
 ``reference`` is one L-BFGS-B solve through ``scipy.optimize.minimize``,
 the public call that ``_optim.lbfgs`` replays for every row of a stack.
 ``wyner_runs`` runs the restarts of ``wyner_estimate`` one after another,
-each block solve a stack of one restart, as the package did before it swept
-all restarts as one stack.  The loop and its objective are kept here as
-they were, with one array per restart, so that tests can require byte-equal
-results from the stacked code.
+each with its own 2-D arrays and its own loops over the annealing stages
+and the beta = 1 tail, so that tests can require byte-equal results from
+the estimator, which updates all restarts as one stack.
 
 ``brute_force_oracle`` is the set-partition oracle as it was before it
 scored partitions in chunks: one partition at a time from
@@ -55,102 +54,61 @@ def reference(fun, z0, maxiter):
     )
 
 
-def improve_rows(fun, rows, maxiter):
-    """One restart's block solve, as the one-row stack of ``_optim.lbfgs``
-    (which ``tests/test_optim.py`` holds to ``reference`` row by row)."""
-
-    def one_row(stack):
-        f, grad_rows = fun(stack[0])
-        return np.array([f]), grad_rows[None]
-
-    z, f, f_start = _optim.lbfgs(one_row, _optim.rows_to_logits(rows)[None], maxiter)
-    return _optim.softmax_rows(z[0]) if f[0] <= f_start[0] else rows
-
-
-def cond_given_w(prob, blist):
-    cond = blist[0][:, prob.digs[0]].copy()
-    for k in range(1, len(blist)):
-        cond *= blist[k][:, prob.digs[k]]
-    return cond
+def wyner_mixture(prob, r):
+    """(a, cond) of the mixture that one channel r (|W|, S) induces."""
+    m = r * prob.p
+    cond = None
+    for d, onehot in zip(prob.view.digits, prob.view.onehots):
+        rows = m @ onehot
+        rows = rows / np.maximum(rows.sum(axis=1, keepdims=True), _optim.TINY)
+        cond = rows[:, d].copy() if cond is None else cond * rows[:, d]
+    return m.sum(axis=1), cond
 
 
-def objective(prob, a, cond, lcond, lam):
-    qws = a[:, None] * cond
-    qx = qws.sum(axis=0)
-    lqx = _optim.safe_log(qx)
-    i_nats = float((qws * (lcond - lqx[None, :])).sum())
-    d_nats = float((prob.p * (prob.lp - lqx)).sum())
-    return i_nats + lam * d_nats, qws, qx, lqx, i_nats
-
-
-def objective_at(prob, a, blist, lam):
-    cond = cond_given_w(prob, blist)
-    return objective(prob, a, cond, _optim.safe_log(cond), lam)
-
-
-def grad_factor(prob, cond, lcond, qx, lqx, lam):
-    return cond * ((lcond - lqx[None, :]) - lam * (prob.p / np.maximum(qx, _optim.TINY))[None, :])
-
-
-def residual(prob, a, blist):
-    qx = (a[:, None] * cond_given_w(prob, blist)).sum(axis=0)
-    return 0.5 * float(np.abs(prob.p - qx).sum())
-
-
-def wyner_sweep(prob, a, blist, lam, maxiter):
-    cond = cond_given_w(prob, blist)
-    lcond = _optim.safe_log(cond)
-
-    def fun_a(av):
-        f, _, qx, lqx, _ = objective(prob, av, cond, lcond, lam)
-        return f, grad_factor(prob, cond, lcond, qx, lqx, lam).sum(axis=1)
-
-    a = improve_rows(fun_a, a, maxiter)
-    for k in range(len(blist)):
-        cond_rest = np.ones((prob.w_card, len(prob.p)))
-        for j in range(len(blist)):
-            if j != k:
-                cond_rest *= blist[j][:, prob.digs[j]]
-
-        def fun_b(b, k=k, cond_rest=cond_rest):
-            cond = cond_rest * b[:, prob.digs[k]]
-            lcond = _optim.safe_log(cond)
-            f, _, qx, lqx, _ = objective(prob, a, cond, lcond, lam)
-            t_mat = grad_factor(prob, cond, lcond, qx, lqx, lam)
-            return f, a[:, None] * (t_mat @ prob.onehots[k]) / np.maximum(b, 1e-12)
-
-        blist[k] = improve_rows(fun_b, blist[k], maxiter)
-    return a, blist
-
-
-def wyner_single(prob, rng, params):
-    """One restart: (value in bits, residual, iterations, (q(w, s), q(s)))."""
-    a = _optim.softmax_rows(rng.normal(size=prob.w_card))
-    blist = [_optim.softmax_rows(rng.normal(size=(prob.w_card, c))) for c in prob.cards]
-    lam = ci.LAMBDA_INIT
-    sweeps = 0
-    coarse_gate = ci.RESIDUAL_TOL * 100.0
-    for _ in range(ci.MAX_ROUNDS):
-        round_start = objective_at(prob, a, blist, lam)[0]
-        for _ in range(params.max_sweeps):
-            a, blist = wyner_sweep(prob, a, blist, lam, params.block_maxiter)
-            sweeps += 1
-            if round_start - objective_at(prob, a, blist, lam)[0] <= ci.SWEEP_STOP:
+def wyner_single(prob, rng, params, j0):
+    """One restart with start exponent ``j0``: (value in bits, residual,
+    updates, (q(w, s), q(s)))."""
+    r = rng.dirichlet(np.ones(prob.w_card), len(prob.p)).T.copy()
+    updates = 0
+    for stage in range(params.max_sweeps):
+        beta = 1.0 - 2.0 ** -(j0 + stage)
+        for _ in range(params.block_maxiter):
+            a, cond = wyner_mixture(prob, r)
+            t = a[:, None] * cond ** np.full(cond.shape, beta)
+            post = t / np.maximum(t.sum(axis=0), _optim.TINY)[None, :]
+            moved = np.abs(post - r).max()
+            r = post
+            updates += 1
+            if moved < ci.STAGE_TOL:
                 break
-        if residual(prob, a, blist) <= coarse_gate:
+    best_tv = np.inf
+    stall = 0
+    for tail in range(ci.TAIL_MAXITER + 1):
+        a, cond = wyner_mixture(prob, r)
+        qws = a[:, None] * cond
+        qx = qws.sum(axis=0)
+        tv = 0.5 * float(np.abs(prob.p - qx).sum())
+        if tv < best_tv - 1e-16:
+            best_tv = tv
+            stall = 0
+        else:
+            stall += 1
+        if tv <= ci.RESIDUAL_TOL / 4 or stall >= ci.TAIL_STALL or tail == ci.TAIL_MAXITER:
             break
-        lam *= ci.LAMBDA_FACTOR
-    a, blist, polish_iters = ci._wyner_polish(prob, a, blist)
-    _, qws, qx, _, i_nats = objective_at(prob, a, blist, 0.0)
-    res = 0.5 * float(np.abs(prob.p - qx).sum())
-    value_bits = max(0.0, i_nats / _optim.LN2)
-    return value_bits, res, sweeps + polish_iters, (qws, qx)
+        r = qws / np.maximum(qx, _optim.TINY)[None, :]
+        updates += 1
+    i_nats = float((qws * (_optim.safe_log(cond) - _optim.safe_log(qx)[None, :])).sum())
+    return max(0.0, i_nats / _optim.LN2), tv, updates, (qws, qx)
 
 
 def wyner_runs(prob, params):
     """Every restart's result, one restart after another."""
+    exponents = ci.START_EXPONENTS
     return [
-        wyner_single(prob, np.random.default_rng([params.seed, r]), params)
+        wyner_single(
+            prob, np.random.default_rng([params.seed, r]), params,
+            exponents[r % len(exponents)],
+        )
         for r in range(params.restarts)
     ]
 

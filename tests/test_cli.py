@@ -5,6 +5,7 @@ import pytest
 
 import graywyner as gw
 from graywyner.cli import run
+from graywyner.infotheory import PairStats
 
 from conftest import example1, example2, example2_w_x0
 
@@ -181,6 +182,25 @@ class TestSimulate:
         assert lines[0].startswith("# schema: graywyner.simulate.trend v1")
         assert lines[1] == "n,encoder_failure_rate,pe_1,pe_2,pe_3"
         assert len(lines) == 4
+
+    def test_each_codebook_is_built_once(self, docs, monkeypatch):
+        # The trials and the exact equivocations of one blocklength share
+        # one codebook and its statistics.
+        builds = []
+        init = PairStats.__init__
+
+        def spy(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PairStats, "__init__", spy)
+        code, _, _ = cli(
+            "simulate", "--pmf", docs["ex2"], "--aux", docs["wx0"],
+            "--n-grid", "2,3", "--slack", "0.25", "--trials", "20",
+            "--seed", "7", "--exact-equivocation",
+        )
+        assert code == 0
+        assert len(builds) == 2
 
 
 class TestVerify:
