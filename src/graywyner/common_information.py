@@ -388,16 +388,22 @@ class _WynerProblem:
         self.view = pmf.support
         self.p = self.view.p
         self.w_card = w_card
+        self.cards = pmf.cardinalities  # rows r(x_k|w) share one zero-padded (K, width) block
+        self.width = max(self.cards)
+        self.index = np.array(self.view.digits) + self.width * np.arange(pmf.k)[:, None]
 
     def mixture(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a, cond) of every channel of the stack ``r``."""
         m = r * self.p
-        cond = None
-        for d, onehot in zip(self.view.digits, self.view.onehots):
-            rows = m @ onehot
-            rows /= np.maximum(rows.sum(axis=-1, keepdims=True), _optim.TINY)
-            # A gather is not C-ordered, its copy is (see _wyner_restarts).
-            cond = rows[..., d].copy() if cond is None else cond * rows[..., d]
+        rows = np.zeros(m.shape[:-1] + (len(self.cards), self.width))
+        for k, onehot in enumerate(self.view.onehots):
+            np.matmul(m, onehot, out=rows[..., k, : self.cards[k]])
+        # numpy sums up to 8 entries in order (padding moves no bit), longer rows pairwise.
+        sums = rows.sum(axis=-1, keepdims=True) if self.width <= 8 else np.stack(
+            [rows[..., k, :c].sum(-1, keepdims=True) for k, c in enumerate(self.cards)], -2)
+        rows /= np.maximum(sums, _optim.TINY)
+        factors = rows.reshape(m.shape[:-1] + (-1,)).take(self.index, axis=-1)
+        cond = np.multiply.reduce(factors, axis=-2, out=np.empty(m.shape))
         return m.sum(axis=-1), cond
 
 
@@ -409,52 +415,59 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
     repeats the update at beta = 1 - 2^-(j0 + i) until no entry moves by
     ``STAGE_TOL``.  A tail of EM updates (beta = 1) follows until the
     mixture's residual is at most ``RESIDUAL_TOL / 4`` or has not fallen for
-    ``TAIL_STALL`` updates.  Each operation acts on each channel alone, on
-    C-ordered arrays (sums add up in layout order, which sets their last
-    bits), and a restart that stops leaves the stack, so each ends where it
-    would alone.
+    ``TAIL_STALL`` updates.  Each restart ends where it would alone, bit for
+    bit: every operation acts on each channel alone, on C-ordered arrays
+    (sums add up in layout order), so ``cond`` is a C-ordered buffer;
+    ``mixture`` makes one gemm per source, of a lone channel's shape (BLAS
+    adds in another order for another column count); the live stack is
+    compact, and a restart's rows go back into ``r`` when it leaves; the
+    power's exponent is a full array (a broadcast one changes last bits).
     """
     n = params.restarts
     r = np.stack([
         np.random.default_rng([params.seed, i]).dirichlet(np.ones(prob.w_card), len(prob.p)).T
         for i in range(n)
     ]).copy()
-    j0 = np.resize(np.array(START_EXPONENTS, dtype=float), n)
+    j0 = np.resize(np.array(START_EXPONENTS, dtype=float), n)[:, None, None]
     updates = np.zeros(n, dtype=int)
     for stage in range(params.max_sweeps):
-        live = np.arange(n)
-        for _ in range(params.block_maxiter):
-            a, cond = prob.mixture(r[live])
-            # r(w|s) proportional to a(w) cond(w, s)^beta, with a full exponent
-            # array: numpy's power takes another path for a broadcast one.
-            beta = 1.0 - 2.0 ** -(j0[live, None, None] + stage) + np.zeros_like(cond)
+        live, x = np.arange(n), r
+        beta = 1.0 - 2.0 ** -(j0 + stage) + np.zeros_like(r)
+        for step in range(1, params.block_maxiter + 1):
+            a, cond = prob.mixture(x)
             t = a[..., None] * cond**beta
-            post = t / np.maximum(t.sum(axis=-2), _optim.TINY)[..., None, :]
-            moved = np.abs(post - r[live]).max(axis=(-2, -1))
-            r[live] = post
-            updates[live] += 1
-            live = live[moved >= STAGE_TOL]
-            if not live.size:
-                break
-    runs, best, stall, live = [None] * n, np.full(n, np.inf), np.zeros(n, dtype=int), np.arange(n)
+            t /= np.maximum(t.sum(axis=-2), _optim.TINY)[..., None, :]
+            # x (r itself on a stage's first update) is not read again; r gets each row back.
+            stay = np.abs(np.subtract(t, x, out=x), out=x).max(axis=(-2, -1)) >= STAGE_TOL
+            x = t
+            if not stay.all():
+                r[live[~stay]] = x[~stay]
+                updates[live[~stay]] += step
+                live, x, beta = live[stay], x[stay], beta[stay]
+                if not live.size:
+                    break
+        else:
+            r[live] = x
+            updates[live] += params.block_maxiter
+    runs, x, live, best, stall = [None] * n, r, np.arange(n), np.full(n, np.inf), np.zeros(n, int)
     for tail in range(TAIL_MAXITER + 1):
-        a, cond = prob.mixture(r[live])
+        a, cond = prob.mixture(x)
         qws = a[..., None] * cond
         qx = qws.sum(axis=-2)
         tv = 0.5 * np.abs(prob.p - qx).sum(axis=-1)
-        improved = tv < best[live] - 1e-16
-        best[live] = np.where(improved, tv, best[live])
-        stall[live] = np.where(improved, 0, stall[live] + 1)
-        done = (tv <= RESIDUAL_TOL / 4) | (stall[live] >= TAIL_STALL) | (tail == TAIL_MAXITER)
-        for j in np.flatnonzero(done):
-            i_nats = (qws[j] * (_optim.safe_log(cond[j]) - _optim.safe_log(qx[j]))).sum()
-            runs[live[j]] = (max(0.0, float(i_nats) / _optim.LN2), float(tv[j]),
-                             int(updates[live[j]]), (qws[j], qx[j]))
-        live, rest = live[~done], ~done
-        if not live.size:
-            return runs
-        r[live] = qws[rest] / np.maximum(qx[rest], _optim.TINY)[:, None, :]
-        updates[live] += 1
+        improved = tv < best - 1e-16
+        best = np.where(improved, tv, best)
+        stall = np.where(improved, 0, stall + 1)
+        done = (tv <= RESIDUAL_TOL / 4) | (stall >= TAIL_STALL) | (tail == TAIL_MAXITER)
+        if done.any():
+            for j in np.flatnonzero(done):
+                i_nats = (qws[j] * (_optim.safe_log(cond[j]) - _optim.safe_log(qx[j]))).sum()
+                runs[live[j]] = (max(0.0, float(i_nats) / _optim.LN2), float(tv[j]),
+                                 int(updates[live[j]]) + tail, (qws[j], qx[j]))
+            live, best, stall, qws, qx = (v[~done] for v in (live, best, stall, qws, qx))
+            if not live.size:
+                return runs
+        x = qws / np.maximum(qx, _optim.TINY)[:, None, :]
 
 
 def wyner_estimate(
@@ -476,8 +489,8 @@ def wyner_estimate(
     _require_sources(pmf)
     params = WynerParams(w_cardinality=w_cardinality, restarts=restarts, seed=seed, **tuning)
     w_card = pmf.support.w_cardinality(params.w_cardinality)
-    if w_card < 1 or params.restarts < 1:
-        raise ValueError("w_cardinality and restarts must be >= 1")
+    if params.restarts < 1:
+        raise ValueError("restarts must be >= 1")
     runs = _wyner_restarts(_WynerProblem(pmf, w_card), params)
 
     def rank(run):  # converged first, then by value, else by residual

@@ -134,7 +134,9 @@ class SupportView:
 
     def w_cardinality(self, requested: int | None) -> int:
         """``requested``, else support size + 1 (enough for any mixture)."""
-        return requested or self.size + 1
+        if requested is not None and requested < 1:
+            raise ValueError("w_cardinality must be >= 1")
+        return self.size + 1 if requested is None else requested
 
     def embed(self, rows: np.ndarray, w_cardinality: int) -> AuxChannel:
         """Full channel with ``rows`` on the support and uniform rows off it."""

@@ -261,8 +261,13 @@ class TestErrorPaths:
          "--seed", "7"),
         ("region", "sweep", "--pmf", "{ex2}", "--r0-grid", "-1", "--restarts", "1",
          "--seed", "5"),
+        ("common-info", "--pmf", "{ex1}", "--method", "wyner", "--w-cardinality", "0",
+         "--restarts", "1", "--seed", "7"),
+        ("common-info", "--pmf", "{ex1}", "--method", "wyner", "--w-cardinality", "-2",
+         "--restarts", "1", "--seed", "7"),
     ],
-    ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget"],
+    ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
+         "w_card_negative"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))

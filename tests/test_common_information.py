@@ -302,6 +302,14 @@ class TestWynerEstimate:
         with pytest.raises(KTooSmallError):
             gw.wyner_estimate(fair_bit(), restarts=1, seed=0)
 
+    @pytest.mark.parametrize("w_cardinality", [0, -1])
+    def test_cardinality_below_one_is_rejected(self, ex1, w_cardinality):
+        assert ex1.support.w_cardinality(None) == ex1.support.size + 1
+        with pytest.raises(ValueError, match="w_cardinality must be >= 1"):
+            ex1.support.w_cardinality(w_cardinality)
+        with pytest.raises(ValueError, match="w_cardinality must be >= 1"):
+            gw.wyner_estimate(ex1, w_cardinality=w_cardinality, restarts=1, seed=0)
+
 
 # (acceptance law, value, residual, iterations, SHA-256 of the witness rows)
 # of wyner_estimate(law, restarts=2, **LIGHT), recorded from the annealed
@@ -400,19 +408,65 @@ def estimate_both_ways(monkeypatch, pmf, **kwargs):
     return stacked, sequential, sizes
 
 
-@pytest.mark.parametrize("index", range(20))
+def wide_law():
+    """Cardinalities (12, 6, 3): the rows r(x_k|w), padded to 12 entries,
+    are longer than the 8 entries numpy adds one by one."""
+    cards = (12, 6, 3)
+    p = np.random.default_rng(5).dirichlet(np.full(216, 0.3))
+    p[p < 0.01] = 0.0
+    return gw.JointPmf(("A", "B", "C"), cards, (p / p.sum()).reshape(cards))
+
+
+MIXTURE_EXAMPLES = {"example1": (example1, 4), "example2": (example2, 3), "wide": (wide_law, 6)}
+
+
+@pytest.mark.parametrize("case", [*range(100), *MIXTURE_EXAMPLES])
+def test_stacked_mixture_matches_lone_channels(acceptance_laws, case):
+    """Each restart of a 3-restart stack gets the (a, cond) of its channel
+    alone, byte for byte, and ``cond`` is C-ordered, so the sums taken over
+    it add up in the same order.  Example 2 (4-ary on support 16) is where a
+    single gemm over all sources' columns would move the last bits."""
+    if case in MIXTURE_EXAMPLES:
+        make, w_card = MIXTURE_EXAMPLES[case]
+        pmf = make()
+    else:
+        pmf, w_card = acceptance_laws[case], None
+    prob = common_information._WynerProblem(pmf, pmf.support.w_cardinality(w_card))
+    rng = np.random.default_rng(3)
+    r = rng.dirichlet(np.ones(prob.w_card), (3, len(prob.p))).transpose(0, 2, 1).copy()
+    a, cond = prob.mixture(r)
+    assert cond.flags.c_contiguous
+    for i in range(3):
+        a_i, cond_i = sequential_reference.wyner_mixture(prob, r[i])
+        assert a[i].tobytes() == a_i.tobytes()
+        assert cond[i].tobytes() == cond_i.tobytes()
+
+
+# Examples at default settings: their restarts stop on STAGE_TOL at
+# different updates, so rows leave the stack and are copied back at every
+# stack size.
+LOCKSTEP_EXAMPLES = {
+    "example1": (example1, dict(w_cardinality=4, restarts=4, seed=11)),
+    "example2": (example2, dict(w_cardinality=3, restarts=4, seed=7)),
+}
+
+
+@pytest.mark.parametrize("index", [*range(20), *LOCKSTEP_EXAMPLES])
 def test_lockstep_restarts_match_sequential_loop(acceptance_laws, monkeypatch, index):
     """Updating the restarts as one stack changes no byte of the estimate."""
-    restarts = 1 + index % 4
-    stacked, sequential, sizes = estimate_both_ways(
-        monkeypatch, acceptance_laws[index], restarts=restarts, seed=index, **LIGHT
-    )
+    if index in LOCKSTEP_EXAMPLES:
+        make, kwargs = LOCKSTEP_EXAMPLES[index]
+        pmf = make()
+    else:
+        pmf = acceptance_laws[index]
+        kwargs = dict(restarts=1 + index % 4, seed=index, **LIGHT)
+    stacked, sequential, sizes = estimate_both_ways(monkeypatch, pmf, **kwargs)
     assert stacked.value == sequential.value
     assert stacked.diagnostics == sequential.diagnostics
     assert stacked.witness.rows.tobytes() == sequential.witness.rows.tobytes()
-    assert sizes[0] == restarts == max(sizes)
-    if index == 7:
-        # Law 7's restarts stop at different updates: the stack shrinks
+    assert sizes[0] == kwargs["restarts"] == max(sizes)
+    if index in (7, *LOCKSTEP_EXAMPLES):
+        # These restarts stop at different updates: the stack shrinks
         # from 4 to 3, 2 and 1 while the others go on.
         assert sorted(set(sizes)) == [1, 2, 3, 4]
 
