@@ -1,19 +1,17 @@
 """Shared numerics for simplex-parameterized searches.
 
 Channels are optimized through row-wise softmax logits, so iterates stay
-inside the simplex.  ``lbfgs`` is the one L-BFGS-B solve over such logits,
-for a stack of independent problems that share each evaluation call.
+inside the simplex.  ``lbfgs`` is the one L-BFGS-B solve over such logits.
 ``fit_channel``, the soft-channel search of the region searches and the
 relaxation spot check, is its only caller: a seeded random start, then one
-solve of a one-row stack per objective of a penalty schedule.
+solve per objective of a penalty schedule.
 
 ``lbfgs`` drives scipy's compiled step, the private
 ``scipy.optimize._lbfgsb.setulb``, in its own loop, without the per-call
-overhead of ``scipy.optimize.minimize``.  Each row's result is bit for bit
-that of ``minimize(..., method="L-BFGS-B")`` on that row alone, which
-``tests/test_optim.py`` checks.  ``scipy.optimize`` is imported by the
-first solve, not with this module: loading it takes longer than most
-commands run.
+overhead of ``scipy.optimize.minimize``.  Its result is bit for bit that of
+``minimize(..., method="L-BFGS-B")``, which ``tests/test_optim.py`` checks.
+``scipy.optimize`` is imported by the first solve, not with this module:
+loading it takes longer than most commands run.
 """
 
 from __future__ import annotations
@@ -71,39 +69,28 @@ def _blas_threads():
     return None
 
 
-def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize, independently for every row r of the stack ``z0`` (leading
-    axis), an objective of the logits z[r].
+def lbfgs(fun, z0: np.ndarray, maxiter: int) -> np.ndarray:
+    """Minimize an objective of the logits z, of any shape, from ``z0``.
 
-    ``fun`` maps ``softmax_rows(z)`` of the whole stack to the values, shape
-    (R,), and the gradients with respect to the rows; row r of its results
-    must depend on row r alone.  Each row keeps its own L-BFGS-B workspace,
-    iteration count and stop rules, so it ends where a solve of that row
-    alone would.  One call serves every row that asks for an evaluation;
-    rows that have stopped ride along and their results are dropped.
-
-    Returns z and the value at each row's last evaluation (the value at
-    z[r] unless its line search failed).
+    ``fun`` maps ``softmax_rows(z)`` to the value and its gradient with
+    respect to the rows.  Returns z where the solve stopped: at convergence,
+    after ``maxiter`` iterations, or at the last iterate before a failed
+    line search.
     """
     from scipy.optimize import _lbfgsb
 
-    stack = z0.shape[0]
-    x = np.array(z0.reshape(stack, -1), dtype=np.float64)
-    n = x.shape[1]
-    f, g = np.zeros(stack), np.zeros((stack, n))
-    # One workspace per row, as scipy's ``_minimize_lbfgsb`` sizes it: x, g,
-    # wa, iwa, task, lsave, isave, dsave and ln_task.  nbd = 0 leaves every
-    # variable unbounded, so the bound values play no part.
+    x = np.array(z0, dtype=np.float64).reshape(-1)
+    n = x.size
+    f, g = 0.0, np.zeros(n)
+    # The workspace as scipy's ``_minimize_lbfgsb`` sizes it.  nbd = 0 leaves
+    # every variable unbounded, so the bound values play no part.
     no_bound = np.zeros(n)
     nbd = np.zeros(n, np.int32)
-    work = [
-        (x[r], g[r], np.zeros(2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR),
-         np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32),
-         np.zeros(44, np.int32), np.zeros(29), np.zeros(2, np.int32))
-        for r in range(stack)
-    ]
-    iterations = [0] * stack
-    active = range(stack)
+    wa = np.zeros(2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    iterations = 0
     # After an idle pause, the multithreaded OpenBLAS behind ``setulb`` takes
     # ~100 ms to wake on each of the first solves of a process; these
     # problems are far too small to gain from more than one thread.
@@ -113,34 +100,26 @@ def lbfgs(fun, z0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
         previous = get()
         put(1)
     try:
-        while active:
-            live = []
-            for r in active:
-                xr, gr, wa, iwa, task, lsave, isave, dsave, ln_task = work[r]
-                while True:
-                    _lbfgsb.setulb(MAXCOR, xr, no_bound, no_bound, nbd, f[r], gr, FACTR,
-                                   GTOL, wa, iwa, task, lsave, isave, dsave, MAXLS, ln_task)
-                    if task[0] != 1:
-                        break
-                    # A new iterate.  scipy also stops past maxfun = 15,000
-                    # evaluations, which cannot bind here: MAXLS + 1 per
-                    # iteration times maxiter <= 300 is 6,300.
-                    iterations[r] += 1
-                    if iterations[r] >= maxiter:
-                        task[:] = (5, 504)  # stop: iteration limit
-                if task[0] == 3:  # evaluate f and g at x[r]; else converged or stopped
-                    live.append(r)
-            active = live
-            if live:
+        while True:
+            _lbfgsb.setulb(MAXCOR, x, no_bound, no_bound, nbd, f, g, FACTR, GTOL,
+                           wa, iwa, task, lsave, isave, dsave, MAXLS, ln_task)
+            if task[0] == 3:  # evaluate f and g at x
                 rows = softmax_rows(x.reshape(z0.shape))
-                values, grad_rows = fun(rows)
-                f[live] = values[live]
-                # Only the rows in ``live`` read their g again.
-                g[:] = simplex_chain(rows, grad_rows).reshape(stack, n)
+                f, grad_rows = fun(rows)
+                g = simplex_chain(rows, grad_rows).reshape(-1)
+            elif task[0] == 1:
+                # A new iterate.  scipy also stops past maxfun = 15,000
+                # evaluations, which cannot bind here: MAXLS + 1 per
+                # iteration times maxiter <= 300 is 6,300.
+                iterations += 1
+                if iterations >= maxiter:
+                    task[:] = (5, 504)  # stop: iteration limit
+            else:  # converged, stopped or failed
+                break
     finally:
         if threads:
             put(previous)
-    return x.reshape(z0.shape), f
+    return x.reshape(z0.shape)
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:
@@ -169,16 +148,16 @@ class ChannelEval:
 
 def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.ndarray:
     """Soft channel rows on the support of ``view``: standard-normal logits
-    from ``default_rng(seed)``, then one warm-started L-BFGS solve per
-    objective, which maps a :class:`ChannelEval` to (value, d value / d t).
-    Each solve is the one-row stack of ``lbfgs``.
+    of shape (support size, |W|) from ``default_rng(seed)``, then one
+    warm-started ``lbfgs`` solve per objective, which maps a
+    :class:`ChannelEval` to (value, d value / d t).
     """
-    z = np.random.default_rng(seed).normal(size=(1, view.size, w_cardinality))
+    z = np.random.default_rng(seed).normal(size=(view.size, w_cardinality))
     for objective in objectives:
 
         def fun(rho, objective=objective):
-            f, grad_t = objective(ChannelEval(view, rho[0]))
-            return np.array([f]), (grad_t * view.p[:, None])[None]
+            f, grad_t = objective(ChannelEval(view, rho))
+            return f, grad_t * view.p[:, None]
 
-        z, _ = lbfgs(fun, z, maxiter)
-    return softmax_rows(z[0])
+        z = lbfgs(fun, z, maxiter)
+    return softmax_rows(z)

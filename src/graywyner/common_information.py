@@ -614,6 +614,8 @@ def relaxation_spot_check(
     penalized maxima would exceed C by more than the finite-penalty bias;
     ``exceeds`` flags a value above C + ``SPOT_FLAG_TOL`` for investigation.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     c = gk_common_information(pmf).value
     view = pmf.support
     h_x = entropy_of_vector(view.p) * _optim.LN2

@@ -166,7 +166,7 @@ class AuxChannel:
             raise NegativeMassError("channel rows contain negative entries")
         sums = rows.sum(axis=1)
         worst = float(np.abs(sums - 1.0).max()) if rows.shape[0] else 0.0
-        if worst > NORMALIZATION_TOL:
+        if not worst <= NORMALIZATION_TOL:  # a NaN entry fails this test too
             raise NotNormalizedError(
                 f"channel row sums deviate from 1 by up to {worst:.3e}"
             )
@@ -197,7 +197,8 @@ def validate(pmf: JointPmf) -> None:
     """Raise unless all JointPmf invariants hold.
 
     Checks, in order: no duplicate names, non-negative entries, unit sum
-    within ``NORMALIZATION_TOL``, non-empty support.
+    within ``NORMALIZATION_TOL`` (which no NaN or infinite entry meets),
+    non-empty support.
     """
     if len(set(pmf.variable_names)) != len(pmf.variable_names):
         raise ShapeMismatchError(f"duplicate variable names: {pmf.variable_names}")
@@ -206,7 +207,7 @@ def validate(pmf: JointPmf) -> None:
         worst = float(flat.min())
         raise NegativeMassError(f"negative probability entry {worst:.3e}")
     total = float(flat.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise NotNormalizedError(
             f"probabilities sum to {total!r}, off by {total - 1.0:.3e}"
         )
@@ -402,7 +403,7 @@ def _field(doc: dict, name: str, kind) -> object:
     if name not in doc:
         raise ParseError(f"missing field {name!r}")
     value = doc[name]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"field {name!r} has wrong type {type(value).__name__}")
     return value
 

@@ -112,6 +112,12 @@ def _seed_channels(pmf: JointPmf) -> list[AuxChannel]:
     ]
 
 
+def _check_restarts(restarts: int) -> None:
+    # Zero restarts is valid: the seed channels alone.
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
+
+
 def _refine(pmf: JointPmf, objectives, w_cardinality, restarts, seed):
     """One soft channel per restart r, searched from seed (seed, r) on demand."""
     view = pmf.support
@@ -173,6 +179,7 @@ def sweep_max_delta(
     budgets = [float(b) for b in r0_budgets]
     if any(b < 0 for b in budgets):
         raise ValueError("r0_budget must be non-negative")
+    _check_restarts(restarts)
     seeded = [(corner_point(pmf, cand), cand) for cand in _seed_channels(pmf)]
     points = []
     for i, budget in enumerate(budgets):
@@ -230,6 +237,7 @@ def is_achievable(
     The Unknown verdict never claims non-membership; the witness search is
     heuristic, and it stops at the first candidate that certifies ``t``.
     """
+    _check_restarts(restarts)
     candidates = chain(_seed_channels(pmf), _refine(
         pmf, [_membership_objective(pmf, t)], w_cardinality, restarts, seed
     ))

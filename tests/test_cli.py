@@ -239,6 +239,24 @@ class TestErrorPaths:
         assert code == 1
         assert "NotNormalized" in err
 
+    def test_nan_pmf_document_is_domain_error(self, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"variables": ["A"], "cardinalities": [2], "pmf": [NaN, 0.5]}')
+        code, out, err = cli("info", "--pmf", str(bad))
+        assert code == 1
+        assert "NotNormalized" in err
+        assert out == ""
+
+    def test_nan_channel_document_is_domain_error(self, docs, tmp_path):
+        # Example 1 has 8 joint outcomes; the first row holds a NaN.
+        rows = ", ".join(["[NaN, 1.0]"] + ["[1.0, 0.0]"] * 7)
+        bad = tmp_path / "nan.aux.json"
+        bad.write_text('{"w_cardinality": 2, "rows": [' + rows + "]}")
+        code, out, err = cli("region", "corner", "--pmf", docs["ex1"], "--aux", str(bad))
+        assert code == 1
+        assert "NotNormalized" in err
+        assert out == ""
+
     def test_threads_option_is_gone(self, docs):
         code, out, _ = cli("--help")
         assert code == 0
@@ -265,9 +283,13 @@ class TestErrorPaths:
          "--restarts", "1", "--seed", "7"),
         ("common-info", "--pmf", "{ex1}", "--method", "wyner", "--w-cardinality", "-2",
          "--restarts", "1", "--seed", "7"),
+        ("region", "sweep", "--pmf", "{ex2}", "--r0-grid", "0,1", "--restarts", "-3",
+         "--seed", "1"),
+        ("region", "check", "--pmf", "{ex2}", "--r0", "1", "--rk", "1,1,1",
+         "--delta", "6", "--restarts", "-3", "--seed", "3"),
     ],
     ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
-         "w_card_negative"],
+         "w_card_negative", "sweep_negative_restarts", "check_negative_restarts"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))

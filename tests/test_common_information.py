@@ -638,6 +638,10 @@ class TestVerifyC2:
 
 
 class TestRelaxationSpotCheck:
+    def test_needs_a_restart(self, ex2):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            gw.relaxation_spot_check(ex2, restarts=0, seed=2)
+
     def test_examples_not_exceeded(self, ex1, ex2):
         for pmf in (ex1, ex2):
             result = gw.relaxation_spot_check(pmf, restarts=3, seed=2)

@@ -34,6 +34,11 @@ class TestValidate:
         with pytest.raises(ShapeMismatchError):
             gw.JointPmf(("A", "B"), (2, 2), [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NotNormalizedError):
+            gw.JointPmf(("A", "B"), (2, 2), [0.5, bad, 0.0, 0.5])
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ShapeMismatchError):
             gw.JointPmf(("A", "A"), (2, 2), [0.25] * 4)
@@ -163,6 +168,13 @@ class TestChannels:
         with pytest.raises(NotNormalizedError):
             gw.AuxChannel(2, np.full((4, 2), 0.4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_channel_non_finite_entry(self, bad):
+        rows = np.array([[0.5, 0.5]] * 4)
+        rows[2] = (bad, 1.0)
+        with pytest.raises(NotNormalizedError):
+            gw.AuxChannel(2, rows)
+
     def test_channel_negative_entry(self):
         rows = np.array([[1.2, -0.2]] * 4)
         with pytest.raises(NegativeMassError):
@@ -234,3 +246,19 @@ class TestDocumentIO:
         doc = '{"variables": ["A"], "cardinalities": "two", "pmf": [0.5, 0.5]}'
         with pytest.raises(ParseError, match="cardinalities"):
             gw.load_pmf(io.StringIO(doc))
+
+    def test_nan_entry_rejected_on_load(self):
+        # JSON parsers accept the NaN literal; the law must still be rejected.
+        doc = '{"variables": ["A"], "cardinalities": [2], "pmf": [NaN, 1.0]}'
+        with pytest.raises(NotNormalizedError):
+            gw.load_pmf(io.StringIO(doc))
+
+    def test_nan_channel_row_rejected_on_load(self):
+        doc = '{"w_cardinality": 2, "rows": [[NaN, 1.0], [0.5, 0.5]]}'
+        with pytest.raises(NotNormalizedError):
+            gw.load_aux_channel(io.StringIO(doc))
+
+    def test_boolean_w_cardinality_rejected_on_load(self):
+        doc = '{"w_cardinality": true, "rows": [[1.0], [1.0]]}'
+        with pytest.raises(ParseError, match="w_cardinality"):
+            gw.load_aux_channel(io.StringIO(doc))

@@ -168,6 +168,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="non-negative"):
             gw.sweep_max_delta(ex2, [0.5, -1.0], restarts=1, seed=0)
 
+    def test_negative_restarts_rejected(self, ex2):
+        with pytest.raises(ValueError, match="restarts"):
+            gw.sweep_max_delta(ex2, [0.5], restarts=-3, seed=0)
+        with pytest.raises(ValueError, match="restarts"):
+            gw.max_delta_at_r0(ex2, 0.5, restarts=-1, seed=0)
+
+    def test_zero_restarts_uses_the_seed_channels(self, ex2):
+        point = gw.sweep_max_delta(ex2, [1.0], restarts=0, seed=0).points[0]
+        assert point.delta == gw.corner_point(ex2, point.witness).delta
+
 
 class TestIsAchievable:
     def test_constant_tuple(self, ex2):
@@ -212,6 +222,13 @@ class TestIsAchievable:
         assert calls == []
         gw.max_delta_at_r0(ex2, 1.0, restarts=2, seed=3)
         assert len(calls) == 2
+
+    def test_negative_restarts_rejected(self, ex2):
+        # Rejected before the seed channels, which certify this tuple.
+        t = gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0)
+        with pytest.raises(ValueError, match="restarts"):
+            gw.is_achievable(ex2, t, restarts=-3, seed=3)
+        assert gw.is_achievable(ex2, t, restarts=0, seed=3).verdict == "achievable"
 
     def test_search_certifies_beyond_the_analytic_seeds(self):
         # Interior tuple dominated only by a soft witness: private rates sit
