@@ -372,6 +372,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Parsing leaves a parser unchanged, so one parser serves every run of a
+# process; it is built on the first run, not on import.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graywyner",

@@ -12,6 +12,15 @@ zero-probability pair is atypical.  The encoder sends the smallest index of
 a typical codeword (EncoderFailure when none qualifies); decoder k searches
 its bin for the unique sequence typical with the received codeword.
 
+Encoding and decoding are batch kernels: ``_encode_outcomes`` scores many
+blocks against every codeword pattern in one gather, and
+``_decode_indices`` scores many (j0, jk) queries against their bins in
+another.  ``run_trials`` feeds them chunks of trials of about
+``CHUNK_ELEMENTS`` array elements each, and the public ``encode`` and
+``decode`` call them with a batch of one.  Every score is summed over a
+contiguous last axis of length n, the layout of a single block's scores,
+so batching moves no score by a bit and no typicality decision flips.
+
 ``exact_equivocation`` computes (1/n) H(X-bar^n \\ X_k^n | J_0, J_k) exactly
 by enumerating every source block over the support; encoder failures map to
 the reserved message j0 = 0 so the conditional law stays well-defined.
@@ -21,8 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +49,13 @@ from .infotheory import PairStats, entropy_of_vector
 M0_LIMIT = 1 << 24
 BIN_TABLE_LIMIT = 1 << 22
 MESSAGE_SPACE_LIMIT = 1 << 26
+# Array elements one simulator batch may hold, so that memory stays flat
+# however many trials run.
+CHUNK_ELEMENTS = 1 << 20
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,12 +68,19 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_integer(self.n):
+            raise TypeError(f"blocklength n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("blocklength n must be >= 1")
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
-        if self.typicality_tolerance <= 0:
-            raise ValueError("typicality_tolerance must be > 0")
+        if not (math.isfinite(self.slack) and self.slack >= 0):
+            raise ValueError(f"slack must be finite and >= 0, got {self.slack}")
+        tol = self.typicality_tolerance
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"typicality_tolerance must be finite and > 0, got {tol}")
+        if not _is_integer(self.seed):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,7 +102,12 @@ class DecoderFailure:
 @dataclass(eq=False)
 class Codebook:
     """Realized code: W-codewords plus seeded-hash bin configuration, and
-    ``stats`` of the one law and channel the code accepts."""
+    ``stats`` of the one law and channel the code accepts.
+
+    ``pattern_digits`` holds each distinct codeword pattern once, in order
+    of first occurrence, and ``pattern_first_index`` the 0-based index of
+    its first codeword.
+    """
 
     config: CodeConfig
     stats: PairStats = field(repr=False)
@@ -110,16 +141,20 @@ class SimReport:
     bin_counts: tuple[int, ...]
 
 
-def _bin_of_sequence(seed: int, k: int, seq: np.ndarray, m: int) -> int:
-    data = np.ascontiguousarray(seq, dtype="<u4").tobytes()
-    key = struct.pack("<qq", seed, k)
-    digest = hashlib.blake2b(data, key=key, digest_size=16).digest()
-    return int.from_bytes(digest, "little") % m
-
-
 def _bin_rows(seed: int, k: int, seqs: np.ndarray, m: int) -> np.ndarray:
-    """Bin index of every sequence (one per row) of source k."""
-    return np.array([_bin_of_sequence(seed, k, s, m) for s in seqs], dtype=np.int64)
+    """Bin index of every sequence (one per row) of source k: the keyed
+    blake2b digest of the row's little-endian uint32 symbols, modulo m."""
+    seqs = np.ascontiguousarray(seqs, dtype="<u4")
+    data = memoryview(seqs.tobytes())
+    width = 4 * seqs.shape[1]
+    key = struct.pack("<qq", seed, k)
+    return np.array([
+        int.from_bytes(
+            hashlib.blake2b(data[i : i + width], key=key, digest_size=16).digest(),
+            "little",
+        ) % m
+        for i in range(0, len(data), width)
+    ], dtype=np.int64)
 
 
 def _base_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -129,6 +164,16 @@ def _base_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
     for t in range(n - 1, -1, -1):
         rem, out[:, t] = np.divmod(rem, base)
     return out
+
+
+def _batched(kernel, row_elements: int, *arrays) -> np.ndarray:
+    """``kernel`` over consecutive row slices of ``arrays``, each slice
+    holding about CHUNK_ELEMENTS elements at ``row_elements`` per row."""
+    step = max(1, CHUNK_ELEMENTS // row_elements)
+    return np.concatenate([
+        kernel(*(a[lo : lo + step] for a in arrays))
+        for lo in range(0, len(arrays[0]), step)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +203,7 @@ def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
     place = w.w_cardinality ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
     pattern_ids = codewords.astype(np.int64) @ place
     unique_ids, first_index = np.unique(pattern_ids, return_index=True)
-    pattern_digits = _base_digits(unique_ids, w.w_cardinality, cfg.n)
+    by_first = np.argsort(first_index)
     return Codebook(
         config=cfg,
         stats=stats,
@@ -166,8 +211,8 @@ def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
         m0=m0,
         bin_counts=bin_counts,
         w_codewords=codewords,
-        pattern_digits=pattern_digits,
-        pattern_first_index=first_index.astype(np.int64),
+        pattern_digits=_base_digits(unique_ids[by_first], w.w_cardinality, cfg.n),
+        pattern_first_index=first_index[by_first].astype(np.int64),
     )
 
 
@@ -184,17 +229,21 @@ def _own_stats(codebook: Codebook, pmf: JointPmf, w: AuxChannel) -> PairStats:
     return stats
 
 
-def _encode_outcomes(codebook: Codebook, o_seq: np.ndarray) -> int:
-    """Smallest typical codeword index (1-based) or 0 on encoder failure."""
+def _encode_outcomes(codebook: Codebook, o_seqs: np.ndarray) -> np.ndarray:
+    """j0 of each block of joint-outcome indices (one block per row): the
+    1-based index of the first codeword typical with it, or 0 when none is."""
     stats = codebook.stats
     n = codebook.n
     tol = codebook.config.typicality_tolerance
-    pos_cost = stats.cost[o_seq]  # (n, Wc)
-    scores = pos_cost[np.arange(n)[None, :], codebook.pattern_digits].sum(axis=1)
+    # Cell (position, w) of each pattern in a block's flattened (n, |W|)
+    # cost rows; the gather is (blocks, patterns, n).
+    cells = np.arange(n) * codebook.w_cardinality + codebook.pattern_digits
+    pos_cost = stats.cost[o_seqs].reshape(len(o_seqs), -1)
+    scores = np.take(pos_cost, cells, axis=1).sum(axis=-1)
     typical = np.abs(scores - n * stats.h_pair) <= n * tol
-    if not typical.any():
-        return 0
-    return int(codebook.pattern_first_index[typical].min()) + 1
+    first = typical.argmax(axis=1)
+    found = typical[np.arange(len(o_seqs)), first]
+    return np.where(found, codebook.pattern_first_index[first] + 1, 0)
 
 
 def encode(
@@ -211,18 +260,28 @@ def encode(
             f"source_block must have shape ({pmf.k}, {codebook.n}), got {block.shape}"
         )
     o_seq = np.ravel_multi_index(tuple(block), pmf.cardinalities)
-    j0 = _encode_outcomes(codebook, o_seq)
+    j0 = int(_encode_outcomes(codebook, o_seq[None, :])[0])
     if j0 == 0:
         return EncoderFailure()
     bins = tuple(
-        _bin_of_sequence(codebook.seed, k, block[k], codebook.bin_counts[k]) + 1
+        int(_bin_rows(codebook.seed, k, block[k : k + 1], codebook.bin_counts[k])[0]) + 1
         for k in range(pmf.k)
     )
     return Messages(j0, bins)
 
 
-def _bin_groups(codebook: Codebook, k: int):
-    """Per-bin membership of all sequences of source k (cached)."""
+class _BinTable(NamedTuple):
+    """Every length-n sequence of one source, grouped by bin."""
+
+    digits: np.ndarray  # row i: the symbols of sequence i
+    bins: np.ndarray  # 0-based bin of each sequence
+    order: np.ndarray  # sequence indices, stably sorted by bin
+    sorted_bins: np.ndarray  # bins[order]
+    widest: int  # members of the fullest bin
+
+
+def _bin_groups(codebook: Codebook, k: int) -> _BinTable:
+    """Bin of every sequence of source k, and each bin's members (cached)."""
     if k in codebook._caches:
         return codebook._caches[k]
     alphabet = codebook.stats.pmf.cardinalities[k]
@@ -232,33 +291,43 @@ def _bin_groups(codebook: Codebook, k: int):
             f"{alphabet}^{codebook.n} candidate sequences exceed the decode guard"
         )
     digits = _base_digits(np.arange(total), alphabet, codebook.n)
-    m = codebook.bin_counts[k]
-    bins = _bin_rows(codebook.seed, k, digits, m)
+    bins = _bin_rows(codebook.seed, k, digits, codebook.bin_counts[k])
     order = np.argsort(bins, kind="stable")
     sorted_bins = bins[order]
-    starts = np.searchsorted(sorted_bins, np.arange(m), side="left")
-    ends = np.searchsorted(sorted_bins, np.arange(m), side="right")
-    value = (digits, order, starts, ends)
-    codebook._caches[k] = value
-    return value
+    edges = np.flatnonzero(np.diff(sorted_bins, prepend=-1, append=-1))
+    table = _BinTable(digits, bins, order, sorted_bins, int(np.diff(edges).max()))
+    codebook._caches[k] = table
+    return table
 
 
-def _decode_inner(codebook: Codebook, k: int, j0: int, jk: int):
+def _decode_indices(
+    codebook: Codebook, k: int, j0s: np.ndarray, jks: np.ndarray
+) -> np.ndarray:
+    """Index of the sequence decoder k recovers from each (j0, jk) query,
+    or -1 when its bin holds no typical sequence or more than one."""
     stats = codebook.stats
-    digits, order, starts, ends = _bin_groups(codebook, k)
-    members = order[starts[jk - 1] : ends[jk - 1]]
-    if len(members) == 0:
-        return DecoderFailure()
-    w_seq = codebook.w_codewords[j0 - 1].astype(np.int64)
-    cand = digits[members]
-    scores = stats.cost_k[k][cand, w_seq[None, :]].sum(axis=1)
+    table = _bin_groups(codebook, k)
     n = codebook.n
     tol = codebook.config.typicality_tolerance
-    typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * tol
-    hits = np.flatnonzero(typical)
-    if len(hits) != 1:
-        return DecoderFailure()
-    return cand[hits[0]].copy()
+    card = stats.pmf.cardinalities[k]
+    # Each query's flattened (n, alphabet) cost rows against its codeword.
+    pos_cost = stats.cost_k[k].T[codebook.w_codewords[j0s - 1]].reshape(len(jks), -1)
+    out = np.full(len(jks), -1, dtype=np.int64)
+    by_bin = np.argsort(jks, kind="stable")
+    bins, starts = np.unique(jks[by_bin], return_index=True)
+    lo = np.searchsorted(table.sorted_bins, bins - 1, side="left")
+    hi = np.searchsorted(table.sorted_bins, bins - 1, side="right")
+    for rows, a, b in zip(np.split(by_bin, starts[1:]), lo, hi):
+        if a == b:
+            continue
+        members = table.order[a:b]
+        cells = np.arange(n) * card + table.digits[members]
+        # (queries, members, n), summed over positions as for one query.
+        scores = np.take(pos_cost[rows], cells, axis=1).sum(axis=-1)
+        typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * tol
+        unique_hit = typical.sum(axis=1) == 1
+        out[rows] = np.where(unique_hit, members[typical.argmax(axis=1)], -1)
+    return out
 
 
 def decode(
@@ -277,7 +346,10 @@ def decode(
         raise ValueError(f"j0 = {j0} outside 1..{codebook.m0}")
     if not 1 <= jk <= codebook.bin_counts[k]:
         raise ValueError(f"jk = {jk} outside 1..{codebook.bin_counts[k]}")
-    return _decode_inner(codebook, k, j0, jk)
+    index = int(_decode_indices(codebook, k, np.array([j0]), np.array([jk]))[0])
+    if index < 0:
+        return DecoderFailure()
+    return _bin_groups(codebook, k).digits[index].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -292,38 +364,64 @@ def run_trials(
 
     Encoder failure counts as an error at every decoder; the conditional
     decoder error rates (given encoding succeeded) are reported separately.
-    Each trial's block comes from a sub-generator seeded by (seed, trial),
-    so reports are reproducible and trial order is immaterial.
+    Trial t's block is ``default_rng([seed, 2, t]).choice`` of n joint
+    outcomes, drawn from its own generator, so reports are reproducible and
+    trial order is immaterial.  Trials run in chunks: equal blocks of a
+    chunk are encoded once, equal (j0, jk) messages decoded once, and each
+    score is summed as for a single block, so the report is the one a
+    trial-by-trial loop gives.
     """
     return _run_trials(build_codebook(pmf, w, cfg), trials)
 
 
+def _draw_blocks(seed: int, cdf: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """Joint-outcome blocks of trials lo..hi-1, one per row: the indices
+    ``default_rng([seed, 2, trial]).choice`` returns for the law of ``cdf``."""
+    uniforms = np.empty((hi - lo, n))
+    for trial, row in zip(range(lo, hi), uniforms):
+        np.random.default_rng([seed, 2, trial]).random(out=row)
+    return cdf.searchsorted(uniforms, side="right")
+
+
 def _run_trials(codebook: Codebook, trials: int) -> SimReport:
     """``run_trials`` on a codebook that is already built."""
+    if not _is_integer(trials):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stats = codebook.stats
     pmf, cfg = stats.pmf, codebook.config
     n = cfg.n
-    flat = pmf.flat
-    errors = np.zeros(pmf.k, dtype=np.int64)
+    # The cumulative law exactly as Generator.choice builds it.
+    cdf = pmf.flat.cumsum()
+    cdf /= cdf[-1]
     decode_errors = np.zeros(pmf.k, dtype=np.int64)
     failures = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([cfg.seed, 2, trial])
-        o_seq = rng.choice(pmf.num_outcomes, size=n, p=flat)
-        j0 = _encode_outcomes(codebook, o_seq)
-        if j0 == 0:
-            failures += 1
-            errors += 1
+    step = max(1, CHUNK_ELEMENTS // n)
+    for lo in range(0, trials, step):
+        drawn = _draw_blocks(cfg.seed, cdf, n, lo, min(trials, lo + step))
+        blocks, counts = np.unique(drawn, axis=0, return_counts=True)
+        j0 = _batched(
+            partial(_encode_outcomes, codebook), len(codebook.pattern_digits) * n, blocks
+        )
+        sent = j0 > 0
+        failures += int(counts[~sent].sum())
+        if not sent.any():
             continue
-        block = np.unravel_index(o_seq, pmf.cardinalities)
-        for k, xk in enumerate(block):
-            jk = _bin_of_sequence(cfg.seed, k, xk, codebook.bin_counts[k]) + 1
-            result = _decode_inner(codebook, k, j0, jk)
-            if isinstance(result, DecoderFailure) or not np.array_equal(result, xk):
-                errors[k] += 1
-                decode_errors[k] += 1
+        j0, counts = j0[sent], counts[sent]
+        symbols = np.unravel_index(blocks[sent], pmf.cardinalities)
+        for k, xk in enumerate(symbols):
+            table = _bin_groups(codebook, k)
+            seq = xk @ (pmf.cardinalities[k] ** np.arange(n - 1, -1, -1))
+            messages, inverse = np.unique(
+                np.column_stack([j0, table.bins[seq] + 1]), axis=0, return_inverse=True
+            )
+            decoded = _batched(
+                partial(_decode_indices, codebook, k), table.widest * n,
+                messages[:, 0], messages[:, 1],
+            )
+            decode_errors[k] += counts[decoded[inverse.reshape(-1)] != seq].sum()
+    errors = decode_errors + failures
     successes = trials - failures
     return SimReport(
         trials=trials,
@@ -394,15 +492,15 @@ def exact_equivocation(
     blocks = s_sup**n
     cost_sup = stats.cost[view.indices]
 
-    # j0 per block: distinct codeword patterns in ascending first-occurrence
-    # order claim still-unset blocks they are typical with.
+    # j0 per block: distinct codeword patterns in first-occurrence order
+    # claim still-unset blocks they are typical with.
     j0_arr = np.zeros(blocks, dtype=np.int64)
     tol_band = n * cfg.typicality_tolerance
     center = n * stats.h_pair
-    for u in np.argsort(codebook.pattern_first_index, kind="stable"):
-        scores = _outer_fold(np.add, cost_sup[:, codebook.pattern_digits[u]].T)
+    for digits, first in zip(codebook.pattern_digits, codebook.pattern_first_index):
+        scores = _outer_fold(np.add, cost_sup[:, digits].T)
         claim = (j0_arr == 0) & (np.abs(scores - center) <= tol_band)
-        j0_arr[claim] = int(codebook.pattern_first_index[u]) + 1
+        j0_arr[claim] = int(first) + 1
         if not (j0_arr == 0).any():
             break
 

@@ -119,12 +119,20 @@ def _check_restarts(restarts: int) -> None:
 
 
 def _refine(pmf: JointPmf, objectives, w_cardinality, restarts, seed):
-    """One soft channel per restart r, searched from seed (seed, r) on demand."""
+    """One soft channel per restart r, searched from seed (seed, r) on demand.
+
+    ``w_cardinality`` is checked on the call, before any candidate is asked
+    for, so a search that a seed channel ends early still rejects it.
+    """
     view = pmf.support
     w_card = view.w_cardinality(w_cardinality)
-    for r in range(restarts):
-        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
-        yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
+
+    def fits():
+        for r in range(restarts):
+            rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
+            yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
+
+    return fits()
 
 
 def _max_delta_objectives(pmf: JointPmf, budget: float):

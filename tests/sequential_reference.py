@@ -15,10 +15,13 @@ scored partitions in chunks: one partition at a time from
 the package did before it had one statistics object: they join W into a
 new law and call the generic entropy functions.  ``CodecStats`` is the
 simulator's own table-and-formula code from that time, with the codebook,
-trial loop and exact equivocation that read it, and
+trial loop and exact equivocation that read it; the trial loop draws,
+encodes, hashes (``bin_of_sequence``) and decodes one trial at a time.
 ``sweep_max_delta`` rebuilds the seed channels for every budget.
 """
 
+import hashlib
+import struct
 from itertools import chain
 
 import numpy as np
@@ -272,6 +275,18 @@ def build_codebook(pmf, w, cfg):
     )
 
 
+def bin_of_sequence(seed, k, seq, m):
+    """The bin hash of one sequence, as the trial loop computed it."""
+    data = np.ascontiguousarray(seq, dtype="<u4").tobytes()
+    key = struct.pack("<qq", seed, k)
+    digest = hashlib.blake2b(data, key=key, digest_size=16).digest()
+    return int.from_bytes(digest, "little") % m
+
+
+def bin_rows(seed, k, seqs, m):
+    return np.array([bin_of_sequence(seed, k, s, m) for s in seqs], dtype=np.int64)
+
+
 def _encode_outcomes(codebook, stats, o_seq):
     n = codebook.n
     tol = codebook.config.typicality_tolerance
@@ -284,8 +299,9 @@ def _encode_outcomes(codebook, stats, o_seq):
 
 
 def _decode_inner(codebook, stats, k, j0, jk):
-    digits, order, starts, ends = codec_sim._bin_groups(codebook, k)
-    members = order[starts[jk - 1] : ends[jk - 1]]
+    table = codec_sim._bin_groups(codebook, k)
+    digits = table.digits
+    members = table.order[table.sorted_bins == jk - 1]
     if len(members) == 0:
         return codec_sim.DecoderFailure()
     w_seq = codebook.w_codewords[j0 - 1].astype(np.int64)
@@ -316,7 +332,7 @@ def run_trials(pmf, w, cfg, trials):
             continue
         for k in range(pmf.k):
             xk = stats.digits[k][o_seq]
-            jk = codec_sim._bin_of_sequence(cfg.seed, k, xk, codebook.bin_counts[k]) + 1
+            jk = bin_of_sequence(cfg.seed, k, xk, codebook.bin_counts[k]) + 1
             result = _decode_inner(codebook, stats, k, j0, jk)
             if isinstance(result, codec_sim.DecoderFailure) or not np.array_equal(result, xk):
                 errors[k] += 1
@@ -361,7 +377,7 @@ def exact_equivocation(pmf, codebook, k):
     xk_idx = codec_sim._outer_fold(np.add, np.outer(card_k**powers, view.digits[k]))
     uniq, inverse = np.unique(xk_idx, return_inverse=True)
     m_k = codebook.bin_counts[k]
-    jk_arr = codec_sim._bin_rows(cfg.seed, k, codec_sim._base_digits(uniq, card_k, n), m_k)[inverse]
+    jk_arr = bin_rows(cfg.seed, k, codec_sim._base_digits(uniq, card_k, n), m_k)[inverse]
     rest_vars = [j for j in range(pmf.k) if j != k]
     rest_card = int(np.prod([pmf.cardinalities[j] for j in rest_vars]))
     rest_digit = np.zeros(s_sup, dtype=np.int64)

@@ -1,9 +1,12 @@
+import argparse
+import contextlib
 import io
 import json
 
 import pytest
 
 import graywyner as gw
+from graywyner import cli as cli_module
 from graywyner.cli import run
 from graywyner.infotheory import PairStats
 
@@ -287,15 +290,68 @@ class TestErrorPaths:
          "--seed", "1"),
         ("region", "check", "--pmf", "{ex2}", "--r0", "1", "--rk", "1,1,1",
          "--delta", "6", "--restarts", "-3", "--seed", "3"),
+        ("region", "check", "--pmf", "{ex2}", "--r0", "1", "--rk", "1,1,1",
+         "--delta", "6", "--w-cardinality", "0", "--restarts", "2", "--seed", "3"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "0.25", "--trials", "10", "--seed", "7",
+         "--typicality-tolerance", "nan"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "0.25", "--trials", "10", "--seed", "7",
+         "--typicality-tolerance", "inf"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "nan", "--trials", "10", "--seed", "7"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "inf", "--trials", "10", "--seed", "7"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "0.25", "--trials", "10", "--seed", "-1"),
     ],
     ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
-         "w_card_negative", "sweep_negative_restarts", "check_negative_restarts"],
+         "w_card_negative", "sweep_negative_restarts", "check_negative_restarts",
+         "check_w_card0_certified_by_a_seed", "tolerance_nan", "tolerance_inf",
+         "slack_nan", "slack_inf", "negative_seed"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))
     assert code == 2
     assert err.startswith("usage error: ")
     assert out == ""
+
+
+class TestParser:
+    ARGVS = [
+        ("--help",),
+        ("simulate", "--help"),
+        ("region", "check", "--help"),
+        ("simulate", "--n", "x"),
+        ("nope",),
+        (),
+    ]
+
+    def test_built_once_per_process(self, docs, monkeypatch):
+        cli("info", "--pmf", docs["ex1"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(3):
+            assert cli("info", "--pmf", docs["ex1"])[0] == 0
+            assert cli("simulate", "--help")[0] == 0
+        assert built == []
+
+    def test_prints_what_a_fresh_parser_prints(self):
+        fresh = cli_module._build_parser.__wrapped__()
+        for argv in self.ARGVS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit) as stop:
+                    fresh.parse_args(list(argv))
+            expected = (stop.value.code or 0, out.getvalue(), err.getvalue())
+            assert cli(*argv) == expected, argv
+            assert cli(*argv) == expected, argv
 
 
 class TestDeterminism:

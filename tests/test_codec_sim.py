@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 import graywyner as gw
+from graywyner import codec_sim
 from graywyner.errors import (
     CodebookTooLargeError,
     EnumerationTooLargeError,
     ShapeMismatchError,
 )
 
+import sequential_reference as ref
 from conftest import (
     binary_entropy,
     copy_pair,
+    example1,
     example2,
     example2_w_x0,
     fair_bit,
@@ -28,6 +31,39 @@ FULL_COVERAGE_SEED = 49
 def _copy_setup():
     pmf = copy_pair()
     return pmf, gw.variable_channel(pmf, 0)
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        (dict(n=True), TypeError),
+        (dict(n=2.5), TypeError),
+        (dict(n=0), ValueError),
+        (dict(slack=math.nan), ValueError),
+        (dict(slack=math.inf), ValueError),
+        (dict(slack=-0.1), ValueError),
+        (dict(typicality_tolerance=math.nan), ValueError),
+        (dict(typicality_tolerance=math.inf), ValueError),
+        (dict(typicality_tolerance=0.0), ValueError),
+        (dict(seed=-1), ValueError),
+        (dict(seed=1.5), TypeError),
+        (dict(seed=True), TypeError),
+    ],
+    ids=["n_bool", "n_float", "n0", "slack_nan", "slack_inf", "slack_negative",
+         "tolerance_nan", "tolerance_inf", "tolerance0", "seed_negative",
+         "seed_float", "seed_bool"],
+)
+def test_code_config_rejects_invalid_settings(fields, error):
+    with pytest.raises(error):
+        gw.CodeConfig(**{"n": 4, "slack": 0.2, **fields})
+
+
+def test_code_config_accepts_numpy_integers():
+    cfg = gw.CodeConfig(n=np.int64(4), slack=0.2, seed=np.uint32(3))
+    pmf, w = _copy_setup()
+    assert gw.build_codebook(pmf, w, cfg).m0 == gw.build_codebook(
+        pmf, w, gw.CodeConfig(n=4, slack=0.2, seed=3)
+    ).m0
 
 
 class TestBuildCodebook:
@@ -193,6 +229,47 @@ class TestRunTrials:
             assert 0.0 <= rate <= 1.0
         assert 0.0 <= report.encoder_failure_rate <= 1.0
 
+    @pytest.mark.parametrize("trials", [True, 2.5, 0])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        pmf, w = _copy_setup()
+        cfg = gw.CodeConfig(n=2, slack=0.2, seed=1)
+        with pytest.raises((TypeError, ValueError)):
+            gw.run_trials(pmf, w, cfg, trials)
+
+    def test_several_chunks_give_the_one_chunk_report(self, monkeypatch):
+        pmf, w = example2(), example2_w_x0()
+        cfg = gw.CodeConfig(n=3, slack=0.25, typicality_tolerance=0.15, seed=9)
+        whole = gw.run_trials(pmf, w, cfg, 150)
+        assert whole == ref.run_trials(pmf, w, cfg, 150)
+        sizes = []
+        encode = codec_sim._encode_outcomes
+
+        def spy(codebook, o_seqs):
+            sizes.append(len(o_seqs))
+            return encode(codebook, o_seqs)
+
+        monkeypatch.setattr(codec_sim, "_encode_outcomes", spy)
+        # 40 elements: 13 trials per draw, one block per encode call and
+        # one message per decode call.
+        monkeypatch.setattr(codec_sim, "CHUNK_ELEMENTS", 40)
+        assert gw.run_trials(pmf, w, cfg, 150) == whole
+        assert len(sizes) > 12 and set(sizes) == {1}
+
+    def test_encode_kernel_runs_once_per_chunk(self, monkeypatch):
+        pmf, w = _copy_setup()
+        cfg = gw.CodeConfig(n=6, slack=0.2, seed=77)
+        sizes = []
+        encode = codec_sim._encode_outcomes
+
+        def spy(codebook, o_seqs):
+            sizes.append(len(o_seqs))
+            return encode(codebook, o_seqs)
+
+        monkeypatch.setattr(codec_sim, "_encode_outcomes", spy)
+        gw.run_trials(pmf, w, cfg, 300)
+        # One call scores every distinct block of the 300 trials.
+        assert len(sizes) == 1 and 1 < sizes[0] <= 64
+
     def test_determinism(self):
         pmf, w = _copy_setup()
         cfg = gw.CodeConfig(n=6, slack=0.2, seed=77)
@@ -225,6 +302,52 @@ class TestRunTrials:
             assert report.target_equivocations[k] == pytest.approx(
                 gw.conditional_entropy(joint, others, [k, w_axis]), abs=1e-12
             )
+
+
+class TestBatchOfOne:
+    """The public encode and decode against the trial loop's own code."""
+
+    def _book(self):
+        # Tolerance 1.0 leaves some blocks unencoded and some bins with
+        # several typical sequences; 10 to 37 bins per source for its 4
+        # sequences leave most bins empty.
+        pmf, w = example1(), gw.variable_channel(example1(), 0)
+        cfg = gw.CodeConfig(n=2, slack=1.6, typicality_tolerance=1.0, seed=5)
+        return pmf, w, gw.build_codebook(pmf, w, cfg), ref.CodecStats(pmf, w)
+
+    def test_encode_matches_the_reference_on_every_block(self):
+        pmf, w, book, old = self._book()
+        failures = 0
+        for o_seq in np.ndindex(*(pmf.num_outcomes,) * book.n):
+            block = np.array(np.unravel_index(o_seq, pmf.cardinalities))
+            msg = gw.encode(book, pmf, w, block)
+            j0 = ref._encode_outcomes(book, old, np.array(o_seq))
+            if j0 == 0:
+                assert isinstance(msg, gw.EncoderFailure)
+                failures += 1
+            else:
+                assert msg.j0 == j0
+        assert 0 < failures < pmf.num_outcomes**book.n
+
+    def test_decode_matches_the_reference_on_every_message(self):
+        pmf, w, book, old = self._book()
+        kinds = set()
+        for k in range(pmf.k):
+            for j0 in range(1, book.m0 + 1):
+                for jk in range(1, book.bin_counts[k] + 1):
+                    got = gw.decode(book, pmf, w, k, j0, jk)
+                    want = ref._decode_inner(book, old, k, j0, jk)
+                    if isinstance(want, gw.DecoderFailure):
+                        assert isinstance(got, gw.DecoderFailure)
+                        members = np.flatnonzero(
+                            codec_sim._bin_groups(book, k).bins == jk - 1
+                        )
+                        kinds.add("empty" if len(members) == 0 else "ambiguous or none")
+                    else:
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want)
+                        kinds.add("unique")
+        assert kinds == {"empty", "ambiguous or none", "unique"}
 
 
 class TestExactEquivocation:

@@ -140,3 +140,20 @@ def test_save_load_round_trip_is_bit_exact(pair):
     back_w = gw.load_aux_channel(io.StringIO(buf.getvalue()))
     assert back_w.w_cardinality == w.w_cardinality
     assert back_w.rows.tobytes() == w.rows.tobytes()
+
+
+@SETTINGS
+@given(
+    joints_with_channels(),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.3, 1.5]),
+    st.sampled_from([1e-3, 0.15, 1.0, 4.0]),
+    st.integers(0, 2**31),
+    st.integers(1, 40),
+)
+def test_batched_trials_match_the_trial_loop(pair, n, slack, tolerance, seed, trials):
+    # A tolerance of 1e-3 makes most blocks encoder misses, 4.0 makes most
+    # bins ambiguous, and slack 1.5 leaves most bins empty.
+    pmf, w = pair
+    cfg = gw.CodeConfig(n=n, slack=slack, typicality_tolerance=tolerance, seed=seed)
+    assert gw.run_trials(pmf, w, cfg, trials) == ref.run_trials(pmf, w, cfg, trials)

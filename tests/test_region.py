@@ -230,6 +230,17 @@ class TestIsAchievable:
             gw.is_achievable(ex2, t, restarts=-3, seed=3)
         assert gw.is_achievable(ex2, t, restarts=0, seed=3).verdict == "achievable"
 
+    @pytest.mark.parametrize("w_cardinality", [0, -2])
+    def test_invalid_w_cardinality_rejected_before_any_candidate(self, ex2, w_cardinality):
+        # The component witness certifies the first tuple, so no
+        # refinement runs for it; the value is rejected all the same.
+        for t in (
+            gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0),
+            gw.RateEquivocationTuple(0.0, (0.0, 0.0, 0.0), 0.0),
+        ):
+            with pytest.raises(ValueError, match="w_cardinality"):
+                gw.is_achievable(ex2, t, w_cardinality=w_cardinality, restarts=2, seed=3)
+
     def test_search_certifies_beyond_the_analytic_seeds(self):
         # Interior tuple dominated only by a soft witness: private rates sit
         # below H(X_k) (rules out the constant and component channels) while
