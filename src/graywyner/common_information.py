@@ -29,6 +29,7 @@ case, and the definition-level feasibility of C with its witness.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -221,22 +222,32 @@ def _label_witness(pmf: JointPmf, labels: np.ndarray) -> AuxChannel:
     return deterministic_channel(pmf, full, int(labels.max()) + 1)
 
 
+# Exact C of each live law.  A JointPmf is immutable and compares by
+# identity, so an entry can never go stale, and it leaves with its law.
+_GK_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
     """C(X_1, ..., X_K) with its deterministic witness W*.
 
     The witness is the maximal common random variable; its entropy is the
     value and I(X-bar; W*) equals H(W*).  ``diagnostics.residual`` is the
     exact label certificate max_k [H(X_k, W*) - H(X_k)], which is 0.0
-    because W* is a function of every X_k.
+    because W* is a function of every X_k.  The result is computed once
+    per law object; later calls return the same (immutable) result.
     """
     _require_sources(pmf)
-    view = pmf.support
-    labels = common_part_labels(pmf)
-    value, residual = _score_labels(view, labels, _source_entropies(view))
-    witness = _label_witness(pmf, labels)
-    return CommonInfoResult(
-        value, witness, "gk_components", Diagnostics(view.size, residual, True)
-    )
+    result = _GK_RESULTS.get(pmf)
+    if result is None:
+        view = pmf.support
+        labels = common_part_labels(pmf)
+        value, residual = _score_labels(view, labels, _source_entropies(view))
+        result = CommonInfoResult(
+            value, _label_witness(pmf, labels), "gk_components",
+            Diagnostics(view.size, residual, True),
+        )
+        _GK_RESULTS[pmf] = result
+    return result
 
 
 def iter_set_partitions(items):

@@ -304,11 +304,13 @@ class TestErrorPaths:
          "--slack", "inf", "--trials", "10", "--seed", "7"),
         ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
          "--slack", "0.25", "--trials", "10", "--seed", "-1"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
+         "--slack", "0.25", "--trials", "10", "--seed", "9223372036854775808"),
     ],
     ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
          "w_card_negative", "sweep_negative_restarts", "check_negative_restarts",
          "check_w_card0_certified_by_a_seed", "tolerance_nan", "tolerance_inf",
-         "slack_nan", "slack_inf", "negative_seed"],
+         "slack_nan", "slack_inf", "negative_seed", "seed_2_63"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))

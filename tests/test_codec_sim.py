@@ -58,6 +58,65 @@ def test_code_config_rejects_invalid_settings(fields, error):
         gw.CodeConfig(**{"n": 4, "slack": 0.2, **fields})
 
 
+def test_code_config_rejects_seeds_the_bin_hash_cannot_pack():
+    with pytest.raises(ValueError, match="2\\^63"):
+        gw.CodeConfig(n=2, slack=0.2, seed=2**63)
+
+
+def test_largest_seed_runs():
+    pmf, w = example2(), example2_w_x0()
+    cfg = gw.CodeConfig(n=2, slack=0.25, seed=2**63 - 1)
+    assert gw.run_trials(pmf, w, cfg, 40) == ref.run_trials(pmf, w, cfg, 40)
+
+
+def _generator_uniforms(seed, n, trials):
+    return np.array(
+        [np.random.default_rng([seed, 2, t]).random(n) for t in trials]
+    ).reshape(len(trials), n)
+
+
+class TestDrawKernel:
+    """``_draw_uniforms`` against one ``default_rng([seed, 2, t])`` per trial."""
+
+    # 2^64 + 3 takes three words: beyond CodeConfig's range, but the
+    # kernel hashes any number of seed words as SeedSequence does.
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
+    def test_matches_the_generators_for_every_blocklength(self, seed):
+        for n in range(1, 17):
+            assert np.array_equal(
+                codec_sim._draw_uniforms(seed, n, 0, 60),
+                _generator_uniforms(seed, n, range(60)),
+            )
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
+    def test_trials_that_take_two_words(self, seed):
+        # Trial indices from 2^32 on take a second uint32 entropy word.
+        lo, hi = 2**32 - 50, 2**32 + 50
+        assert np.array_equal(
+            codec_sim._draw_uniforms(seed, 3, lo, hi),
+            _generator_uniforms(seed, 3, range(lo, hi)),
+        )
+
+    def test_empty_range(self):
+        assert codec_sim._draw_uniforms(5, 4, 7, 7).shape == (0, 4)
+
+    def test_trials_build_no_generator(self, monkeypatch):
+        pmf, w = example2(), example2_w_x0()
+        book = gw.build_codebook(pmf, w, gw.CodeConfig(n=2, slack=0.25, seed=3))
+        built = []
+        default_rng = np.random.default_rng
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        report = codec_sim._run_trials(book, 500)
+        assert built == []
+        monkeypatch.undo()
+        assert report == ref.run_trials(pmf, w, book.config, 500)
+
+
 def test_code_config_accepts_numpy_integers():
     cfg = gw.CodeConfig(n=np.int64(4), slack=0.2, seed=np.uint32(3))
     pmf, w = _copy_setup()
@@ -249,8 +308,9 @@ class TestRunTrials:
             return encode(codebook, o_seqs)
 
         monkeypatch.setattr(codec_sim, "_encode_outcomes", spy)
-        # 40 elements: 13 trials per draw, one block per encode call and
-        # one message per decode call.
+        # 40 elements: one trial per draw (the draw kernel's temporaries
+        # count too), one block per encode call and one message per
+        # decode call.
         monkeypatch.setattr(codec_sim, "CHUNK_ELEMENTS", 40)
         assert gw.run_trials(pmf, w, cfg, 150) == whole
         assert len(sizes) > 12 and set(sizes) == {1}

@@ -63,6 +63,33 @@ class TestGkCommonInformation:
         with pytest.raises(KTooSmallError):
             gw.gk_common_information(fair_bit())
 
+    def test_computed_once_per_law(self, monkeypatch):
+        labelled = []
+        labels = common_information.common_part_labels
+
+        def spy(pmf):
+            labelled.append(pmf)
+            return labels(pmf)
+
+        monkeypatch.setattr(common_information, "common_part_labels", spy)
+        pmf = random_joint(np.random.default_rng(43), k=3)
+        first = gw.gk_common_information(pmf)
+        assert gw.gk_common_information(pmf) is first
+        assert labelled == [pmf]
+        assert gw.verify_c2(pmf).c_value == first.value
+        for drop in range(pmf.k):
+            assert gw.verify_monotonicity(pmf, drop)[0] == first.value
+        # The full law once, then each of its three marginals once.
+        assert len(labelled) == 1 + pmf.k
+        assert len({id(law) for law in labelled}) == len(labelled)
+
+    def test_an_equal_law_is_computed_afresh(self):
+        pmf = copy_pair()
+        twin = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities)
+        first, second = gw.gk_common_information(pmf), gw.gk_common_information(twin)
+        assert first is not second
+        assert first.value == second.value
+
 
 class TestBruteForceOracle:
     def test_copy_pair(self):
