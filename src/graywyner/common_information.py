@@ -48,10 +48,9 @@ from .infotheory import PairStats, entropy, entropy_of_vector, mutual_informatio
 
 BRUTE_SUPPORT_LIMIT = 8
 BRUTE_SLACK_TOL = 1e-12
-# The batched slack differs from the scalar one by rounding (~1e-15), far
-# below this gap, so the prefilter never drops a row the exact check keeps.
+# Support rows heavier than this must share the label of every heavy row
+# that shares one of their symbols: splitting two costs more than twice it.
 BRUTE_PREFILTER_TOL = 1e-9
-BRUTE_CHUNK_ROWS = 256
 CHAIN_TOL = 1e-6
 CHAIN_MID_TOL = 1e-9
 PROP4_PRECONDITION_TOL = 1e-6
@@ -298,32 +297,6 @@ def _partition_table(n: int) -> np.ndarray:
     return table
 
 
-def _prefilter(chunk: np.ndarray, codes, probs, h_k) -> np.ndarray:
-    """Rows of ``chunk`` whose batched slack H(X_k, W) - H(X_k) is at most
-    ``BRUTE_PREFILTER_TOL`` for every k, in chunk order.
-
-    ``codes[k]`` numbers the distinct symbols of X_k on the support from 0,
-    so a row's joint histogram has at most n * n bins.  Each bin sums the
-    same weights in the same order as the scalar check; only the entropy
-    sums group their terms differently.
-    """
-    n = chunk.shape[1]
-    for code, h in zip(codes, h_k):
-        rows = len(chunk)
-        if not rows:
-            break
-        bins = (int(code.max()) + 1) * n
-        index = np.arange(rows)[:, None] * bins + code * n
-        index += chunk
-        hist = np.bincount(
-            index.ravel(), weights=np.tile(probs, rows), minlength=rows * bins
-        ).reshape(rows, bins)
-        plogp = np.log2(hist, out=np.zeros_like(hist), where=hist > 0.0)
-        plogp *= hist
-        chunk = chunk[-plogp.sum(axis=1) - h <= BRUTE_PREFILTER_TOL]
-    return chunk
-
-
 def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
     """Exhaustive maximum of H(W) over feasible deterministic W (test oracle).
 
@@ -333,13 +306,18 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
     like the component witness of ``gk_common_information``: its slack
     H(X_k, W) - H(X_k) is checked against ``BRUTE_SLACK_TOL``.
 
-    The partitions come from a cached table of restricted-growth strings
-    and are scored ``BRUTE_CHUNK_ROWS`` at a time, so no work array grows
-    with Bell(n).  A batched prefilter drops rows whose slack exceeds the
-    loose ``BRUTE_PREFILTER_TOL``; the surviving rows then get the exact
-    scalar check and the first-strictly-greater value comparison, in table
-    order, so value, witness and diagnostics are those of scoring every
-    partition one at a time.
+    The partitions come from a cached table of restricted-growth strings.
+    One integer test drops the rows that split two heavy support rows
+    (mass above ``BRUTE_PREFILTER_TOL``) sharing a symbol x of some X_k.
+    Such a row cannot pass the exact check.  Say heavy rows i and j share
+    x, of mass P, but get different labels, and A is the mass of the rows
+    of x labelled like i.  With h the binary entropy, H(X_k, W) - H(X_k)
+    >= P h(A/P) >= 2 min(A, P - A) >= 2 min(p_i, p_j) > 2e-9, far above
+    ``BRUTE_SLACK_TOL`` and the rounding of the computed slack.  Lighter
+    rows may take any label and are left to the exact check.  The surviving
+    rows get the exact scalar check and the first-strictly-greater value
+    comparison, in table order, so value, witness and diagnostics are
+    those of scoring every partition one at a time.
     """
     _require_sources(pmf)
     view = pmf.support
@@ -348,19 +326,21 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
             f"support size {view.size} exceeds {BRUTE_SUPPORT_LIMIT}"
         )
     h_k = _source_entropies(view)
-    codes = []  # the symbols of X_k seen on the support, numbered from 0
-    for d, c in zip(view.digits, pmf.cardinalities):
-        seen = np.zeros(c, dtype=np.intp)
-        seen[d] = 1
-        codes.append(np.cumsum(seen)[d] - 1)
     table = _partition_table(view.size)
+    heavy = np.flatnonzero(view.p > BRUTE_PREFILTER_TOL)
+    left, right = [], []  # pairs of heavy rows that share a symbol of X_k
+    for d in view.digits:
+        rows = heavy[np.argsort(d[heavy], kind="stable")]
+        same = d[rows[1:]] == d[rows[:-1]]
+        left.append(rows[:-1][same])
+        right.append(rows[1:][same])
+    left, right = np.concatenate(left), np.concatenate(right)
+    keep = (table[:, left] == table[:, right]).all(axis=1)
     best = (-1.0, None, 0.0)  # value, labels, residual
-    for start in range(0, len(table), BRUTE_CHUNK_ROWS):
-        chunk = table[start : start + BRUTE_CHUNK_ROWS].astype(np.intp)
-        for labels in _prefilter(chunk, codes, view.p, h_k):
-            value, worst = _score_labels(view, labels, h_k)
-            if worst <= BRUTE_SLACK_TOL and value > best[0]:
-                best = (value, labels.copy(), worst)
+    for labels in table[keep].astype(np.intp):
+        value, worst = _score_labels(view, labels, h_k)
+        if worst <= BRUTE_SLACK_TOL and value > best[0]:
+            best = (value, labels, worst)
     value, labels, residual = best
     return CommonInfoResult(
         value, _label_witness(pmf, labels), "brute_force",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Sequence
@@ -219,10 +220,18 @@ def check_selection(
     pmf: JointPmf, sel: Sequence[int] | None, what: str
 ) -> tuple[int, ...]:
     """Sorted variable indices of ``sel`` (every variable when None); an
-    empty selection is returned for the caller to reject."""
+    empty selection is returned for the caller to reject.  Indices must be
+    integers (numpy integers too); bools, floats and strings raise
+    TypeError rather than being truncated or parsed."""
     if sel is None:
         return tuple(range(pmf.k))
-    indices = tuple(int(i) for i in sel)
+    items = tuple(sel)
+    try:
+        if bool in map(type, items):  # operator.index(True) would give 1
+            raise TypeError
+        indices = tuple(map(operator.index, items))
+    except TypeError:
+        raise TypeError(f"{what} indices must be integers, got {items!r}") from None
     for i in indices:
         if not 0 <= i < pmf.k:
             raise IndexError(f"{what} index {i} out of range for {pmf.k} variables")

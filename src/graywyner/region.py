@@ -33,10 +33,9 @@ class RateEquivocationTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "rk", tuple(float(r) for r in self.rk))
-        if self.r0 < -ACHIEVABILITY_TOL or self.delta < -ACHIEVABILITY_TOL:
-            raise ValueError("rates and equivocation must be non-negative")
-        if any(r < -ACHIEVABILITY_TOL for r in self.rk):
-            raise ValueError("rates and equivocation must be non-negative")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not all(x >= -ACHIEVABILITY_TOL for x in (self.r0, self.delta, *self.rk)):
+            raise ValueError("rates and equivocation must be non-negative numbers")
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,8 @@ def sweep_max_delta(
     budget i refines from seed ``seed + i``.
     """
     budgets = [float(b) for b in r0_budgets]
-    if any(b < 0 for b in budgets):
-        raise ValueError("r0_budget must be non-negative")
+    if not all(b >= 0 for b in budgets):  # NaN included
+        raise ValueError("r0_budget must be a non-negative number")
     _check_restarts(restarts)
     seeded = [(corner_point(pmf, cand), cand) for cand in _seed_channels(pmf)]
     points = []

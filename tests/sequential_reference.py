@@ -8,8 +8,8 @@ and the beta = 1 tail, so that tests can require byte-equal results from
 the estimator, which updates all restarts as one stack.
 
 ``brute_force_oracle`` is the set-partition oracle as it was before it
-scored partitions in chunks: one partition at a time from
-``iter_set_partitions``, each checked with the scalar slack test.
+pruned partitions: one partition at a time from ``iter_set_partitions``,
+each checked with the scalar slack test.
 
 ``corner_point`` and ``c2_residuals`` measure a (law, channel) pair the way
 the package did before it had one statistics object: they join W into a

@@ -306,11 +306,18 @@ class TestErrorPaths:
          "--slack", "0.25", "--trials", "10", "--seed", "-1"),
         ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2",
          "--slack", "0.25", "--trials", "10", "--seed", "9223372036854775808"),
+        ("region", "check", "--pmf", "{ex1}", "--r0", "nan", "--rk", "nan,nan,nan",
+         "--delta", "0", "--restarts", "1", "--seed", "3"),
+        ("region", "check", "--pmf", "{ex2}", "--r0", "1", "--rk", "1,1,1",
+         "--delta", "nan", "--restarts", "1", "--seed", "3"),
+        ("region", "sweep", "--pmf", "{ex2}", "--r0-grid", "0.5,nan", "--restarts", "1",
+         "--seed", "5"),
     ],
     ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
          "w_card_negative", "sweep_negative_restarts", "check_negative_restarts",
          "check_w_card0_certified_by_a_seed", "tolerance_nan", "tolerance_inf",
-         "slack_nan", "slack_inf", "negative_seed", "seed_2_63"],
+         "slack_nan", "slack_inf", "negative_seed", "seed_2_63", "check_nan_rates",
+         "check_nan_delta", "sweep_nan_budget"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))

@@ -197,7 +197,8 @@ ORACLE_LAWS = {
 
 @pytest.mark.parametrize("family", ORACLE_LAWS)
 def test_chunked_oracle_matches_scalar_reference(family):
-    """Scoring partitions in chunks changes no byte of the oracle's result."""
+    """Pruning partitions before the exact check changes no byte of the
+    oracle's result."""
     for pmf in ORACLE_LAWS[family]():
         chunked = gw.gk_brute_force_oracle(pmf)
         scalar = sequential_reference.brute_force_oracle(pmf)
@@ -215,15 +216,16 @@ def test_both_oracles_refuse_example2(ex2):
 
 @pytest.mark.parametrize("family", ["three_components", "tiny_link", "support_sizes"])
 def test_prefilter_keeps_every_row_the_scalar_check_keeps(monkeypatch, family):
+    """The integer conflict test hands the exact check a superset of the
+    rows it accepts, in table order."""
     kept = []
-    prefilter = common_information._prefilter
+    score = common_information._score_labels
 
-    def recorded(*args):
-        rows = prefilter(*args)
-        kept.extend(tuple(row) for row in rows)
-        return rows
+    def recorded(view, labels, h_k):
+        kept.append(tuple(labels))
+        return score(view, labels, h_k)
 
-    monkeypatch.setattr(common_information, "_prefilter", recorded)
+    monkeypatch.setattr(common_information, "_score_labels", recorded)
     near = 0
     for pmf in ORACLE_LAWS[family]():
         kept.clear()
@@ -238,7 +240,7 @@ def test_prefilter_keeps_every_row_the_scalar_check_keeps(monkeypatch, family):
         assert kept == [row for row in slack if row in set(kept)]  # table order
         near += sum(tol < slack[row] for row in kept)
     if family == "tiny_link":
-        # Rows the prefilter passes and the exact check then rejects.
+        # Rows the conflict test passes and the exact check then rejects.
         assert near > 0
 
 

@@ -93,6 +93,11 @@ class TestMarginalize:
         with pytest.raises(OverlappingSelectionsError):
             gw.marginalize(ex1, [0, 0])
 
+    @pytest.mark.parametrize("keep", [[1.5], [0, 2.0], [True]])
+    def test_non_integer_index_rejected(self, ex1, keep):
+        with pytest.raises(TypeError, match="keep indices must be integers"):
+            gw.marginalize(ex1, keep)
+
 
 class TestCondition:
     def test_perfect_correlation_gives_point_mass(self):

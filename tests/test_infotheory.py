@@ -43,6 +43,21 @@ class TestEntropy:
         with pytest.raises(EmptySelectionError):
             gw.entropy(fair_bit(), [])
 
+    @pytest.mark.parametrize(
+        "sel", [[0.7], [1.5], ["1"], [True], [np.bool_(False)], np.array([0.0])],
+        ids=["float_0_7", "float_1_5", "str", "bool", "numpy_bool", "float_array"],
+    )
+    def test_non_integer_index_rejected(self, sel):
+        with pytest.raises(TypeError, match="vars indices must be integers"):
+            gw.entropy(example2(), sel)
+
+    def test_numpy_integer_indices(self):
+        pmf = example2()
+        expected = gw.entropy(pmf, [0, 2])
+        assert gw.entropy(pmf, [np.int64(0), np.int32(2)]) == expected
+        assert gw.entropy(pmf, np.array([2, 0])) == expected
+        assert gw.entropy(pmf, (i for i in (0, 2))) == expected
+
 
 class TestConditionalEntropy:
     def test_perfect_correlation(self):

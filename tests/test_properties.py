@@ -93,6 +93,38 @@ def test_brute_force_oracle_equals_exact_c(pmf):
     assert oracle == pytest.approx(gw.gk_common_information(pmf).value, abs=1e-9)
 
 
+@st.composite
+def wide_mass_joints(draw):
+    """Laws with 1 to 8 support outcomes whose masses span 1e-20 to 1, with
+    repeated exponents for equal masses and some near the oracle's
+    ``BRUTE_PREFILTER_TOL``."""
+    k = draw(st.integers(2, 3))
+    cards = tuple(draw(st.lists(st.integers(2, 4), min_size=k, max_size=k)))
+    total = math.prod(cards)
+    size = min(draw(st.sampled_from(range(8, 0, -1))), total)
+    support = draw(
+        st.lists(st.integers(0, total - 1), min_size=size, max_size=size, unique=True)
+    )
+    exponent = st.one_of(st.floats(-20.0, 0.0), st.sampled_from([0.0, -9.0, -12.0]))
+    weights = 10.0 ** np.array(
+        draw(st.lists(exponent, min_size=len(support), max_size=len(support)))
+    )
+    flat = np.zeros(total)
+    flat[support] = weights / weights.sum()
+    return gw.JointPmf(tuple(f"X{i + 1}" for i in range(k)), cards, flat)
+
+
+@SETTINGS
+@given(wide_mass_joints())
+def test_brute_force_oracle_equals_the_partition_loop(pmf):
+    fast = gw.gk_brute_force_oracle(pmf)
+    scalar = ref.brute_force_oracle(pmf)
+    assert fast.value == scalar.value
+    assert fast.diagnostics == scalar.diagnostics
+    assert fast.witness.w_cardinality == scalar.witness.w_cardinality
+    assert fast.witness.rows.tobytes() == scalar.witness.rows.tobytes()
+
+
 @SETTINGS
 @given(joints())
 def test_component_witness_has_zero_markov_slack(pmf):

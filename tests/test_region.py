@@ -19,6 +19,26 @@ from conftest import (
 )
 
 
+class TestRateEquivocationTuple:
+    @pytest.mark.parametrize(
+        "r0, rk, delta",
+        [(np.nan, (1.0, 1.0), 0.0), (1.0, (np.nan, 1.0), 0.0), (1.0, (1.0, 1.0), np.nan),
+         (np.nan, (np.nan, np.nan), 0.0)],
+        ids=["r0", "rk", "delta", "all_rates"],
+    )
+    def test_nan_rejected(self, r0, rk, delta):
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            gw.RateEquivocationTuple(r0, rk, delta)
+
+    def test_infinite_rates_allowed(self):
+        t = gw.RateEquivocationTuple(np.inf, (np.inf, np.inf), 0.0)
+        assert gw.is_achievable(dsbs(0.11), t, restarts=0).verdict == "achievable"
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gw.RateEquivocationTuple(0.0, (1.0, -0.5), 0.0)
+
+
 class TestCornerPoint:
     def test_constant_w(self, ex2):
         corner = gw.corner_point(ex2, gw.constant_channel(ex2))
@@ -167,6 +187,12 @@ class TestSweep:
     def test_negative_budget_rejected(self, ex2):
         with pytest.raises(ValueError, match="non-negative"):
             gw.sweep_max_delta(ex2, [0.5, -1.0], restarts=1, seed=0)
+
+    def test_nan_budget_rejected(self, ex2):
+        with pytest.raises(ValueError, match="non-negative number"):
+            gw.sweep_max_delta(ex2, [0.5, np.nan], restarts=1, seed=0)
+        with pytest.raises(ValueError, match="non-negative number"):
+            gw.max_delta_at_r0(ex2, float("nan"), restarts=1, seed=0)
 
     def test_negative_restarts_rejected(self, ex2):
         with pytest.raises(ValueError, match="restarts"):
