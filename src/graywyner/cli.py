@@ -200,7 +200,10 @@ def _cmd_region(args) -> int:
                 {
                     "points": [
                         {
-                            "r0_budget": p.r0_budget,
+                            # JSON has no infinity; print it as the CSV does.
+                            "r0_budget": (
+                                p.r0_budget if p.r0_budget < float("inf") else "inf"
+                            ),
                             "delta": p.delta,
                             "converged": p.converged,
                             "witness_file": name,

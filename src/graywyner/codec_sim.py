@@ -14,12 +14,14 @@ its bin for the unique sequence typical with the received codeword.
 
 Encoding and decoding are batch kernels: ``_encode_outcomes`` scores many
 blocks against every codeword pattern in one gather, and
-``_decode_indices`` scores many (j0, jk) queries against their bins in
-another.  ``run_trials`` feeds them chunks of trials of about
-``CHUNK_ELEMENTS`` array elements each, and the public ``encode`` and
-``decode`` call them with a batch of one.  Every score is summed over a
-contiguous last axis of length n, the layout of a single block's scores,
-so batching moves no score by a bit and no typicality decision flips.
+``_decode_indices`` sorts many (j0, jk) queries by bin and makes one gather
+per bin into a (queries, widest bin) score matrix.  ``run_trials`` feeds
+them chunks of trials of about ``CHUNK_ELEMENTS`` array elements each,
+with equal blocks and equal messages found by one 1-D ``np.unique`` of
+row keys, and the public ``encode`` and ``decode`` call them with a batch
+of one.  Every score is summed over a contiguous last axis of length n,
+the layout of a single block's scores, so batching moves no score by a
+bit and no typicality decision flips.
 
 Trial t's block is the one ``default_rng([seed, 2, t]).choice`` draws.
 No generator is built per trial: ``_draw_uniforms`` computes the
@@ -30,6 +32,9 @@ a test pins it bit for bit to the installed numpy's ``default_rng``.
 ``exact_equivocation`` computes (1/n) H(X-bar^n \\ X_k^n | J_0, J_k) exactly
 by enumerating every source block over the support; encoder failures map to
 the reserved message j0 = 0 so the conditional law stays well-defined.
+The j0 of every block is computed once per codebook, with a bound that
+skips codeword patterns no block of a chunk can be typical with, and the
+entropies stream over chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -45,11 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import AuxChannel, JointPmf
-from .errors import (
-    CodebookTooLargeError,
-    EnumerationTooLargeError,
-    ShapeMismatchError,
-)
+from .errors import CodebookTooLargeError, EnumerationTooLargeError, ShapeMismatchError
 from .infotheory import PairStats, entropy_of_vector
 
 M0_LIMIT = 1 << 24
@@ -157,10 +158,8 @@ def _bin_rows(seed: int, k: int, seqs: np.ndarray, m: int) -> np.ndarray:
     width = 4 * seqs.shape[1]
     key = struct.pack("<qq", seed, k)
     return np.array([
-        int.from_bytes(
-            hashlib.blake2b(data[i : i + width], key=key, digest_size=16).digest(),
-            "little",
-        ) % m
+        int.from_bytes(hashlib.blake2b(data[i : i + width], key=key, digest_size=16).digest(),
+                       "little") % m
         for i in range(0, len(data), width)
     ], dtype=np.int64)
 
@@ -174,6 +173,15 @@ def _base_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
     return out
 
 
+def _distinct_rows(rows: np.ndarray):
+    """Distinct rows of a 2-D array (in byte order: one 1-D ``np.unique`` of
+    void row keys), the index of each row's distinct row, and the counts."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.strides[0]))).reshape(-1)
+    distinct, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return distinct.view(rows.dtype).reshape(len(distinct), -1), inverse.reshape(-1), counts
+
+
 def _batched(kernel, row_elements: int, *arrays) -> np.ndarray:
     """``kernel`` over consecutive row slices of ``arrays``, each slice
     holding about CHUNK_ELEMENTS elements at ``row_elements`` per row."""
@@ -182,11 +190,6 @@ def _batched(kernel, row_elements: int, *arrays) -> np.ndarray:
         kernel(*(a[lo : lo + step] for a in arrays))
         for lo in range(0, len(arrays[0]), step)
     ])
-
-
-# ---------------------------------------------------------------------------
-# Codebook generation
-# ---------------------------------------------------------------------------
 
 
 def _code_size(rate: float, n: int) -> int:
@@ -213,20 +216,11 @@ def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
     unique_ids, first_index = np.unique(pattern_ids, return_index=True)
     by_first = np.argsort(first_index)
     return Codebook(
-        config=cfg,
-        stats=stats,
-        w_cardinality=w.w_cardinality,
-        m0=m0,
-        bin_counts=bin_counts,
-        w_codewords=codewords,
+        config=cfg, stats=stats, w_cardinality=w.w_cardinality, m0=m0,
+        bin_counts=bin_counts, w_codewords=codewords,
         pattern_digits=_base_digits(unique_ids[by_first], w.w_cardinality, cfg.n),
         pattern_first_index=first_index[by_first].astype(np.int64),
     )
-
-
-# ---------------------------------------------------------------------------
-# Encoding / decoding
-# ---------------------------------------------------------------------------
 
 
 def _own_stats(codebook: Codebook, pmf: JointPmf, w: AuxChannel) -> PairStats:
@@ -255,10 +249,7 @@ def _encode_outcomes(codebook: Codebook, o_seqs: np.ndarray) -> np.ndarray:
 
 
 def encode(
-    codebook: Codebook,
-    pmf: JointPmf,
-    w: AuxChannel,
-    source_block: np.ndarray,
+    codebook: Codebook, pmf: JointPmf, w: AuxChannel, source_block: np.ndarray
 ) -> Messages | EncoderFailure:
     """Messages (j0, bin indices) for one block of K source sequences."""
     _own_stats(codebook, pmf, w)
@@ -281,10 +272,10 @@ def encode(
 class _BinTable(NamedTuple):
     """Every length-n sequence of one source, grouped by bin."""
 
-    digits: np.ndarray  # row i: the symbols of sequence i
     bins: np.ndarray  # 0-based bin of each sequence
     order: np.ndarray  # sequence indices, stably sorted by bin
     sorted_bins: np.ndarray  # bins[order]
+    cells: np.ndarray  # row j: the cost cells (position, symbol) of order[j]
     widest: int  # members of the fullest bin
 
 
@@ -293,58 +284,52 @@ def _bin_groups(codebook: Codebook, k: int) -> _BinTable:
     if k in codebook._caches:
         return codebook._caches[k]
     alphabet = codebook.stats.pmf.cardinalities[k]
-    total = alphabet**codebook.n
+    n = codebook.n
+    total = alphabet**n
     if total > BIN_TABLE_LIMIT:
         raise EnumerationTooLargeError(
-            f"{alphabet}^{codebook.n} candidate sequences exceed the decode guard"
+            f"{alphabet}^{n} candidate sequences exceed the decode guard"
         )
-    digits = _base_digits(np.arange(total), alphabet, codebook.n)
+    digits = _base_digits(np.arange(total), alphabet, n)
     bins = _bin_rows(codebook.seed, k, digits, codebook.bin_counts[k])
     order = np.argsort(bins, kind="stable")
     sorted_bins = bins[order]
-    edges = np.flatnonzero(np.diff(sorted_bins, prepend=-1, append=-1))
-    table = _BinTable(digits, bins, order, sorted_bins, int(np.diff(edges).max()))
+    cells = (np.arange(n) * alphabet + digits[order]).astype(np.min_scalar_type(n * alphabet))
+    edges = np.flatnonzero(np.concatenate(([True], sorted_bins[1:] != sorted_bins[:-1], [True])))
+    table = _BinTable(bins, order, sorted_bins, cells, int((edges[1:] - edges[:-1]).max()))
     codebook._caches[k] = table
     return table
 
 
-def _decode_indices(
-    codebook: Codebook, k: int, j0s: np.ndarray, jks: np.ndarray
-) -> np.ndarray:
+def _decode_indices(codebook: Codebook, k: int, j0s: np.ndarray, jks: np.ndarray) -> np.ndarray:
     """Index of the sequence decoder k recovers from each (j0, jk) query,
     or -1 when its bin holds no typical sequence or more than one."""
     stats = codebook.stats
     table = _bin_groups(codebook, k)
     n = codebook.n
-    tol = codebook.config.typicality_tolerance
-    card = stats.pmf.cardinalities[k]
-    # Each query's flattened (n, alphabet) cost rows against its codeword.
-    pos_cost = stats.cost_k[k].T[codebook.w_codewords[j0s - 1]].reshape(len(jks), -1)
-    out = np.full(len(jks), -1, dtype=np.int64)
     by_bin = np.argsort(jks, kind="stable")
-    bins, starts = np.unique(jks[by_bin], return_index=True)
-    lo = np.searchsorted(table.sorted_bins, bins - 1, side="left")
-    hi = np.searchsorted(table.sorted_bins, bins - 1, side="right")
-    for rows, a, b in zip(np.split(by_bin, starts[1:]), lo, hi):
-        if a == b:
-            continue
-        members = table.order[a:b]
-        cells = np.arange(n) * card + table.digits[members]
+    jks = jks[by_bin]
+    # Each query's flattened (n, alphabet) cost rows against its codeword.
+    pos_cost = stats.cost_k[k].T[codebook.w_codewords[j0s[by_bin] - 1]].reshape(len(jks), -1)
+    starts = np.flatnonzero(np.concatenate(([True], jks[1:] != jks[:-1])))
+    stops = np.append(starts[1:], len(jks))
+    lo = np.searchsorted(table.sorted_bins, jks[starts] - 1, side="left")
+    hi = np.searchsorted(table.sorted_bins, jks[starts] - 1, side="right")
+    # Member i of each query's bin scores in column i; absent members stay +inf.
+    scores = np.full((len(jks), table.widest), np.inf)
+    for s, e, a, b in zip(starts, stops, lo, hi):
         # (queries, members, n), summed over positions as for one query.
-        scores = np.take(pos_cost[rows], cells, axis=1).sum(axis=-1)
-        typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * tol
-        unique_hit = typical.sum(axis=1) == 1
-        out[rows] = np.where(unique_hit, members[typical.argmax(axis=1)], -1)
+        scores[s:e, : b - a] = np.take(pos_cost[s:e], table.cells[a:b], axis=1).sum(axis=-1)
+    typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * codebook.config.typicality_tolerance
+    unique_hit = typical.sum(axis=1) == 1
+    member = np.repeat(lo, stops - starts) + typical.argmax(axis=1)
+    out = np.full(len(jks), -1, dtype=np.int64)
+    out[by_bin[unique_hit]] = table.order[member[unique_hit]]
     return out
 
 
 def decode(
-    codebook: Codebook,
-    pmf: JointPmf,
-    w: AuxChannel,
-    k: int,
-    j0: int,
-    jk: int,
+    codebook: Codebook, pmf: JointPmf, w: AuxChannel, k: int, j0: int, jk: int
 ) -> np.ndarray | DecoderFailure:
     """Reconstruct X_k^n from (j0, jk), or DecoderFailure."""
     _own_stats(codebook, pmf, w)
@@ -357,17 +342,10 @@ def decode(
     index = int(_decode_indices(codebook, k, np.array([j0]), np.array([jk]))[0])
     if index < 0:
         return DecoderFailure()
-    return _bin_groups(codebook, k).digits[index].copy()
+    return _base_digits(np.array([index]), pmf.cardinalities[k], codebook.n)[0]
 
 
-# ---------------------------------------------------------------------------
-# Monte Carlo trials
-# ---------------------------------------------------------------------------
-
-
-def run_trials(
-    pmf: JointPmf, w: AuxChannel, cfg: CodeConfig, trials: int
-) -> SimReport:
+def run_trials(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig, trials: int) -> SimReport:
     """Empirical error rates over i.i.d. source blocks.
 
     Encoder failure counts as an error at every decoder; the conditional
@@ -497,13 +475,6 @@ def _draw_uniforms(seed: int, n: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _draw_blocks(seed: int, cdf: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """Joint-outcome blocks of trials lo..hi-1, one per row: the indices
-    ``default_rng([seed, 2, trial]).choice`` returns for the law of ``cdf``,
-    found by one search of every trial's ``_draw_uniforms`` row."""
-    return cdf.searchsorted(_draw_uniforms(seed, n, lo, hi), side="right")
-
-
 def _run_trials(codebook: Codebook, trials: int) -> SimReport:
     """``run_trials`` on a codebook that is already built."""
     if not _is_integer(trials):
@@ -520,8 +491,9 @@ def _run_trials(codebook: Codebook, trials: int) -> SimReport:
     failures = 0
     step = max(1, CHUNK_ELEMENTS // (n + _DRAW_TEMPORARIES))
     for lo in range(0, trials, step):
-        drawn = _draw_blocks(cfg.seed, cdf, n, lo, min(trials, lo + step))
-        blocks, counts = np.unique(drawn, axis=0, return_counts=True)
+        # The indices default_rng([seed, 2, trial]).choice returns, one block per row.
+        drawn = cdf.searchsorted(_draw_uniforms(cfg.seed, n, lo, min(trials, lo + step)), "right")
+        blocks, _, counts = _distinct_rows(drawn)
         j0 = _batched(
             partial(_encode_outcomes, codebook), len(codebook.pattern_digits) * n, blocks
         )
@@ -534,14 +506,12 @@ def _run_trials(codebook: Codebook, trials: int) -> SimReport:
         for k, xk in enumerate(symbols):
             table = _bin_groups(codebook, k)
             seq = xk @ (pmf.cardinalities[k] ** np.arange(n - 1, -1, -1))
-            messages, inverse = np.unique(
-                np.column_stack([j0, table.bins[seq] + 1]), axis=0, return_inverse=True
-            )
+            messages, inverse, _ = _distinct_rows(np.column_stack([j0, table.bins[seq] + 1]))
             decoded = _batched(
                 partial(_decode_indices, codebook, k), table.widest * n,
                 messages[:, 0], messages[:, 1],
             )
-            decode_errors[k] += counts[decoded[inverse.reshape(-1)] != seq].sum()
+            decode_errors[k] += counts[decoded[inverse] != seq].sum()
     errors = decode_errors + failures
     successes = trials - failures
     return SimReport(
@@ -551,17 +521,9 @@ def _run_trials(codebook: Codebook, trials: int) -> SimReport:
         decoder_error_rates=(
             tuple(float(e) / successes for e in decode_errors) if successes else None
         ),
-        target_common_rate=stats.mi,
-        target_private_rates=stats.h_given_w,
-        target_equivocations=stats.h_given_wk,
-        m0=codebook.m0,
-        bin_counts=codebook.bin_counts,
+        target_common_rate=stats.mi, target_private_rates=stats.h_given_w,
+        target_equivocations=stats.h_given_wk, m0=codebook.m0, bin_counts=codebook.bin_counts,
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact equivocation by full enumeration
-# ---------------------------------------------------------------------------
 
 
 def _outer_fold(ufunc: np.ufunc, vectors) -> np.ndarray:
@@ -573,84 +535,122 @@ def _outer_fold(ufunc: np.ufunc, vectors) -> np.ndarray:
     return out
 
 
-def _grouped_entropy(key: np.ndarray, probs: np.ndarray) -> float:
-    order = np.argsort(key, kind="stable")
-    sorted_probs = probs[order]
-    sorted_key = key[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    )
-    masses = np.add.reduceat(sorted_probs, starts)
-    return entropy_of_vector(masses)
+def _lead_positions(n: int, size: int, heads: int, limit: int) -> int:
+    """Fewest leading positions, below n, at which fixing ``heads`` support
+    rows each leaves at most ``limit`` of the size^n blocks per chunk."""
+    return next(t for t in range(n) if t == n - 1 or heads**t * size ** (n - t) <= limit)
+
+
+def _claim_map(codebook: Codebook) -> np.ndarray:
+    """j0 of every source block over the support, in row-major order
+    (cached): patterns in first-occurrence order claim the unset blocks
+    whose scores, folded over positions left to right, are typical."""
+    if "j0" in codebook._caches:
+        return codebook._caches["j0"]
+    stats, n, size = codebook.stats, codebook.n, codebook.stats.pmf.support.size
+    center, band = n * stats.h_pair, n * codebook.config.typicality_tolerance
+    # costs[w, s]: support row s against symbol w; digits[u]: pattern u.
+    costs, digits = stats.cost[stats.pmf.support.indices].T, codebook.pattern_digits
+    lowest, highest = costs.min(axis=1)[digits], costs.max(axis=1)[digits]
+    # Chunk c holds the blocks whose first `lead` rows are the digits of c;
+    # 4,096 blocks was the fastest size at n = 4 to 6 on example 2 (Xeon VM).
+    lead = _lead_positions(n, size, 1, CHUNK_ELEMENTS >> 8)
+    j0 = np.zeros((size**lead, size ** (n - lead)), dtype=np.min_scalar_type(codebook.m0))
+    for head, row in zip(np.ndindex(*[size] * lead), j0):
+        prefix = np.zeros(len(digits))
+        for t, s in enumerate(head):
+            prefix = prefix + costs[digits[:, t], s]
+        low = high = prefix
+        for t in range(lead, n):
+            low, high = low + lowest[:, t], high + highest[:, t]
+        for u in np.flatnonzero((low - center <= band) & (high - center >= -band)):
+            tail = costs[digits[u, lead:]]
+            scores = _outer_fold(np.add, [prefix[u] + tail[0], *tail[1:]])
+            claim = (row == 0) & (np.abs(scores - center) <= band)
+            row[claim] = codebook.pattern_first_index[u] + 1
+            if row.all():
+                break
+    codebook._caches["j0"] = j0 = j0.reshape(-1)
+    return j0
 
 
 def exact_equivocation(
-    pmf: JointPmf,
-    w: AuxChannel,
-    codebook: Codebook,
-    cfg: CodeConfig,
-    k: int,
+    pmf: JointPmf, w: AuxChannel, codebook: Codebook, cfg: CodeConfig, k: int,
     enumeration_limit: int = 10_000_000,
 ) -> float:
     """(1/n) H(X-bar^n \\ X_k^n | J_0, J_k) under the realized codebook.
 
     Enumerates all support^n source blocks; raises EnumerationTooLargeError
-    beyond ``enumeration_limit`` blocks (a desk-scale guard, adjustable).
+    beyond ``enumeration_limit`` blocks (a desk-scale guard, an integer >= 1).
     ``pmf``, ``w`` and ``cfg`` must be the ones the codebook was built with.
+
+    j0 does not depend on k: the first call builds the codebook's claim map
+    (``_claim_map``, in the narrowest unsigned dtype that holds M0) and later
+    calls reuse it.  Per chunk of blocks that share their first rows, a
+    pattern is skipped when its prefix sum plus its smallest cost at each
+    later position, added left to right, lies above the band, or the same
+    sum of its largest costs below it; a +inf prefix skips the whole chunk.
+    Rounded addition is monotone, so every block of the chunk scores outside
+    the band too: j0 equals the claim loop over all blocks, byte for byte.
+
+    The entropies stream over chunks of blocks whose first positions carry
+    given symbols of the other sources, so each (rest, J0, Jk) cell lies in
+    one chunk; H(J0, Jk) accumulates by ``bincount``.  A chunk holds at most
+    CHUNK_ELEMENTS / 16 blocks, about 100 bytes of temporaries each, unless
+    one rest sequence alone has more blocks.
     """
+    if not _is_integer(enumeration_limit):
+        raise TypeError(f"enumeration_limit must be an integer, got {enumeration_limit!r}")
+    if enumeration_limit < 1:
+        raise ValueError(f"enumeration_limit must be >= 1, got {enumeration_limit}")
     if cfg != codebook.config:
         raise ValueError(f"cfg {cfg} differs from the codebook's {codebook.config}")
     stats = _own_stats(codebook, pmf, w)
     if not 0 <= k < pmf.k:
         raise IndexError(f"decoder index {k} out of range")
     view = pmf.support
-    s_sup = view.size
-    n = cfg.n
-    if n * math.log2(max(2, s_sup)) > 62 or s_sup**n > enumeration_limit:
+    size, n = view.size, cfg.n
+    if n * math.log2(max(2, size)) > 62 or size**n > enumeration_limit:
         raise EnumerationTooLargeError(
-            f"{s_sup}^{n} source blocks exceed the limit of {enumeration_limit}"
+            f"{size}^{n} source blocks exceed the limit of {enumeration_limit}"
         )
-    blocks = s_sup**n
-    cost_sup = stats.cost[view.indices]
-
-    # j0 per block: distinct codeword patterns in first-occurrence order
-    # claim still-unset blocks they are typical with.
-    j0_arr = np.zeros(blocks, dtype=np.int64)
-    tol_band = n * cfg.typicality_tolerance
-    center = n * stats.h_pair
-    for digits, first in zip(codebook.pattern_digits, codebook.pattern_first_index):
-        scores = _outer_fold(np.add, cost_sup[:, digits].T)
-        claim = (j0_arr == 0) & (np.abs(scores - center) <= tol_band)
-        j0_arr[claim] = int(first) + 1
-        if not (j0_arr == 0).any():
-            break
-
-    # Bin index of the true X_k^n for every block.
-    powers = np.arange(n - 1, -1, -1, dtype=np.int64)
-    card_k = pmf.cardinalities[k]
-    xk_idx = _outer_fold(np.add, np.outer(card_k**powers, view.digits[k]))
-    uniq, inverse = np.unique(xk_idx, return_inverse=True)
-    del xk_idx
     m_k = codebook.bin_counts[k]
-    jk_arr = _bin_rows(cfg.seed, k, _base_digits(uniq, card_k, n), m_k)[inverse]
-    del uniq, inverse
-
-    # Composite block index of the unintended sources.
-    rest_vars = [j for j in range(pmf.k) if j != k]
-    rest_card = math.prod(pmf.cardinalities[j] for j in rest_vars)
-    rest_digit = np.zeros(s_sup, dtype=np.int64)
-    for j in rest_vars:
-        rest_digit = rest_digit * pmf.cardinalities[j] + view.digits[j]
     pair_space = (codebook.m0 + 1) * m_k
     if pair_space > MESSAGE_SPACE_LIMIT:
         raise EnumerationTooLargeError("message space too large to tabulate")
+    rest_vars = [j for j in range(pmf.k) if j != k]
+    rest_card = math.prod(pmf.cardinalities[j] for j in rest_vars)
     if n * math.log2(max(2, rest_card)) + math.log2(pair_space) > 62:
         raise EnumerationTooLargeError("composite grouping key would overflow")
-    rest_idx = _outer_fold(np.add, np.outer(rest_card**powers, rest_digit))
-
-    probs = _outer_fold(np.multiply, [view.p] * n)
-    h_rest_msgs = _grouped_entropy(rest_idx * pair_space + j0_arr * m_k + jk_arr, probs)
-    h_msgs = entropy_of_vector(
-        np.bincount(j0_arr * m_k + jk_arr, weights=probs, minlength=pair_space)
-    )
-    return max(0.0, (h_rest_msgs - h_msgs) / n)
+    rest_digit = np.zeros(size, dtype=np.int64)
+    for j in rest_vars:
+        rest_digit = rest_digit * pmf.cardinalities[j] + view.digits[j]
+    # Bin of every X_k sequence over the symbols the support holds.
+    present = np.bincount(view.digits[k]) > 0
+    q, xk_digit = int(present.sum()), (present.cumsum() - 1)[view.digits[k]]
+    bins = _bin_rows(cfg.seed, k, np.flatnonzero(present)[_base_digits(np.arange(q**n), q, n)], m_k)
+    j0_map = _claim_map(codebook)
+    # Support row s at position t adds places[:, t, s] to the block's index,
+    # X_k sequence and rest sequence, each read as a base-b number.
+    digits = np.stack([np.arange(size), xk_digit, rest_digit])
+    scale = np.array([size, q, rest_card])[:, None] ** np.arange(n - 1, -1, -1)
+    places = digits[:, None, :] * scale[:, :, None]
+    values, counts = np.unique(rest_digit, return_counts=True)
+    lead = _lead_positions(n, size, int(counts.max()), CHUNK_ELEMENTS >> 4)
+    h_cells, msg_mass = 0.0, np.zeros(pair_space)
+    for heads in np.ndindex(*[len(values)] * lead):
+        rows = [np.flatnonzero(rest_digit == values[h]) for h in heads] + [slice(None)] * (n - lead)
+        probs = _outer_fold(np.multiply, [view.p[r] for r in rows])
+        ids = places[:, 0, rows[0]]
+        for t in range(1, n):
+            ids = (ids[:, :, None] + places[:, t][:, None, rows[t]]).reshape(3, -1)
+        index, xk, rest = ids
+        msgs = j0_map[index].astype(np.int64) * m_k + bins[xk]
+        # Each (rest, J0, Jk) cell's mass, summed over its blocks in order.
+        key = rest * pair_space + msgs
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+        h_cells += entropy_of_vector(np.add.reduceat(probs[order], starts))
+        msg_mass += np.bincount(msgs, weights=probs, minlength=pair_space)
+    return max(0.0, (h_cells - entropy_of_vector(msg_mass)) / n)

@@ -17,6 +17,8 @@ new law and call the generic entropy functions.  ``CodecStats`` is the
 simulator's own table-and-formula code from that time, with the codebook,
 trial loop and exact equivocation that read it; the trial loop draws,
 encodes, hashes (``bin_of_sequence``) and decodes one trial at a time.
+``claim_loop`` is the exact equivocation's encoder map as it was before
+chunks and pruning: every codeword pattern scores every block.
 ``sweep_max_delta`` rebuilds the seed channels for every budget.
 """
 
@@ -300,12 +302,11 @@ def _encode_outcomes(codebook, stats, o_seq):
 
 def _decode_inner(codebook, stats, k, j0, jk):
     table = codec_sim._bin_groups(codebook, k)
-    digits = table.digits
     members = table.order[table.sorted_bins == jk - 1]
     if len(members) == 0:
         return codec_sim.DecoderFailure()
     w_seq = codebook.w_codewords[j0 - 1].astype(np.int64)
-    cand = digits[members]
+    cand = codec_sim._base_digits(members, stats.pmf.cardinalities[k], codebook.n)
     scores = stats.cost_k[k][cand, w_seq[None, :]].sum(axis=1)
     n = codebook.n
     typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * codebook.config.typicality_tolerance
@@ -353,17 +354,25 @@ def run_trials(pmf, w, cfg, trials):
     )
 
 
-def exact_equivocation(pmf, codebook, k):
-    """(1/n) H(X-bar^n \\ X_k^n | J_0, J_k) of a codebook from ``build_codebook``
-    above, by full enumeration (the caller keeps support^n small)."""
+def grouped_entropy(key, probs):
+    """Entropy of the masses of ``probs`` grouped by ``key``, each summed
+    in input order."""
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+    return entropy_of_vector(np.add.reduceat(probs[order], starts))
+
+
+def claim_loop(pmf, codebook):
+    """j0 of every block over the support, in row-major order: each pattern,
+    in first-occurrence order, scores every block by adding its positions
+    left to right and claims the unset blocks it is typical with."""
     stats = codebook.stats
     view = pmf.support
-    s_sup = view.size
     cfg = codebook.config
     n = cfg.n
-    blocks = s_sup**n
     cost_sup = stats.cost_full[view.indices]
-    j0_arr = np.zeros(blocks, dtype=np.int64)
+    j0_arr = np.zeros(view.size**n, dtype=np.int64)
     tol_band = n * cfg.typicality_tolerance
     center = n * stats.h_pair
     for u in np.argsort(codebook.pattern_first_index, kind="stable"):
@@ -372,6 +381,17 @@ def exact_equivocation(pmf, codebook, k):
         j0_arr[claim] = int(codebook.pattern_first_index[u]) + 1
         if not (j0_arr == 0).any():
             break
+    return j0_arr
+
+
+def exact_equivocation(pmf, codebook, k):
+    """(1/n) H(X-bar^n \\ X_k^n | J_0, J_k) of a codebook from ``build_codebook``
+    above, by full enumeration (the caller keeps support^n small)."""
+    view = pmf.support
+    s_sup = view.size
+    cfg = codebook.config
+    n = cfg.n
+    j0_arr = claim_loop(pmf, codebook)
     powers = np.arange(n - 1, -1, -1, dtype=np.int64)
     card_k = pmf.cardinalities[k]
     xk_idx = codec_sim._outer_fold(np.add, np.outer(card_k**powers, view.digits[k]))
@@ -386,9 +406,7 @@ def exact_equivocation(pmf, codebook, k):
     pair_space = (codebook.m0 + 1) * m_k
     rest_idx = codec_sim._outer_fold(np.add, np.outer(rest_card**powers, rest_digit))
     probs = codec_sim._outer_fold(np.multiply, [view.p] * n)
-    h_rest_msgs = codec_sim._grouped_entropy(
-        rest_idx * pair_space + j0_arr * m_k + jk_arr, probs
-    )
+    h_rest_msgs = grouped_entropy(rest_idx * pair_space + j0_arr * m_k + jk_arr, probs)
     h_msgs = entropy_of_vector(
         np.bincount(j0_arr * m_k + jk_arr, weights=probs, minlength=pair_space)
     )

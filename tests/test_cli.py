@@ -136,6 +136,18 @@ class TestRegion:
         corner = gw.corner_point(example2(), witness)
         assert corner.delta == pytest.approx(doc["points"][0]["delta"], abs=1e-12)
 
+    def test_sweep_json_is_strict_for_an_infinite_budget(self, docs):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out, _ = cli(
+            "region", "sweep", "--pmf", docs["ex2"], "--r0-grid", "1,inf",
+            "--restarts", "0", "--seed", "1",
+        )
+        assert code == 0
+        points = json.loads(out, parse_constant=reject)["points"]
+        assert [p["r0_budget"] for p in points] == [1.0, "inf"]
+
     def test_check_with_witness_file(self, docs):
         code, out, _ = cli(
             "region", "check", "--pmf", docs["ex2"], "--r0", "1.0",
@@ -312,12 +324,19 @@ class TestErrorPaths:
          "--delta", "nan", "--restarts", "1", "--seed", "3"),
         ("region", "sweep", "--pmf", "{ex2}", "--r0-grid", "0.5,nan", "--restarts", "1",
          "--seed", "5"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2", "--slack", "0.25",
+         "--trials", "10", "--seed", "7", "--exact-equivocation",
+         "--enumeration-limit", "-5"),
+        ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2", "--slack", "0.25",
+         "--trials", "10", "--seed", "7", "--exact-equivocation",
+         "--enumeration-limit", "0"),
     ],
     ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
          "w_card_negative", "sweep_negative_restarts", "check_negative_restarts",
          "check_w_card0_certified_by_a_seed", "tolerance_nan", "tolerance_inf",
          "slack_nan", "slack_inf", "negative_seed", "seed_2_63", "check_nan_rates",
-         "check_nan_delta", "sweep_nan_budget"],
+         "check_nan_delta", "sweep_nan_budget", "enumeration_limit_negative",
+         "enumeration_limit0"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,26 @@ class TestRunTrials:
         with pytest.raises((TypeError, ValueError)):
             gw.run_trials(pmf, w, cfg, trials)
 
+    @pytest.mark.parametrize("chunk", [codec_sim.CHUNK_ELEMENTS, 40, 1])
+    def test_bins_of_every_size_decode_as_the_trial_loop(self, monkeypatch, chunk):
+        # Slack 1.6 leaves most of example 1's bins at n = 2 empty and n = 3
+        # fills some with several sequences; tolerance 1.0 makes some bins
+        # ambiguous.  Small chunks decode one message per gather.
+        pmf, w = example1(), gw.variable_channel(example1(), 0)
+        sizes = set()
+        for n, slack in ((2, 1.6), (3, 0.3)):
+            cfg = gw.CodeConfig(n=n, slack=slack, typicality_tolerance=1.0, seed=5)
+            book = gw.build_codebook(pmf, w, cfg)
+            for k in range(pmf.k):
+                members = np.bincount(
+                    codec_sim._bin_groups(book, k).bins, minlength=book.bin_counts[k]
+                )
+                sizes |= {int(min(c, 2)) for c in members}
+            monkeypatch.setattr(codec_sim, "CHUNK_ELEMENTS", chunk)
+            assert codec_sim._run_trials(book, 300) == ref.run_trials(pmf, w, cfg, 300)
+            monkeypatch.undo()
+        assert sizes == {0, 1, 2}
+
     def test_several_chunks_give_the_one_chunk_report(self, monkeypatch):
         pmf, w = example2(), example2_w_x0()
         cfg = gw.CodeConfig(n=3, slack=0.25, typicality_tolerance=0.15, seed=9)
@@ -465,6 +486,63 @@ class TestExactEquivocation:
         assert gw.exact_equivocation(pmf, w, book, cfg, 0) == pytest.approx(0.09375)
         with pytest.raises(ValueError, match="differs from the codebook"):
             gw.exact_equivocation(pmf, w, book, dataclasses.replace(cfg, **other), 0)
+
+    @pytest.mark.parametrize(
+        "limit, error",
+        [(True, TypeError), (2.5, TypeError), ("9", TypeError), (0, ValueError),
+         (-5, ValueError)],
+        ids=["bool", "float", "str", "zero", "negative"],
+    )
+    def test_enumeration_limit_is_checked_before_any_work(self, limit, error):
+        pmf, w = _copy_setup()
+        cfg = gw.CodeConfig(n=4, slack=0.2, seed=3)
+        book = gw.build_codebook(pmf, w, cfg)
+        with pytest.raises(error, match="enumeration_limit"):
+            gw.exact_equivocation(pmf, w, book, cfg, 0, enumeration_limit=limit)
+        assert book._caches == {}
+
+    def test_three_decoders_score_the_claims_once(self, ex2, monkeypatch):
+        # Only the claim scorer folds with np.add; the entropies fold
+        # probabilities with np.multiply.
+        w = example2_w_x0()
+        cfg = gw.CodeConfig(n=3, slack=0.25, seed=2026)
+        book = gw.build_codebook(ex2, w, cfg)
+        folds = []
+        outer_fold = codec_sim._outer_fold
+
+        def spy(ufunc, vectors):
+            folds.append(ufunc)
+            return outer_fold(ufunc, vectors)
+
+        monkeypatch.setattr(codec_sim, "_outer_fold", spy)
+        values = [gw.exact_equivocation(ex2, w, book, cfg, 0)]
+        claims = folds.count(np.add)
+        values += [gw.exact_equivocation(ex2, w, book, cfg, k) for k in (1, 2)]
+        assert claims > 0 and folds.count(np.add) == claims
+        monkeypatch.undo()
+        old = ref.build_codebook(ex2, w, cfg)
+        assert values == [ref.exact_equivocation(ex2, old, k) for k in range(3)]
+
+    def test_memory_is_bounded_by_the_chunk_size(self, ex2):
+        # Example 2 at n = 5 enumerates 16^5 = 1,048,576 blocks.  The claim
+        # map takes one byte per block (M0 = 77) and a stream chunk of at
+        # most CHUNK_ELEMENTS / 16 blocks about 100 bytes per block, so
+        # 8 * CHUNK_ELEMENTS bytes bound the temporaries; two float vectors
+        # span the message space.
+        w = example2_w_x0()
+        cfg = gw.CodeConfig(n=5, slack=0.25, seed=2026)
+        book = gw.build_codebook(ex2, w, cfg)
+        assert book.m0 < 256
+        blocks = ex2.support.size**cfg.n
+        pair_space = (book.m0 + 1) * book.bin_counts[0]
+        tracemalloc.start()
+        try:
+            gw.exact_equivocation(ex2, w, book, cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == 1 << 20
+        assert peak <= blocks + 8 * codec_sim.CHUNK_ELEMENTS + 16 * pair_space
 
     def test_enumeration_guard(self, ex2):
         w = example2_w_x0()

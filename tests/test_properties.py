@@ -7,6 +7,7 @@ Examples are derandomized so the suite is reproducible.
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,3 +205,71 @@ def test_draw_kernel_matches_one_generator_per_trial(seed, n, lo, count):
     drawn = codec_sim._draw_uniforms(seed, n, lo, lo + count)
     assert drawn.shape == (count, n)
     assert np.array_equal(drawn, np.reshape(expected, (count, n)))
+
+
+@st.composite
+def claim_cases(draw, binary):
+    """A law, a soft channel or a deterministic one (W = X_0, or the
+    component witness), and a code whose blocks the claim loop can score:
+    support^n at most 4,096, or a binary support up to n = 12."""
+    if binary:
+        k = draw(st.integers(2, 3))
+        cards = tuple(draw(st.lists(st.integers(2, 3), min_size=k, max_size=k)))
+        support = draw(
+            st.lists(st.integers(0, math.prod(cards) - 1), min_size=2, max_size=2, unique=True)
+        )
+        flat = np.zeros(math.prod(cards))
+        flat[support] = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2)))
+        flat /= flat.sum()
+        pmf = gw.JointPmf(tuple(f"X{i + 1}" for i in range(k)), cards, flat)
+        n = draw(st.sampled_from(range(12, 0, -1)))
+    else:
+        pmf = draw(joints())
+        n = draw(st.sampled_from([n for n in range(6, 0, -1) if pmf.support.size**n <= 4096]))
+    kind = draw(st.sampled_from(["soft", "x0", "component"]))
+    if kind == "x0":
+        w = gw.variable_channel(pmf, 0)
+    elif kind == "component":
+        w = gw.gk_common_information(pmf).witness
+    else:
+        m = draw(st.integers(1, 2 if binary else 4))
+        raw = np.array(
+            draw(st.lists(st.floats(0.0, 1.0), min_size=pmf.num_outcomes * m,
+                          max_size=pmf.num_outcomes * m))
+        ).reshape(pmf.num_outcomes, m)
+        raw[:, 0] += 1e-3
+        w = gw.AuxChannel(m, raw / raw.sum(axis=1, keepdims=True))
+    cfg = gw.CodeConfig(
+        n=n,
+        slack=draw(st.sampled_from([0.0, 0.25])),
+        typicality_tolerance=draw(st.sampled_from([1e-3, 0.15, 1.0, 4.0])),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    return pmf, w, cfg
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["support_2_to_8", "binary_support"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_claim_map_and_equivocations_match_the_claim_loop(binary, data):
+    # The default chunks hold every block of these cases at once.  With 256
+    # elements every position but the last leads the claim chunks, so each
+    # case with n >= 2 spans many of them, and the stream splits into chunks
+    # of at most 16 blocks wherever the other sources' symbols allow.
+    pmf, w, cfg = data.draw(claim_cases(binary))
+    old = ref.build_codebook(pmf, w, cfg)
+    expected = ref.claim_loop(pmf, old)
+    # Keep the message space small: both sides tabulate it densely.
+    ks = [k for k in range(pmf.k) if (old.m0 + 1) * old.bin_counts[k] <= 1 << 16]
+    reference = [ref.exact_equivocation(pmf, old, k) for k in ks]
+    for chunk in (codec_sim.CHUNK_ELEMENTS, 256):
+        with mock.patch.object(codec_sim, "CHUNK_ELEMENTS", chunk):
+            book = gw.build_codebook(pmf, w, cfg)
+            values = [gw.exact_equivocation(pmf, w, book, cfg, k) for k in ks]
+            j0 = codec_sim._claim_map(book)
+        assert j0.dtype == np.min_scalar_type(book.m0)
+        assert np.array_equal(j0, expected)
+        if chunk == 256:
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(values, reference))
+        else:
+            assert np.asarray(values).tobytes() == np.asarray(reference).tobytes()
