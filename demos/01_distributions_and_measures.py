@@ -68,11 +68,11 @@ def main():
 
     print()
     print("== document round-trip ==")
-    outdir = Path(tempfile.mkdtemp(prefix="graywyner_demo_"))
-    pmf_path = outdir / "noisy_triple.pmf.json"
-    gw.save_pmf(noisy_triple, str(pmf_path))
-    again = gw.load_pmf(str(pmf_path))
-    print("wrote", pmf_path)
+    with tempfile.TemporaryDirectory(prefix="graywyner_demo_") as outdir:
+        pmf_path = Path(outdir) / "noisy_triple.pmf.json"
+        gw.save_pmf(noisy_triple, str(pmf_path))
+        again = gw.load_pmf(str(pmf_path))
+        print("wrote", pmf_path)
     print("round-trip bit-exact:", np.array_equal(again.flat, noisy_triple.flat))
 
 

@@ -2,32 +2,26 @@
 
 Codebook: M0 = ceil(2^{n(I(X-bar;W)+slack)}) length-n W-codewords drawn
 i.i.d. from the induced marginal p(w); each source sequence is binned into
-M_k = ceil(2^{n(H(X_k|W)+slack)}) bins by a seeded uniform hash (blake2b of
-the sequence bytes, so bins are reproducible without storing tables).
+M_k = ceil(2^{n(H(X_k|W)+slack)}) bins by a seeded Carter-Wegman universal
+hash of its row-major index x, ((a_k x + b_k) mod p_k) mod M_k with p_k the
+smallest prime >= max(|X_k|^n, M_k).  Random binning needs only this
+pairwise independence, and a bin's members follow by inverting the hash,
+so no table of sequences is built.
 
 Joint typicality is entropy-typicality: a sequence tuple is typical when
 its per-symbol log-likelihood rate under the target joint law is within
 ``typicality_tolerance`` bits of that law's entropy.  Any tuple hitting a
 zero-probability pair is atypical.  The encoder sends the smallest index of
 a typical codeword (EncoderFailure when none qualifies); decoder k searches
-its bin for the unique sequence typical with the received codeword.
-
-Encoding and decoding are batch kernels: ``_encode_outcomes`` scores many
-blocks against every codeword pattern in one gather, and
-``_decode_indices`` sorts many (j0, jk) queries by bin and makes one gather
-per bin into a (queries, widest bin) score matrix.  ``run_trials`` feeds
-them chunks of trials of about ``CHUNK_ELEMENTS`` array elements each,
-with equal blocks and equal messages found by one 1-D ``np.unique`` of
-row keys, and the public ``encode`` and ``decode`` call them with a batch
-of one.  Every score is summed over a contiguous last axis of length n,
-the layout of a single block's scores, so batching moves no score by a
-bit and no typicality decision flips.
-
-Trial t's block is the one ``default_rng([seed, 2, t]).choice`` draws.
-No generator is built per trial: ``_draw_uniforms`` computes the
-uniforms of a whole chunk's generators at once by following NumPy's
-SeedSequence hash and PCG64 step by step on unsigned integer arrays, and
-a test pins it bit for bit to the installed numpy's ``default_rng``.
+its bin for the unique sequence typical with the received codeword.  All
+of them score with ``_typical``, which adds the n position costs left to
+right.  ``_encode_outcomes`` and ``_decode_indices`` are batch kernels
+that ``run_trials`` feeds chunks of trials of about ``CHUNK_ELEMENTS``
+array elements each, and that ``encode`` and ``decode`` call with a batch
+of one.  Codewords come from ``default_rng([seed, 0])``, hash keys from
+``default_rng([seed, 3])`` and trial t's block from
+``default_rng([seed, 2, t])``, which ``_draw_uniforms`` reproduces for a
+whole chunk at once.
 
 ``exact_equivocation`` computes (1/n) H(X-bar^n \\ X_k^n | J_0, J_k) exactly
 by enumerating every source block over the support; encoder failures map to
@@ -39,13 +33,10 @@ entropies stream over chunks of bounded size.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
-import struct
 from dataclasses import dataclass, field
-from functools import partial
-from typing import NamedTuple
+from functools import partial, reduce
 
 import numpy as np
 
@@ -54,9 +45,10 @@ from .errors import CodebookTooLargeError, EnumerationTooLargeError, ShapeMismat
 from .infotheory import PairStats, entropy_of_vector
 
 M0_LIMIT = 1 << 24
+# Candidate members one decode query may score: the decode guard.
 BIN_TABLE_LIMIT = 1 << 22
 MESSAGE_SPACE_LIMIT = 1 << 26
-# The bin hash keys blake2b with the seed packed as a signed 64-bit int.
+# Seeds are signed 64-bit integers: an input contract of the CLI.
 SEED_LIMIT = 1 << 63
 # Array elements one simulator batch may hold, so that memory stays flat
 # however many trials run.
@@ -110,9 +102,11 @@ class DecoderFailure:
 
 @dataclass(eq=False)
 class Codebook:
-    """Realized code: W-codewords plus seeded-hash bin configuration, and
+    """Realized code: W-codewords, the bin hash of each source, and
     ``stats`` of the one law and channel the code accepts.
 
+    ``bin_keys[k]`` is (p_k, a_k, b_k): sequence index x of source k lies in
+    0-based bin ((a_k x + b_k) mod p_k) mod ``bin_counts[k]``.
     ``pattern_digits`` holds each distinct codeword pattern once, in order
     of first occurrence, and ``pattern_first_index`` the 0-based index of
     its first codeword.
@@ -123,6 +117,7 @@ class Codebook:
     w_cardinality: int
     m0: int
     bin_counts: tuple[int, ...]
+    bin_keys: tuple[tuple[int, int, int], ...]
     w_codewords: np.ndarray
     pattern_digits: np.ndarray = field(repr=False)
     pattern_first_index: np.ndarray = field(repr=False)
@@ -131,10 +126,6 @@ class Codebook:
     @property
     def n(self) -> int:
         return self.config.n
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
 
 @dataclass(frozen=True)
@@ -150,27 +141,48 @@ class SimReport:
     bin_counts: tuple[int, ...]
 
 
-def _bin_rows(seed: int, k: int, seqs: np.ndarray, m: int) -> np.ndarray:
-    """Bin index of every sequence (one per row) of source k: the keyed
-    blake2b digest of the row's little-endian uint32 symbols, modulo m."""
-    seqs = np.ascontiguousarray(seqs, dtype="<u4")
-    data = memoryview(seqs.tobytes())
-    width = 4 * seqs.shape[1]
-    key = struct.pack("<qq", seed, k)
-    return np.array([
-        int.from_bytes(hashlib.blake2b(data[i : i + width], key=key, digest_size=16).digest(),
-                       "little") % m
-        for i in range(0, len(data), width)
-    ], dtype=np.int64)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases: exact below
+    3.3e24 (Sorenson and Webster 2016), a strong probable prime above."""
+    if m < 2 or any(m % q == 0 for q in _PRIME_BASES):
+        return m in _PRIME_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
+    return all(
+        pow(q, (m - 1) >> s, m) == 1
+        or m - 1 in (pow(q, (m - 1) >> i, m) for i in range(1, s + 1))
+        for q in _PRIME_BASES
+    )
+
+
+def _uniform_below(source: np.random.BitGenerator, bound: int) -> int:
+    """A uniform integer in [0, bound): the top bits of fresh raw 64-bit
+    words (the first word least significant), drawn again until below."""
+    words, value = -(-bound.bit_length() // 64), bound
+    while value >= bound:
+        raw = int.from_bytes(source.random_raw(words).astype("<u8").tobytes(), "little")
+        value = raw >> (64 * words - bound.bit_length())
+    return value
+
+
+def _bins(codebook: Codebook, k: int, x) -> np.ndarray:
+    """0-based bin ((a x + b) mod p) mod M_k of each row-major index x of
+    X_k^n, exact for every index: on uint64 while p < 2^32, where a x + b
+    stays below 2^64, and on Python ints (object dtype) above."""
+    p, a, b = codebook.bin_keys[k]
+    x = np.array(x, dtype=np.uint64 if p < 1 << 32 else object)
+    x *= a
+    x += b
+    x %= p
+    x %= codebook.bin_counts[k]
+    return x.astype(np.int64)
 
 
 def _base_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
     """Base-``base`` digits (most significant first) of sequence indices."""
-    out = np.empty((len(indices), n), dtype=np.int64)
-    rem = np.asarray(indices, dtype=np.int64).copy()
-    for t in range(n - 1, -1, -1):
-        rem, out[:, t] = np.divmod(rem, base)
-    return out
+    return np.column_stack(np.unravel_index(indices, (base,) * n))
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -200,7 +212,7 @@ def _code_size(rate: float, n: int) -> int:
 
 
 def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
-    """Draw the W-codebook and fix the bin configuration for (pmf, w, cfg)."""
+    """Draw the W-codebook and each source's bin hash for (pmf, w, cfg)."""
     stats = PairStats(pmf, w)
     m0 = _code_size(stats.mi + cfg.slack, cfg.n)
     if m0 > M0_LIMIT:
@@ -215,9 +227,15 @@ def build_codebook(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig) -> Codebook:
     pattern_ids = codewords.astype(np.int64) @ place
     unique_ids, first_index = np.unique(pattern_ids, return_index=True)
     by_first = np.argsort(first_index)
+    keys, bin_keys = np.random.default_rng([cfg.seed, 3]).bit_generator, []
+    for card, m in zip(pmf.cardinalities, bin_counts):
+        p = max(card ** int(cfg.n), m)
+        while not _is_prime(p):
+            p += 1
+        bin_keys.append((p, 1 + _uniform_below(keys, p - 1), _uniform_below(keys, p)))
     return Codebook(
         config=cfg, stats=stats, w_cardinality=w.w_cardinality, m0=m0,
-        bin_counts=bin_counts, w_codewords=codewords,
+        bin_counts=bin_counts, bin_keys=tuple(bin_keys), w_codewords=codewords,
         pattern_digits=_base_digits(unique_ids[by_first], w.w_cardinality, cfg.n),
         pattern_first_index=first_index[by_first].astype(np.int64),
     )
@@ -231,18 +249,21 @@ def _own_stats(codebook: Codebook, pmf: JointPmf, w: AuxChannel) -> PairStats:
     return stats
 
 
+def _typical(codebook: Codebook, terms, entropy: float) -> np.ndarray:
+    """Whether each score, its n position costs ``terms`` (arrays that
+    broadcast) added left to right, lies within n * tolerance of n * entropy:
+    the one rule of encoder, decoders and claim map, so scores round alike."""
+    n = codebook.n
+    return np.abs(reduce(np.add, terms) - n * entropy) <= n * codebook.config.typicality_tolerance
+
+
 def _encode_outcomes(codebook: Codebook, o_seqs: np.ndarray) -> np.ndarray:
     """j0 of each block of joint-outcome indices (one block per row): the
     1-based index of the first codeword typical with it, or 0 when none is."""
-    stats = codebook.stats
-    n = codebook.n
-    tol = codebook.config.typicality_tolerance
-    # Cell (position, w) of each pattern in a block's flattened (n, |W|)
-    # cost rows; the gather is (blocks, patterns, n).
-    cells = np.arange(n) * codebook.w_cardinality + codebook.pattern_digits
-    pos_cost = stats.cost[o_seqs].reshape(len(o_seqs), -1)
-    scores = np.take(pos_cost, cells, axis=1).sum(axis=-1)
-    typical = np.abs(scores - n * stats.h_pair) <= n * tol
+    cost, digits = codebook.stats.cost, codebook.pattern_digits
+    # Position t's (blocks, patterns) costs.
+    terms = (np.take(cost[o_seqs[:, t]], digits[:, t], axis=1) for t in range(codebook.n))
+    typical = _typical(codebook, terms, codebook.stats.h_pair)
     first = typical.argmax(axis=1)
     found = typical[np.arange(len(o_seqs)), first]
     return np.where(found, codebook.pattern_first_index[first] + 1, 0)
@@ -251,7 +272,10 @@ def _encode_outcomes(codebook: Codebook, o_seqs: np.ndarray) -> np.ndarray:
 def encode(
     codebook: Codebook, pmf: JointPmf, w: AuxChannel, source_block: np.ndarray
 ) -> Messages | EncoderFailure:
-    """Messages (j0, bin indices) for one block of K source sequences."""
+    """Messages (j0, bin indices) for one block of K source sequences.
+
+    Each bin is hashed from the sequence's row-major index in exact integer
+    arithmetic, so blocks of any blocklength and alphabet are accepted."""
     _own_stats(codebook, pmf, w)
     block = np.asarray(source_block, dtype=np.int64)
     if block.shape != (pmf.k, codebook.n):
@@ -262,70 +286,51 @@ def encode(
     j0 = int(_encode_outcomes(codebook, o_seq[None, :])[0])
     if j0 == 0:
         return EncoderFailure()
-    bins = tuple(
-        int(_bin_rows(codebook.seed, k, block[k : k + 1], codebook.bin_counts[k])[0]) + 1
-        for k in range(pmf.k)
-    )
-    return Messages(j0, bins)
+    # Each sequence's row-major index, as a Python int of any size.
+    xs = [reduce(lambda x, s: x * card + int(s), row, 0)
+          for card, row in zip(pmf.cardinalities, block)]
+    return Messages(j0, tuple(int(_bins(codebook, k, x)) + 1 for k, x in enumerate(xs)))
 
 
-class _BinTable(NamedTuple):
-    """Every length-n sequence of one source, grouped by bin."""
+def _bin_span(codebook: Codebook, k: int) -> int:
+    """ceil(p_k / M_k) candidate members per bin, checked against the decode
+    guard (and p_k < 2^63) before any work."""
+    p = codebook.bin_keys[k][0]
+    span = -(-p // codebook.bin_counts[k])
+    if span > BIN_TABLE_LIMIT or p >= 1 << 63:
+        raise EnumerationTooLargeError(f"{span} candidates per bin exceed the decode guard")
+    return span
 
-    bins: np.ndarray  # 0-based bin of each sequence
-    order: np.ndarray  # sequence indices, stably sorted by bin
-    sorted_bins: np.ndarray  # bins[order]
-    cells: np.ndarray  # row j: the cost cells (position, symbol) of order[j]
-    widest: int  # members of the fullest bin
 
-
-def _bin_groups(codebook: Codebook, k: int) -> _BinTable:
-    """Bin of every sequence of source k, and each bin's members (cached)."""
-    if k in codebook._caches:
-        return codebook._caches[k]
-    alphabet = codebook.stats.pmf.cardinalities[k]
-    n = codebook.n
-    total = alphabet**n
-    if total > BIN_TABLE_LIMIT:
-        raise EnumerationTooLargeError(
-            f"{alphabet}^{n} candidate sequences exceed the decode guard"
-        )
-    digits = _base_digits(np.arange(total), alphabet, n)
-    bins = _bin_rows(codebook.seed, k, digits, codebook.bin_counts[k])
-    order = np.argsort(bins, kind="stable")
-    sorted_bins = bins[order]
-    cells = (np.arange(n) * alphabet + digits[order]).astype(np.min_scalar_type(n * alphabet))
-    edges = np.flatnonzero(np.concatenate(([True], sorted_bins[1:] != sorted_bins[:-1], [True])))
-    table = _BinTable(bins, order, sorted_bins, cells, int((edges[1:] - edges[:-1]).max()))
-    codebook._caches[k] = table
-    return table
+def _bin_members(codebook: Codebook, k: int, jks: np.ndarray):
+    """Candidate member indices of each 1-based bin jk of source k, one row
+    per bin, and a mask of the true members: x = a^-1 (y - b) mod p for the
+    y = jk - 1 + i M_k below p, kept where x < |X_k|^n."""
+    span = _bin_span(codebook, k)
+    p, a, b = codebook.bin_keys[k]
+    dtype = np.uint64 if p < 1 << 32 else object
+    steps = codebook.bin_counts[k] * np.arange(span).astype(dtype)
+    y = (np.asarray(jks) - 1).astype(dtype)[:, None] + steps
+    x = (y + (p - b)) % p * pow(a, -1, p) % p
+    member = (y < p) & (x < codebook.stats.pmf.cardinalities[k] ** codebook.n)
+    return np.where(member, x, 0).astype(np.int64), member
 
 
 def _decode_indices(codebook: Codebook, k: int, j0s: np.ndarray, jks: np.ndarray) -> np.ndarray:
     """Index of the sequence decoder k recovers from each (j0, jk) query,
     or -1 when its bin holds no typical sequence or more than one."""
-    stats = codebook.stats
-    table = _bin_groups(codebook, k)
-    n = codebook.n
-    by_bin = np.argsort(jks, kind="stable")
-    jks = jks[by_bin]
-    # Each query's flattened (n, alphabet) cost rows against its codeword.
-    pos_cost = stats.cost_k[k].T[codebook.w_codewords[j0s[by_bin] - 1]].reshape(len(jks), -1)
-    starts = np.flatnonzero(np.concatenate(([True], jks[1:] != jks[:-1])))
-    stops = np.append(starts[1:], len(jks))
-    lo = np.searchsorted(table.sorted_bins, jks[starts] - 1, side="left")
-    hi = np.searchsorted(table.sorted_bins, jks[starts] - 1, side="right")
-    # Member i of each query's bin scores in column i; absent members stay +inf.
-    scores = np.full((len(jks), table.widest), np.inf)
-    for s, e, a, b in zip(starts, stops, lo, hi):
-        # (queries, members, n), summed over positions as for one query.
-        scores[s:e, : b - a] = np.take(pos_cost[s:e], table.cells[a:b], axis=1).sum(axis=-1)
-    typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * codebook.config.typicality_tolerance
+    stats, base, n = codebook.stats, codebook.stats.pmf.cardinalities[k], codebook.n
+    bins, inverse = np.unique(jks, return_inverse=True)
+    x, member = _bin_members(codebook, k, bins)
+    # Query q's cost of symbol s at position t is flat[q, t * base + s], and
+    # cells[t, i] holds t * base + s for the candidates of distinct bin i.
+    flat = stats.cost_k[k].T[codebook.w_codewords[j0s - 1]].reshape(len(jks), -1)
+    cells = np.arange(n)[:, None, None] * base + np.stack(np.unravel_index(x, (base,) * n))
+    rows = np.arange(len(jks))[:, None] * flat.shape[1]
+    terms = (np.take(flat, rows + c[inverse]) for c in cells)
+    typical = _typical(codebook, terms, stats.h_pair_k[k]) & member[inverse]
     unique_hit = typical.sum(axis=1) == 1
-    member = np.repeat(lo, stops - starts) + typical.argmax(axis=1)
-    out = np.full(len(jks), -1, dtype=np.int64)
-    out[by_bin[unique_hit]] = table.order[member[unique_hit]]
-    return out
+    return np.where(unique_hit, x[inverse, typical.argmax(axis=1)], -1)
 
 
 def decode(
@@ -504,12 +509,12 @@ def _run_trials(codebook: Codebook, trials: int) -> SimReport:
         j0, counts = j0[sent], counts[sent]
         symbols = np.unravel_index(blocks[sent], pmf.cardinalities)
         for k, xk in enumerate(symbols):
-            table = _bin_groups(codebook, k)
+            span = _bin_span(codebook, k)
             seq = xk @ (pmf.cardinalities[k] ** np.arange(n - 1, -1, -1))
-            messages, inverse, _ = _distinct_rows(np.column_stack([j0, table.bins[seq] + 1]))
+            jk = _bins(codebook, k, seq) + 1
+            messages, inverse, _ = _distinct_rows(np.column_stack([j0, jk]))
             decoded = _batched(
-                partial(_decode_indices, codebook, k), table.widest * n,
-                messages[:, 0], messages[:, 1],
+                partial(_decode_indices, codebook, k), span * n, messages[:, 0], messages[:, 1]
             )
             decode_errors[k] += counts[decoded[inverse] != seq].sum()
     errors = decode_errors + failures
@@ -526,15 +531,6 @@ def _run_trials(codebook: Codebook, trials: int) -> SimReport:
     )
 
 
-def _outer_fold(ufunc: np.ufunc, vectors) -> np.ndarray:
-    """``ufunc`` folded left over one vector per position: its value at every
-    sequence (s_0, ..., s_{n-1}) of entries, in row-major order."""
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = ufunc.outer(out, v).reshape(-1)
-    return out
-
-
 def _lead_positions(n: int, size: int, heads: int, limit: int) -> int:
     """Fewest leading positions, below n, at which fixing ``heads`` support
     rows each leaves at most ``limit`` of the size^n blocks per chunk."""
@@ -544,7 +540,7 @@ def _lead_positions(n: int, size: int, heads: int, limit: int) -> int:
 def _claim_map(codebook: Codebook) -> np.ndarray:
     """j0 of every source block over the support, in row-major order
     (cached): patterns in first-occurrence order claim the unset blocks
-    whose scores, folded over positions left to right, are typical."""
+    that ``_typical`` finds typical with them, as the encoder would."""
     if "j0" in codebook._caches:
         return codebook._caches["j0"]
     stats, n, size = codebook.stats, codebook.n, codebook.stats.pmf.support.size
@@ -555,6 +551,8 @@ def _claim_map(codebook: Codebook) -> np.ndarray:
     # Chunk c holds the blocks whose first `lead` rows are the digits of c;
     # 4,096 blocks was the fastest size at n = 4 to 6 on example 2 (Xeon VM).
     lead = _lead_positions(n, size, 1, CHUNK_ELEMENTS >> 8)
+    # Tail position t varies along axis t - lead of a chunk's blocks.
+    axes = [(size,) + (1,) * (n - 1 - t) for t in range(lead, n)]
     j0 = np.zeros((size**lead, size ** (n - lead)), dtype=np.min_scalar_type(codebook.m0))
     for head, row in zip(np.ndindex(*[size] * lead), j0):
         prefix = np.zeros(len(digits))
@@ -564,9 +562,9 @@ def _claim_map(codebook: Codebook) -> np.ndarray:
         for t in range(lead, n):
             low, high = low + lowest[:, t], high + highest[:, t]
         for u in np.flatnonzero((low - center <= band) & (high - center >= -band)):
-            tail = costs[digits[u, lead:]]
-            scores = _outer_fold(np.add, [prefix[u] + tail[0], *tail[1:]])
-            claim = (row == 0) & (np.abs(scores - center) <= band)
+            # The prefix is the head positions' left-to-right sum.
+            tail = [v.reshape(shape) for v, shape in zip(costs[digits[u, lead:]], axes)]
+            claim = (row == 0) & _typical(codebook, [prefix[u], *tail], stats.h_pair).reshape(-1)
             row[claim] = codebook.pattern_first_index[u] + 1
             if row.all():
                 break
@@ -620,32 +618,29 @@ def exact_equivocation(
         raise EnumerationTooLargeError("message space too large to tabulate")
     rest_vars = [j for j in range(pmf.k) if j != k]
     rest_card = math.prod(pmf.cardinalities[j] for j in rest_vars)
-    if n * math.log2(max(2, rest_card)) + math.log2(pair_space) > 62:
+    card_k = pmf.cardinalities[k]
+    if n * math.log2(max(2, rest_card)) + math.log2(pair_space) > 62 or card_k ** int(n) >> 63:
         raise EnumerationTooLargeError("composite grouping key would overflow")
     rest_digit = np.zeros(size, dtype=np.int64)
     for j in rest_vars:
         rest_digit = rest_digit * pmf.cardinalities[j] + view.digits[j]
-    # Bin of every X_k sequence over the symbols the support holds.
-    present = np.bincount(view.digits[k]) > 0
-    q, xk_digit = int(present.sum()), (present.cumsum() - 1)[view.digits[k]]
-    bins = _bin_rows(cfg.seed, k, np.flatnonzero(present)[_base_digits(np.arange(q**n), q, n)], m_k)
     j0_map = _claim_map(codebook)
     # Support row s at position t adds places[:, t, s] to the block's index,
     # X_k sequence and rest sequence, each read as a base-b number.
-    digits = np.stack([np.arange(size), xk_digit, rest_digit])
-    scale = np.array([size, q, rest_card])[:, None] ** np.arange(n - 1, -1, -1)
+    digits = np.stack([np.arange(size), view.digits[k], rest_digit])
+    scale = np.array([size, card_k, rest_card])[:, None] ** np.arange(n - 1, -1, -1)
     places = digits[:, None, :] * scale[:, :, None]
     values, counts = np.unique(rest_digit, return_counts=True)
     lead = _lead_positions(n, size, int(counts.max()), CHUNK_ELEMENTS >> 4)
     h_cells, msg_mass = 0.0, np.zeros(pair_space)
     for heads in np.ndindex(*[len(values)] * lead):
         rows = [np.flatnonzero(rest_digit == values[h]) for h in heads] + [slice(None)] * (n - lead)
-        probs = _outer_fold(np.multiply, [view.p[r] for r in rows])
+        probs = reduce(np.multiply.outer, [view.p[r] for r in rows]).reshape(-1)
         ids = places[:, 0, rows[0]]
         for t in range(1, n):
             ids = (ids[:, :, None] + places[:, t][:, None, rows[t]]).reshape(3, -1)
         index, xk, rest = ids
-        msgs = j0_map[index].astype(np.int64) * m_k + bins[xk]
+        msgs = j0_map[index].astype(np.int64) * m_k + _bins(codebook, k, xk)
         # Each (rest, J0, Jk) cell's mass, summed over its blocks in order.
         key = rest * pair_space + msgs
         order = np.argsort(key, kind="stable")

@@ -16,15 +16,19 @@ the package did before it had one statistics object: they join W into a
 new law and call the generic entropy functions.  ``CodecStats`` is the
 simulator's own table-and-formula code from that time, with the codebook,
 trial loop and exact equivocation that read it; the trial loop draws,
-encodes, hashes (``bin_of_sequence``) and decodes one trial at a time.
+encodes, hashes (``bin_of_sequence``) and decodes one trial at a time, and
+decoder k scans every sequence of X_k^n for the members of its bin.
+``bin_of_sequence`` computes the universal hash ((a x + b) mod p) mod M on
+plain Python ints, and ``build_codebook`` finds p by trial division.
+Every score adds a block's position costs left to right (``left_sum``).
 ``claim_loop`` is the exact equivocation's encoder map as it was before
 chunks and pruning: every codeword pattern scores every block.
 ``sweep_max_delta`` rebuilds the seed channels for every budget.
 """
 
-import hashlib
-import struct
-from itertools import chain
+import math
+from functools import lru_cache, reduce
+from itertools import chain, product
 
 import numpy as np
 from scipy.optimize import minimize
@@ -252,8 +256,43 @@ def sweep_max_delta(pmf, r0_budgets, w_cardinality=None, restarts=4, seed=0):
     ]
 
 
+def left_sum(rows):
+    """Sum of the rows of a 2-D array (one per position), added in order."""
+    return reduce(np.add, rows)
+
+
+def outer_fold(ufunc, vectors):
+    """``ufunc`` folded left over one vector per position: its value at every
+    sequence (s_0, ..., s_{n-1}) of entries, in row-major order."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = ufunc.outer(out, v).reshape(-1)
+    return out
+
+
+def smallest_prime_at_least(m):
+    """The smallest prime >= m, by trial division."""
+    while m < 2 or any(m % d == 0 for d in range(2, math.isqrt(m) + 1)):
+        m += 1
+    return m
+
+
+def uniform_below(bit_generator, bound):
+    """A uniform integer in [0, bound): raw 64-bit words, the first one least
+    significant, cut to the bit length of ``bound`` and drawn again until
+    below it."""
+    bits = bound.bit_length()
+    words = -(-bits // 64)
+    while True:
+        raw = bit_generator.random_raw(words)
+        value = sum(int(word) << (64 * i) for i, word in enumerate(raw)) >> (64 * words - bits)
+        if value < bound:
+            return value
+
+
 def build_codebook(pmf, w, cfg):
-    """The codebook drawn from ``CodecStats``' rates and p(w)."""
+    """The codebook drawn from ``CodecStats``' rates and p(w), with the hash
+    keys (p, a, b) of each source drawn from ``default_rng([seed, 3])``."""
     stats = CodecStats(pmf, w)
     m0 = codec_sim._code_size(stats.common_rate() + cfg.slack, cfg.n)
     bin_counts = tuple(
@@ -265,35 +304,51 @@ def build_codebook(pmf, w, cfg):
     codewords = codewords.astype(np.min_scalar_type(max(1, w.w_cardinality - 1)))
     place = w.w_cardinality ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
     unique_ids, first_index = np.unique(codewords.astype(np.int64) @ place, return_index=True)
+    key_bits = np.random.default_rng([cfg.seed, 3]).bit_generator
+    bin_keys = []
+    for k in range(pmf.k):
+        p = smallest_prime_at_least(max(pmf.cardinalities[k] ** cfg.n, bin_counts[k]))
+        a = 1 + uniform_below(key_bits, p - 1)
+        bin_keys.append((p, a, uniform_below(key_bits, p)))
     return codec_sim.Codebook(
         config=cfg,
         stats=stats,
         w_cardinality=w.w_cardinality,
         m0=m0,
         bin_counts=bin_counts,
+        bin_keys=tuple(bin_keys),
         w_codewords=codewords,
         pattern_digits=codec_sim._base_digits(unique_ids, w.w_cardinality, cfg.n),
         pattern_first_index=first_index.astype(np.int64),
     )
 
 
-def bin_of_sequence(seed, k, seq, m):
-    """The bin hash of one sequence, as the trial loop computed it."""
-    data = np.ascontiguousarray(seq, dtype="<u4").tobytes()
-    key = struct.pack("<qq", seed, k)
-    digest = hashlib.blake2b(data, key=key, digest_size=16).digest()
-    return int.from_bytes(digest, "little") % m
+def bin_of_sequence(codebook, k, seq):
+    """0-based bin of one sequence of source k: its row-major index x as a
+    Python int, then ((a x + b) mod p) mod M_k with the codebook's keys."""
+    p, a, b = codebook.bin_keys[k]
+    x = 0
+    for symbol in seq:
+        x = x * codebook.stats.pmf.cardinalities[k] + int(symbol)
+    return (a * x + b) % p % codebook.bin_counts[k]
 
 
-def bin_rows(seed, k, seqs, m):
-    return np.array([bin_of_sequence(seed, k, s, m) for s in seqs], dtype=np.int64)
+def bin_rows(codebook, k, seqs):
+    return np.array([bin_of_sequence(codebook, k, s) for s in seqs], dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def bins_of_every_sequence(codebook, k):
+    """The bin of every sequence of X_k^n, in row-major order."""
+    card = codebook.stats.pmf.cardinalities[k]
+    return bin_rows(codebook, k, product(range(card), repeat=codebook.n))
 
 
 def _encode_outcomes(codebook, stats, o_seq):
     n = codebook.n
     tol = codebook.config.typicality_tolerance
     pos_cost = stats.cost_full[o_seq]
-    scores = pos_cost[np.arange(n)[None, :], codebook.pattern_digits].sum(axis=1)
+    scores = left_sum(pos_cost[np.arange(n)[None, :], codebook.pattern_digits].T)
     typical = np.abs(scores - n * stats.h_pair) <= n * tol
     if not typical.any():
         return 0
@@ -301,13 +356,12 @@ def _encode_outcomes(codebook, stats, o_seq):
 
 
 def _decode_inner(codebook, stats, k, j0, jk):
-    table = codec_sim._bin_groups(codebook, k)
-    members = table.order[table.sorted_bins == jk - 1]
+    members = np.flatnonzero(bins_of_every_sequence(codebook, k) == jk - 1)
     if len(members) == 0:
         return codec_sim.DecoderFailure()
     w_seq = codebook.w_codewords[j0 - 1].astype(np.int64)
     cand = codec_sim._base_digits(members, stats.pmf.cardinalities[k], codebook.n)
-    scores = stats.cost_k[k][cand, w_seq[None, :]].sum(axis=1)
+    scores = left_sum(stats.cost_k[k][cand, w_seq[None, :]].T)
     n = codebook.n
     typical = np.abs(scores - n * stats.h_pair_k[k]) <= n * codebook.config.typicality_tolerance
     hits = np.flatnonzero(typical)
@@ -333,7 +387,7 @@ def run_trials(pmf, w, cfg, trials):
             continue
         for k in range(pmf.k):
             xk = stats.digits[k][o_seq]
-            jk = bin_of_sequence(cfg.seed, k, xk, codebook.bin_counts[k]) + 1
+            jk = bin_of_sequence(codebook, k, xk) + 1
             result = _decode_inner(codebook, stats, k, j0, jk)
             if isinstance(result, codec_sim.DecoderFailure) or not np.array_equal(result, xk):
                 errors[k] += 1
@@ -376,7 +430,7 @@ def claim_loop(pmf, codebook):
     tol_band = n * cfg.typicality_tolerance
     center = n * stats.h_pair
     for u in np.argsort(codebook.pattern_first_index, kind="stable"):
-        scores = codec_sim._outer_fold(np.add, cost_sup[:, codebook.pattern_digits[u]].T)
+        scores = outer_fold(np.add, cost_sup[:, codebook.pattern_digits[u]].T)
         claim = (j0_arr == 0) & (np.abs(scores - center) <= tol_band)
         j0_arr[claim] = int(codebook.pattern_first_index[u]) + 1
         if not (j0_arr == 0).any():
@@ -394,18 +448,18 @@ def exact_equivocation(pmf, codebook, k):
     j0_arr = claim_loop(pmf, codebook)
     powers = np.arange(n - 1, -1, -1, dtype=np.int64)
     card_k = pmf.cardinalities[k]
-    xk_idx = codec_sim._outer_fold(np.add, np.outer(card_k**powers, view.digits[k]))
+    xk_idx = outer_fold(np.add, np.outer(card_k**powers, view.digits[k]))
     uniq, inverse = np.unique(xk_idx, return_inverse=True)
     m_k = codebook.bin_counts[k]
-    jk_arr = bin_rows(cfg.seed, k, codec_sim._base_digits(uniq, card_k, n), m_k)[inverse]
+    jk_arr = bin_rows(codebook, k, codec_sim._base_digits(uniq, card_k, n))[inverse]
     rest_vars = [j for j in range(pmf.k) if j != k]
     rest_card = int(np.prod([pmf.cardinalities[j] for j in rest_vars]))
     rest_digit = np.zeros(s_sup, dtype=np.int64)
     for j in rest_vars:
         rest_digit = rest_digit * pmf.cardinalities[j] + view.digits[j]
     pair_space = (codebook.m0 + 1) * m_k
-    rest_idx = codec_sim._outer_fold(np.add, np.outer(rest_card**powers, rest_digit))
-    probs = codec_sim._outer_fold(np.multiply, [view.p] * n)
+    rest_idx = outer_fold(np.add, np.outer(rest_card**powers, rest_digit))
+    probs = outer_fold(np.multiply, [view.p] * n)
     h_rest_msgs = grouped_entropy(rest_idx * pair_space + j0_arr * m_k + jk_arr, probs)
     h_msgs = entropy_of_vector(
         np.bincount(j0_arr * m_k + jk_arr, weights=probs, minlength=pair_space)

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import sequential_reference as ref
 from conftest import (
     binary_entropy,
     copy_pair,
+    dsbs,
     example1,
     example2,
     example2_w_x0,
@@ -59,7 +64,7 @@ def test_code_config_rejects_invalid_settings(fields, error):
         gw.CodeConfig(**{"n": 4, "slack": 0.2, **fields})
 
 
-def test_code_config_rejects_seeds_the_bin_hash_cannot_pack():
+def test_code_config_rejects_seeds_beyond_63_bits():
     with pytest.raises(ValueError, match="2\\^63"):
         gw.CodeConfig(n=2, slack=0.2, seed=2**63)
 
@@ -308,7 +313,7 @@ class TestRunTrials:
             book = gw.build_codebook(pmf, w, cfg)
             for k in range(pmf.k):
                 members = np.bincount(
-                    codec_sim._bin_groups(book, k).bins, minlength=book.bin_counts[k]
+                    ref.bins_of_every_sequence(book, k), minlength=book.bin_counts[k]
                 )
                 sizes |= {int(min(c, 2)) for c in members}
             monkeypatch.setattr(codec_sim, "CHUNK_ELEMENTS", chunk)
@@ -420,15 +425,98 @@ class TestBatchOfOne:
                     want = ref._decode_inner(book, old, k, j0, jk)
                     if isinstance(want, gw.DecoderFailure):
                         assert isinstance(got, gw.DecoderFailure)
-                        members = np.flatnonzero(
-                            codec_sim._bin_groups(book, k).bins == jk - 1
-                        )
+                        members = np.flatnonzero(ref.bins_of_every_sequence(book, k) == jk - 1)
                         kinds.add("empty" if len(members) == 0 else "ambiguous or none")
                     else:
                         assert got.dtype == want.dtype
                         assert np.array_equal(got, want)
                         kinds.add("unique")
         assert kinds == {"empty", "ambiguous or none", "unique"}
+
+
+class TestBinHash:
+    """Bins beyond uint64 arithmetic, against the plain-int reference hash."""
+
+    def test_bins_past_32_bits_round_trip(self):
+        # n = 40 binary sequences take p > 2^32, so the hash and the bin
+        # inversion run on Python ints.  With a constant W each bin holds at
+        # most one sequence, and every sequence is typical for its decoder.
+        pmf = dsbs(0.11)
+        w = gw.constant_channel(pmf)
+        book = gw.build_codebook(pmf, w, gw.CodeConfig(n=40, slack=0.05, seed=5))
+        assert all(p > 1 << 32 for p, _, _ in book.bin_keys)
+        rng = np.random.default_rng(1)
+        sent = 0
+        for _ in range(20):
+            o_seq = rng.choice(pmf.num_outcomes, size=book.n, p=pmf.flat)
+            block = np.array(np.unravel_index(o_seq, pmf.cardinalities))
+            msg = gw.encode(book, pmf, w, block)
+            if isinstance(msg, gw.EncoderFailure):
+                continue
+            sent += 1
+            for k in range(pmf.k):
+                assert msg.bins[k] - 1 == ref.bin_of_sequence(book, k, block[k])
+                assert np.array_equal(gw.decode(book, pmf, w, k, msg.j0, msg.bins[k]), block[k])
+        assert sent > 0
+        assert codec_sim._run_trials(book, 200).decoder_error_rates == (0.0, 0.0)
+
+    def test_blocks_past_64_bits_encode_and_decoding_refuses(self):
+        # 3^60 > 2^95 sequences per source: encode hashes the index exactly,
+        # and the decode guard refuses indices of 63 bits or more.
+        probs = np.diag([0.9, 0.05, 0.05])
+        pmf = gw.JointPmf(("X1", "X2"), (3, 3), probs)
+        w = gw.constant_channel(pmf)
+        book = gw.build_codebook(pmf, w, gw.CodeConfig(n=60, slack=0.0, seed=3))
+        assert all(p > 1 << 95 for p, _, _ in book.bin_keys)
+        x = np.zeros(60, dtype=int)
+        x[:6] = [1, 1, 1, 2, 2, 2]
+        msg = gw.encode(book, pmf, w, np.stack([x, x]))
+        assert msg.bins == tuple(ref.bin_of_sequence(book, k, x) + 1 for k in range(2))
+        with pytest.raises(EnumerationTooLargeError, match="decode guard"):
+            gw.decode(book, pmf, w, 0, msg.j0, msg.bins[0])
+
+
+class TestDecodeGuard:
+    def test_candidates_are_checked_before_any_allocation(self, monkeypatch):
+        # W = X1 leaves H(X_k | W) = 0, so at slack 0 each source has one
+        # bin, and its candidates are all 2^16 sequences.
+        pmf, w = _copy_setup()
+        book = gw.build_codebook(pmf, w, gw.CodeConfig(n=16, slack=0.0, seed=1))
+        span = codec_sim._bin_span(book, 0)
+        assert span > 1 << 16
+        monkeypatch.setattr(codec_sim, "BIN_TABLE_LIMIT", span - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError, match="decode guard"):
+                gw.decode(book, pmf, w, 0, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One candidate index alone would take 8 * span bytes.
+        assert peak < span
+        with pytest.raises(EnumerationTooLargeError, match="decode guard"):
+            codec_sim._run_trials(book, 10)
+
+    def test_guard_sized_source_decodes_in_bounded_memory(self):
+        # DSBS(0.11) with a constant W at n = 22: 2^22 sequences per source,
+        # the size a bin table of every sequence was allowed to reach.  The
+        # peak RSS is measured in a fresh process (ru_maxrss is in KiB on
+        # Linux).
+        script = (
+            "import resource, graywyner as gw\n"
+            "pmf = gw.JointPmf(('X1', 'X2'), (2, 2), [0.445, 0.055, 0.055, 0.445])\n"
+            "cfg = gw.CodeConfig(n=22, slack=0.1, seed=1)\n"
+            "report = gw.run_trials(pmf, gw.constant_channel(pmf), cfg, 2000)\n"
+            "assert report.decoder_error_rates is not None\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 200 * 1024
 
 
 class TestExactEquivocation:
@@ -483,7 +571,7 @@ class TestExactEquivocation:
         w = gw.constant_channel(pmf)
         cfg = gw.CodeConfig(n=4, slack=0.0, seed=3)
         book = gw.build_codebook(pmf, w, cfg)
-        assert gw.exact_equivocation(pmf, w, book, cfg, 0) == pytest.approx(0.09375)
+        assert gw.exact_equivocation(pmf, w, book, cfg, 0) == pytest.approx(0.03125)
         with pytest.raises(ValueError, match="differs from the codebook"):
             gw.exact_equivocation(pmf, w, book, dataclasses.replace(cfg, **other), 0)
 
@@ -502,23 +590,22 @@ class TestExactEquivocation:
         assert book._caches == {}
 
     def test_three_decoders_score_the_claims_once(self, ex2, monkeypatch):
-        # Only the claim scorer folds with np.add; the entropies fold
-        # probabilities with np.multiply.
+        # The claim map is the only scorer that exact_equivocation runs.
         w = example2_w_x0()
         cfg = gw.CodeConfig(n=3, slack=0.25, seed=2026)
         book = gw.build_codebook(ex2, w, cfg)
-        folds = []
-        outer_fold = codec_sim._outer_fold
+        scored = []
+        typical = codec_sim._typical
 
-        def spy(ufunc, vectors):
-            folds.append(ufunc)
-            return outer_fold(ufunc, vectors)
+        def spy(codebook, terms, entropy):
+            scored.append(entropy)
+            return typical(codebook, terms, entropy)
 
-        monkeypatch.setattr(codec_sim, "_outer_fold", spy)
+        monkeypatch.setattr(codec_sim, "_typical", spy)
         values = [gw.exact_equivocation(ex2, w, book, cfg, 0)]
-        claims = folds.count(np.add)
+        claims = len(scored)
         values += [gw.exact_equivocation(ex2, w, book, cfg, k) for k in (1, 2)]
-        assert claims > 0 and folds.count(np.add) == claims
+        assert claims > 0 and len(scored) == claims
         monkeypatch.undo()
         old = ref.build_codebook(ex2, w, cfg)
         assert values == [ref.exact_equivocation(ex2, old, k) for k in range(3)]

@@ -84,6 +84,7 @@ def test_simulator_is_bit_identical_to_the_codec_stats_reference():
         old = ref.build_codebook(pmf, w, cfg)
         assert book.m0 == old.m0, name
         assert book.bin_counts == old.bin_counts, name
+        assert book.bin_keys == old.bin_keys, name
         assert book.w_codewords.dtype == old.w_codewords.dtype, name
         assert book.w_codewords.tobytes() == old.w_codewords.tobytes(), name
         assert gw.run_trials(pmf, w, cfg, 12) == ref.run_trials(pmf, w, cfg, 12), name

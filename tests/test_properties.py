@@ -5,8 +5,11 @@ cardinality 2 or 3, and between 2 and 8 positive-probability outcomes.
 Examples are derandomized so the suite is reproducible.
 """
 
+import dataclasses
 import io
 import math
+from functools import reduce
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -273,3 +276,60 @@ def test_claim_map_and_equivocations_match_the_claim_loop(binary, data):
             assert all(abs(a - b) <= 1e-12 for a, b in zip(values, reference))
         else:
             assert np.asarray(values).tobytes() == np.asarray(reference).tobytes()
+
+
+@st.composite
+def hash_cases(draw):
+    """A law whose sources have at most 4,096 sequences each, blocklength,
+    slack and seed; the constant channel keeps M0 at 1, so M_k ranges from
+    a few bins for thousands of sequences to more bins than sequences."""
+    pmf = draw(joints())
+    n = draw(st.integers(1, int(math.log(4096, max(pmf.cardinalities)))))
+    slack = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    return pmf, gw.CodeConfig(n=n, slack=slack, seed=draw(st.integers(0, 2**63 - 1)))
+
+
+@SETTINGS
+@given(hash_cases())
+def test_bin_members_are_exactly_the_hashed_sequences(case):
+    pmf, cfg = case
+    book = gw.build_codebook(pmf, gw.constant_channel(pmf), cfg)
+    for k, card in enumerate(pmf.cardinalities):
+        total, m = card**cfg.n, book.bin_counts[k]
+        bins = codec_sim._bins(book, k, np.arange(total))
+        assert bins.tolist() == ref.bin_rows(book, k, product(range(card), repeat=cfg.n)).tolist()
+        x, member = codec_sim._bin_members(book, k, np.arange(1, m + 1))
+        members = x[member]
+        # Every sequence is enumerated once, and in the bin it hashes to.
+        assert np.array_equal(np.sort(members), np.arange(total))
+        assert np.array_equal(bins[members], np.nonzero(member)[0])
+
+
+@st.composite
+def long_block_cases(draw):
+    """A claim case at n = 8 to 12, with a tolerance that puts the band's
+    edge on the left-to-right score of one block against one pattern."""
+    pmf, w, cfg = draw(claim_cases(True))
+    cfg = dataclasses.replace(cfg, n=draw(st.integers(8, 12)))
+    book = gw.build_codebook(pmf, w, cfg)
+    rows = draw(st.lists(st.integers(0, 1), min_size=cfg.n, max_size=cfg.n))
+    u = draw(st.integers(0, len(book.pattern_digits) - 1))
+    block = pmf.support.indices[rows]
+    score = reduce(np.add, book.stats.cost[block, book.pattern_digits[u]])
+    gap = abs(score - cfg.n * book.stats.h_pair) / cfg.n
+    if math.isfinite(gap) and gap > 0:
+        cfg = dataclasses.replace(cfg, typicality_tolerance=float(gap))
+    return pmf, w, cfg, block
+
+
+@SETTINGS
+@given(long_block_cases())
+def test_encoder_and_claim_map_agree_on_every_block(case):
+    pmf, w, cfg, block = case
+    book = gw.build_codebook(pmf, w, cfg)
+    blocks = pmf.support.indices[codec_sim._base_digits(np.arange(2**cfg.n), 2, cfg.n)]
+    j0 = codec_sim._claim_map(book)
+    assert np.array_equal(codec_sim._encode_outcomes(book, blocks), j0)
+    msg = gw.encode(book, pmf, w, np.array(np.unravel_index(block, pmf.cardinalities)))
+    edge = np.flatnonzero((blocks == block).all(axis=1))[0]
+    assert getattr(msg, "j0", 0) == j0[edge]
