@@ -32,6 +32,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .distributions import (
     AuxChannel,
     JointPmf,
     SupportView,
+    check_selection,
     deterministic_channel,
-    marginalize,
 )
 from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
 from .infotheory import PairStats, entropy, entropy_of_vector, mutual_information
@@ -171,31 +172,35 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def common_part_labels(pmf: JointPmf) -> np.ndarray:
-    """Component label of every support row of ``pmf.support``.
+def common_part_labels(digits, cardinalities) -> np.ndarray:
+    """Component label of every support row of a law.
 
-    Nodes are (variable, symbol) pairs carrying positive marginal mass; each
+    ``digits[k][s]`` is the symbol of variable k on support row s, and
+    ``cardinalities`` are the variables' alphabet sizes.  Nodes are
+    (variable, symbol) pairs carrying positive marginal mass; each
     positive-probability outcome connects its K coordinate nodes.  Labels
     are numbered by first appearance along the support rows (row-major
     order), so the result is deterministic.
     """
-    offsets = np.concatenate(([0], np.cumsum(pmf.cardinalities)[:-1]))
-    uf = _UnionFind(int(sum(pmf.cardinalities)))
-    view = pmf.support
-    for s in range(view.size):
-        base = int(offsets[0] + view.digits[0][s])
-        for k in range(1, pmf.k):
-            uf.union(base, int(offsets[k] + view.digits[k][s]))
-    labels = np.empty(view.size, dtype=int)
+    offsets = np.array(list(accumulate(cardinalities[:-1], initial=0)))
+    rows = (np.asarray(digits) + offsets[:, None]).T.tolist()  # K nodes per row
+    uf = _UnionFind(int(sum(cardinalities)))
+    for first, *rest in rows:
+        for node in rest:
+            uf.union(first, node)
     next_label: dict[int, int] = {}
-    for s in range(view.size):
-        root = uf.find(int(offsets[0] + view.digits[0][s]))
-        labels[s] = next_label.setdefault(root, len(next_label))
-    return labels
+    return np.array(
+        [next_label.setdefault(uf.find(row[0]), len(next_label)) for row in rows],
+        dtype=int,
+    )
 
 
 def _source_entropies(view: SupportView) -> list[float]:
-    """H(X_k) in bits for every source k."""
+    """H(X_k) in bits for every source k, from a bincount of the support
+    masses.  ``entropy(pmf, [k])`` sums the dense marginal instead and can
+    differ in the last bit; ``_score_labels`` needs this path, whose
+    histograms hold the same masses in the same order as its H(X_k, W)
+    ones when W is a function of X_k."""
     return [entropy_of_vector(np.bincount(d, weights=view.p)) for d in view.digits]
 
 
@@ -239,7 +244,7 @@ def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
     result = _GK_RESULTS.get(pmf)
     if result is None:
         view = pmf.support
-        labels = common_part_labels(pmf)
+        labels = common_part_labels(view.digits, pmf.cardinalities)
         value, residual = _score_labels(view, labels, _source_entropies(view))
         result = CommonInfoResult(
             value, _label_witness(pmf, labels), "gk_components",
@@ -381,7 +386,7 @@ class _WynerProblem:
         self.w_card = w_card
         self.cards = pmf.cardinalities  # rows r(x_k|w) share one zero-padded (K, width) block
         self.width = max(self.cards)
-        self.index = np.array(self.view.digits) + self.width * np.arange(pmf.k)[:, None]
+        self.index = self.view.digits + self.width * np.arange(pmf.k)[:, None]
 
     def mixture(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a, cond) of every channel of the stack ``r``."""
@@ -526,15 +531,19 @@ def verify_chain(
 
 
 def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
-    """(C of the full law, C after marginalizing out variable ``drop``)."""
+    """(C of the full law, C after marginalizing out variable ``drop``).
+
+    The reduced C is scored as ``gk_common_information`` scores the
+    marginal law, to the bit, but from its tensor alone: no law, support
+    view, witness or cache entry is built for it."""
     _require_sources(pmf, least=3)
-    if not 0 <= drop < pmf.k:
-        raise IndexError(f"drop index {drop} out of range")
-    keep = [i for i in range(pmf.k) if i != drop]
-    return (
-        gk_common_information(pmf).value,
-        gk_common_information(marginalize(pmf, keep)).value,
-    )
+    (drop,) = check_selection(pmf, [drop], "drop")
+    marginal = pmf.probabilities.sum(axis=drop)
+    flat = marginal.reshape(-1)
+    rows = np.flatnonzero(flat > 0.0)
+    labels = common_part_labels(np.unravel_index(rows, marginal.shape), marginal.shape)
+    reduced = entropy_of_vector(np.bincount(labels, weights=flat[rows]))
+    return gk_common_information(pmf).value, reduced
 
 
 def _prop4_report(c: float, mn: float, mx: float, estimate_b) -> Prop4Report:

@@ -104,6 +104,12 @@ class JointPmf:
         """The law compacted to its positive-probability outcomes (built once)."""
         return SupportView(self)
 
+    @cached_property
+    def _entropies(self) -> dict[tuple[int, ...], float]:
+        """H(X_S) in bits of each selection S measured so far, keyed by the
+        sorted S; ``infotheory.entropy`` fills it, at most 2^K - 1 floats."""
+        return {}
+
     def __repr__(self) -> str:
         return f"JointPmf(variables={self.variable_names}, cardinalities={self.cardinalities})"
 
@@ -113,20 +119,21 @@ class SupportView:
 
     Row s of each array is the s-th positive-probability outcome in
     row-major order: ``indices[s]`` is its joint index, ``p[s]`` its mass,
-    ``digits[k][s]`` the symbol of variable k and ``onehots[k][s]`` the
-    indicator row of that symbol, which aggregates support rows by X_k.
+    ``digits[k, s]`` (one (K, size) array) the symbol of variable k and
+    ``onehots[k][s]`` the indicator row of that symbol, which aggregates
+    support rows by X_k.
     """
 
     def __init__(self, pmf: JointPmf):
         self.indices = pmf.support_indices()
         self.p = pmf.flat[self.indices]
         self.num_outcomes = pmf.num_outcomes
-        self.digits = np.unravel_index(self.indices, pmf.cardinalities)
+        self.digits = np.array(np.unravel_index(self.indices, pmf.cardinalities))
         self.onehots = tuple(
             np.equal.outer(d, np.arange(c)).astype(float)
             for d, c in zip(self.digits, pmf.cardinalities)
         )
-        for arr in (self.indices, self.p, *self.digits, *self.onehots):
+        for arr in (self.indices, self.p, self.digits, *self.onehots):
             arr.setflags(write=False)
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -60,14 +61,24 @@ def _disjoint(*selections: tuple[tuple[int, ...], str]) -> None:
 
 
 def entropy(pmf: JointPmf, vars: Sequence[int] | None = None) -> float:
-    """H of the marginal over ``vars`` (all variables when omitted)."""
+    """H of the marginal over ``vars`` (all variables when omitted).
+
+    Each selection's value is computed once per law and kept on it."""
     sel = check_selection(pmf, vars, "vars")
     if not sel:
         raise EmptySelectionError("entropy of an empty variable set")
-    if len(sel) == pmf.k:
-        return entropy_of_vector(pmf.flat)
-    drop = tuple(i for i in range(pmf.k) if i not in sel)
-    return entropy_of_vector(pmf.probabilities.sum(axis=drop))
+    return _entropy(pmf, sel)
+
+
+def _entropy(pmf: JointPmf, sel: tuple[int, ...]) -> float:
+    """``entropy`` of a checked, non-empty selection in any order."""
+    sel = tuple(sorted(sel))
+    h = pmf._entropies.get(sel)
+    if h is None:
+        drop = tuple(i for i in range(pmf.k) if i not in sel)
+        marginal = pmf.probabilities.sum(axis=drop) if drop else pmf.flat
+        h = pmf._entropies[sel] = entropy_of_vector(marginal)
+    return h
 
 
 def conditional_entropy(
@@ -80,9 +91,8 @@ def conditional_entropy(
         raise EmptySelectionError("conditional entropy of an empty set")
     _disjoint((of_sel, "of"), (given_sel, "given"))
     if not given_sel:
-        return entropy(pmf, of_sel)
-    joint = entropy(pmf, of_sel + given_sel)
-    return _clamp(joint - entropy(pmf, given_sel))
+        return _entropy(pmf, of_sel)
+    return _clamp(_entropy(pmf, of_sel + given_sel) - _entropy(pmf, given_sel))
 
 
 def mutual_information(pmf: JointPmf, a: Sequence[int], b: Sequence[int]) -> float:
@@ -92,7 +102,7 @@ def mutual_information(pmf: JointPmf, a: Sequence[int], b: Sequence[int]) -> flo
     if not a_sel or not b_sel:
         raise EmptySelectionError("mutual information needs non-empty subsets")
     _disjoint((a_sel, "a"), (b_sel, "b"))
-    return _clamp(entropy(pmf, a_sel) + entropy(pmf, b_sel) - entropy(pmf, a_sel + b_sel))
+    return _clamp(_entropy(pmf, a_sel) + _entropy(pmf, b_sel) - _entropy(pmf, a_sel + b_sel))
 
 
 def conditional_mutual_information(
@@ -110,10 +120,10 @@ def conditional_mutual_information(
     _disjoint((a_sel, "a"), (b_sel, "b"), (g_sel, "given"))
     if not g_sel:
         return mutual_information(pmf, a_sel, b_sel)
-    h_ag = entropy(pmf, a_sel + g_sel)
-    h_bg = entropy(pmf, b_sel + g_sel)
-    h_abg = entropy(pmf, a_sel + b_sel + g_sel)
-    h_g = entropy(pmf, g_sel)
+    h_ag = _entropy(pmf, a_sel + g_sel)
+    h_bg = _entropy(pmf, b_sel + g_sel)
+    h_abg = _entropy(pmf, a_sel + b_sel + g_sel)
+    h_g = _entropy(pmf, g_sel)
     return _clamp(h_ag + h_bg - h_abg - h_g)
 
 
@@ -153,21 +163,23 @@ class PairStats:
         m = w.w_cardinality
         self.pair = pmf.flat[:, None] * w.rows
         self.p_w = self.pair.sum(axis=0)
-        # Summed over support rows in outcome order; the rows left out hold
-        # only zeros, so each cell gets the bits of a sum over all outcomes.
-        on_support = self.pair[view.indices].reshape(-1)
-        self.pair_k = tuple(
-            np.bincount(
-                (d[:, None] * m + np.arange(m)).reshape(-1),
-                weights=on_support,
-                minlength=c * m,
-            ).reshape(c, m)
-            for d, c in zip(view.digits, pmf.cardinalities)
-        )
+        # One bincount fills every table: cell (x, w) of source k is row
+        # start_k + x, column w.  A cell adds its support rows in outcome
+        # order; the rows left out hold only zeros, so each cell gets the
+        # bits of a sum over all outcomes.
+        cards = pmf.cardinalities
+        starts = list(accumulate(cards[:-1], initial=0))
+        cells = ((view.digits + np.array(starts)[:, None]) * m)[..., None] + np.arange(m)
+        tables = np.bincount(
+            cells.reshape(-1),
+            weights=np.concatenate((self.pair[view.indices].reshape(-1),) * pmf.k),
+            minlength=sum(cards) * m,
+        ).reshape(-1, m)
+        self.pair_k = tuple(tables[a : a + c] for a, c in zip(starts, cards))
         self.h_pair = entropy_of_vector(self.pair)
         self.h_pair_k = tuple(entropy_of_vector(t) for t in self.pair_k)
         h_w = entropy_of_vector(self.p_w)
-        self.mi = max(0.0, entropy_of_vector(pmf.flat) + h_w - self.h_pair)
+        self.mi = max(0.0, _entropy(pmf, tuple(range(pmf.k))) + h_w - self.h_pair)
         self.h_given_w = tuple(max(0.0, h - h_w) for h in self.h_pair_k)
         self.h_given_wk = tuple(max(0.0, self.h_pair - h) for h in self.h_pair_k)
 

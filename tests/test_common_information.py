@@ -67,21 +67,30 @@ class TestGkCommonInformation:
         labelled = []
         labels = common_information.common_part_labels
 
-        def spy(pmf):
-            labelled.append(pmf)
-            return labels(pmf)
+        def spy(digits, cardinalities):
+            labelled.append(tuple(cardinalities))
+            return labels(digits, cardinalities)
 
         monkeypatch.setattr(common_information, "common_part_labels", spy)
         pmf = random_joint(np.random.default_rng(43), k=3)
         first = gw.gk_common_information(pmf)
         assert gw.gk_common_information(pmf) is first
-        assert labelled == [pmf]
+        assert labelled == [pmf.cardinalities]
         assert gw.verify_c2(pmf).c_value == first.value
+        cached = len(common_information._GK_RESULTS)
+        built = []
+        monkeypatch.setattr(gw.distributions, "validate", lambda *a: built.append(a))
+        monkeypatch.setattr(
+            gw.distributions.SupportView, "__init__", lambda *a: built.append(a)
+        )
         for drop in range(pmf.k):
             assert gw.verify_monotonicity(pmf, drop)[0] == first.value
-        # The full law once, then each of its three marginals once.
-        assert len(labelled) == 1 + pmf.k
-        assert len({id(law) for law in labelled}) == len(labelled)
+        # The full law once, then each drop labels its marginal once, and
+        # builds no law, support view or cache entry for it.
+        cards = pmf.cardinalities
+        assert labelled == [cards] + [cards[:d] + cards[d + 1 :] for d in range(pmf.k)]
+        assert built == []
+        assert len(common_information._GK_RESULTS) == cached
 
     def test_an_equal_law_is_computed_afresh(self):
         pmf = copy_pair()
@@ -137,7 +146,7 @@ class TestBruteForceOracle:
         worst = max(gw.markov_slack(joint, k) for k in range(2))
         _, slack = common_information._score_labels(view, labels[support], h_k)
         assert slack == pytest.approx(worst, abs=1e-12)
-        components = common_information.common_part_labels(pmf)
+        components = common_information.common_part_labels(view.digits, pmf.cardinalities)
         assert common_information._score_labels(view, components, h_k)[1] == 0.0
 
     def test_oracle_equivalence_sample(self):
@@ -618,6 +627,25 @@ class TestVerifyMonotonicity:
     def test_needs_three_sources(self):
         with pytest.raises(KTooSmallError):
             gw.verify_monotonicity(copy_pair(), 0)
+
+    @pytest.mark.parametrize(
+        "drop, error", [(3, IndexError), (-1, IndexError), (True, TypeError), (1.0, TypeError)]
+    )
+    def test_drop_must_name_a_variable(self, ex1, drop, error):
+        with pytest.raises(error):
+            gw.verify_monotonicity(ex1, drop)
+
+    @pytest.mark.parametrize(
+        "laws",
+        [lambda: acceptance_joints(100, seed=20260810, k=3), lambda: [example1(), example2()]],
+        ids=["acceptance", "examples"],
+    )
+    def test_reduced_c_is_c_of_the_marginal_law_to_the_bit(self, laws):
+        for pmf in laws():
+            for drop in range(pmf.k):
+                keep = [i for i in range(pmf.k) if i != drop]
+                reduced = gw.gk_common_information(gw.marginalize(pmf, keep)).value
+                assert gw.verify_monotonicity(pmf, drop)[1].hex() == reduced.hex()
 
 
 class TestVerifyProp4:

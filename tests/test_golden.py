@@ -20,6 +20,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # name -> (exit code, argv); {ex1}, {ex2} and {wx0} are document paths.
 PIPELINES = {
+    "ex1_info": (0, ["info", "--pmf", "{ex1}"]),
+    "ex2_info": (0, ["info", "--pmf", "{ex2}"]),
     "ex1_common_info_gk": (0, ["common-info", "--pmf", "{ex1}", "--method", "gk"]),
     "ex2_common_info_gk": (0, ["common-info", "--pmf", "{ex2}", "--method", "gk"]),
     "ex2_common_info_wyner": (0, [

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -222,3 +224,24 @@ def test_binary_entropy_helper():
     assert gw.binary_entropy(0.5) == 1.0
     assert gw.binary_entropy(0.0) == 0.0
     assert gw.binary_entropy(0.11) == pytest.approx(binary_entropy(0.11), abs=1e-15)
+
+
+def test_a_law_keeps_only_its_marginal_entropies_and_is_freed_when_dropped():
+    pmf = example2()
+    w = gw.variable_channel(pmf, 0)
+    gw.corner_point(pmf, w)
+    gw.delta_max(pmf)
+    gw.verify_c2(pmf)
+    gw.pairwise_mi_bounds(pmf)
+    for drop in range(pmf.k):
+        gw.verify_monotonicity(pmf, drop)
+    for sel in ([0], [1, 2], [2, 0, 1]):
+        gw.entropy(pmf, sel)
+    # At most one float per non-empty selection, and nothing per channel.
+    memo = pmf._entropies
+    assert 0 < len(memo) <= 2**pmf.k - 1
+    assert all(type(h) is float for h in memo.values())
+    law = weakref.ref(pmf)
+    del pmf, memo
+    gc.collect()
+    assert law() is None

@@ -9,7 +9,7 @@ import dataclasses
 import io
 import math
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -160,6 +160,69 @@ def test_pair_stats_match_the_join_and_the_codec_tables(pair):
     assert stats.h_given_w == tuple(old.private_rate(k) for k in range(pmf.k))
     assert stats.h_given_wk == tuple(old.equivocation_target(k) for k in range(pmf.k))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.cost_k, old.cost_k))
+
+
+def _memoized_measures(pmf, w):
+    """(name, measure of a law) for every measure that reads the entropy
+    memo; each returns floats as their hex and arrays as their bytes."""
+    k = pmf.k
+    subsets = [s for r in range(1, k + 1) for s in combinations(range(k), r)]
+    disjoint = [(a, b) for a in subsets for b in subsets if not set(a) & set(b)]
+
+    def pair_stats(law):
+        stats = PairStats(law, w)
+        floats = (stats.mi, stats.h_pair, *stats.h_pair_k, *stats.h_given_w, *stats.h_given_wk)
+        return [t.tobytes() for t in stats.pair_k], [x.hex() for x in floats]
+
+    def corner(law):
+        c = gw.corner_point(law, w)
+        return [x.hex() for x in (c.r0, *c.rk, c.delta)]
+
+    measures = [(f"H{s}", lambda law, s=s: gw.entropy(law, s[::-1]).hex()) for s in subsets]
+    measures += [
+        (f"H{a}|{b}", lambda law, a=a, b=b: gw.conditional_entropy(law, a, b).hex())
+        for a, b in disjoint
+    ]
+    measures += [
+        (f"I{a};{b}", lambda law, a=a, b=b: gw.mutual_information(law, a, b).hex())
+        for a, b in disjoint
+    ]
+    measures += [
+        ("delta_max", lambda law: gw.delta_max(law).hex()),
+        ("corner", corner),
+        ("pair_stats", pair_stats),
+    ]
+    return measures
+
+
+@SETTINGS
+@given(joints_with_channels(), st.data())
+def test_memoized_measures_equal_a_twin_laws_to_the_bit(pair, data):
+    # The law's memo is warmed in a drawn order; each twin (equal values,
+    # new object) answers one measure from a cold memo.
+    pmf, w = pair
+    measures = _memoized_measures(pmf, w)
+    order = data.draw(st.permutations(range(len(measures))))
+    warm = {measures[i][0]: measures[i][1](pmf) for i in order}
+    for name, measure in measures:
+        twin = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities.copy())
+        assert warm[name] == measure(twin), name
+    assert measures[0][1](pmf) == warm[measures[0][0]]  # a memo hit
+    memo = pmf._entropies
+    assert len(memo) <= 2**pmf.k - 1
+    assert all(type(h) is float for h in memo.values())
+    assert all(key == tuple(sorted(key)) for key in memo)
+
+
+@SETTINGS
+@given(joints())
+def test_reduced_c_is_c_of_the_marginal_law_to_the_bit(pmf):
+    if pmf.k < 3:
+        pmf = gw.product(pmf, gw.JointPmf(("Y",), (2,), [0.25, 0.75]))
+    for drop in range(pmf.k):
+        keep = [i for i in range(pmf.k) if i != drop]
+        reduced = gw.gk_common_information(gw.marginalize(pmf, keep)).value
+        assert gw.verify_monotonicity(pmf, drop)[1].hex() == reduced.hex()
 
 
 @SETTINGS
