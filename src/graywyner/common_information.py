@@ -45,7 +45,7 @@ from .distributions import (
     deterministic_channel,
 )
 from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
-from .infotheory import PairStats, entropy, entropy_of_vector, mutual_information
+from .infotheory import corner_measures, entropy, entropy_of_vector, mutual_information
 
 BRUTE_SUPPORT_LIMIT = 8
 BRUTE_SLACK_TOL = 1e-12
@@ -226,9 +226,13 @@ def _label_witness(pmf: JointPmf, labels: np.ndarray) -> AuxChannel:
     return deterministic_channel(pmf, full, int(labels.max()) + 1)
 
 
-# Exact C of each live law.  A JointPmf is immutable and compares by
-# identity, so an entry can never go stale, and it leaves with its law.
+# Exact C, the brute-force oracle's result and C after each dropped
+# variable, per live law.  A JointPmf is immutable and compares by identity,
+# so an entry can never go stale, and it leaves with its law.  No entry
+# refers to its law: a witness channel holds it only weakly.
 _GK_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_ORACLE_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_REDUCED_C: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
@@ -322,9 +326,13 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
     rows may take any label and are left to the exact check.  The surviving
     rows get the exact scalar check and the first-strictly-greater value
     comparison, in table order, so value, witness and diagnostics are
-    those of scoring every partition one at a time.
+    those of scoring every partition one at a time.  The result is computed
+    once per law object, like ``gk_common_information``'s.
     """
     _require_sources(pmf)
+    result = _ORACLE_RESULTS.get(pmf)
+    if result is not None:
+        return result
     view = pmf.support
     if view.size > BRUTE_SUPPORT_LIMIT:
         raise SupportTooLargeError(
@@ -347,10 +355,11 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
         if worst <= BRUTE_SLACK_TOL and value > best[0]:
             best = (value, labels, worst)
     value, labels, residual = best
-    return CommonInfoResult(
+    result = _ORACLE_RESULTS[pmf] = CommonInfoResult(
         value, _label_witness(pmf, labels), "brute_force",
         Diagnostics(len(table), residual, True),
     )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +544,18 @@ def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
 
     The reduced C is scored as ``gk_common_information`` scores the
     marginal law, to the bit, but from its tensor alone: no law, support
-    view, witness or cache entry is built for it."""
+    view or witness is built for it.  It is computed once per (law, drop)
+    and kept, as a float, as long as the law lives."""
     _require_sources(pmf, least=3)
     (drop,) = check_selection(pmf, [drop], "drop")
-    marginal = pmf.probabilities.sum(axis=drop)
-    flat = marginal.reshape(-1)
-    rows = np.flatnonzero(flat > 0.0)
-    labels = common_part_labels(np.unravel_index(rows, marginal.shape), marginal.shape)
-    reduced = entropy_of_vector(np.bincount(labels, weights=flat[rows]))
-    return gk_common_information(pmf).value, reduced
+    reduced = _REDUCED_C.setdefault(pmf, {})
+    if drop not in reduced:
+        marginal = pmf.probabilities.sum(axis=drop)
+        flat = marginal.reshape(-1)
+        rows = np.flatnonzero(flat > 0.0)
+        labels = common_part_labels(np.unravel_index(rows, marginal.shape), marginal.shape)
+        reduced[drop] = entropy_of_vector(np.bincount(labels, weights=flat[rows]))
+    return gk_common_information(pmf).value, reduced[drop]
 
 
 def _prop4_report(c: float, mn: float, mx: float, estimate_b) -> Prop4Report:
@@ -586,11 +598,9 @@ def verify_c2(pmf: JointPmf) -> C2Report:
     """
     result = gk_common_information(pmf)
     c = result.value
-    stats = PairStats(pmf, result.witness)
-    rate_residuals = tuple(
-        (entropy(pmf, [k]) - c) - h for k, h in enumerate(stats.h_given_w)
-    )
-    mi_residual = c - stats.mi
+    mi, h_given_w, _ = corner_measures(pmf, result.witness)
+    rate_residuals = tuple((entropy(pmf, [k]) - c) - h for k, h in enumerate(h_given_w))
+    mi_residual = c - mi
     worst = max(max(abs(r) for r in rate_residuals), abs(mi_residual))
     if worst > C2_TOL:
         raise WitnessInfeasibleError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,7 +96,9 @@ class JointPmf:
         return tuple(int(s) for s in np.unravel_index(index, self.cardinalities))
 
     def digits(self, var: int) -> np.ndarray:
-        """Symbol of variable ``var`` for every row-major joint outcome."""
+        """Symbol of variable ``var`` for every row-major joint outcome;
+        ``var`` is checked like an index of a selection."""
+        (var,) = check_selection(self, [var], "var")
         idx = np.arange(self.num_outcomes)
         return np.unravel_index(idx, self.cardinalities)[var]
 
@@ -159,6 +162,9 @@ class AuxChannel:
 
     w_cardinality: int
     rows: np.ndarray
+    # (weak reference to a law, its corner measures) of the last law this
+    # channel was measured with; only ``infotheory.corner_measures`` sets it.
+    _corner = None
 
     def __post_init__(self):
         object.__setattr__(self, "w_cardinality", int(self.w_cardinality))
@@ -179,6 +185,10 @@ class AuxChannel:
                 f"channel row sums deviate from 1 by up to {worst:.3e}"
             )
         object.__setattr__(self, "rows", _frozen_array(rows))
+
+    def __getstate__(self):
+        # A weak reference cannot be pickled; a copy starts with no memo.
+        return {k: v for k, v in self.__dict__.items() if k != "_corner"}
 
     @property
     def num_rows(self) -> int:
@@ -322,7 +332,14 @@ def product(a: JointPmf, b: JointPmf) -> JointPmf:
 
 
 def constant_channel(pmf: JointPmf, w_cardinality: int = 1) -> AuxChannel:
-    """W constant (all mass on symbol 0), independent of the sources."""
+    """W constant (all mass on symbol 0), independent of the sources.
+
+    ``w_cardinality`` must be an integer (numpy integers too; not a bool)
+    of at least 1, checked before the rows are allocated."""
+    if isinstance(w_cardinality, bool) or not isinstance(w_cardinality, numbers.Integral):
+        raise TypeError(f"w_cardinality must be an integer, got {w_cardinality!r}")
+    if w_cardinality < 1:
+        raise ShapeMismatchError("w_cardinality must be >= 1")
     rows = np.zeros((pmf.num_outcomes, w_cardinality))
     rows[:, 0] = 1.0
     return AuxChannel(w_cardinality, rows)
@@ -351,7 +368,8 @@ def deterministic_channel(
 
 
 def variable_channel(pmf: JointPmf, var: int) -> AuxChannel:
-    """W = X_var (deterministic copy of one source variable)."""
+    """W = X_var (deterministic copy of one source variable); ``var`` is
+    checked by ``JointPmf.digits``."""
     return deterministic_channel(pmf, pmf.digits(var), pmf.cardinalities[var])
 
 

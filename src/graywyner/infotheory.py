@@ -9,6 +9,7 @@ non-negative.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -192,3 +193,20 @@ class PairStats:
     def cost_k(self) -> tuple[np.ndarray, ...]:
         with np.errstate(divide="ignore"):
             return tuple(-np.log2(t) for t in self.pair_k)
+
+
+def corner_measures(
+    pmf: JointPmf, w: AuxChannel
+) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """``PairStats``' (mi, h_given_w, h_given_wk) of the pair, computed once.
+
+    The channel keeps the floats of the last law it was measured with in
+    one slot, next to a weak reference to that law: a repeated pair builds
+    nothing, the channel never keeps its law alive, and no law holds a
+    channel.  A pair with another law replaces the slot."""
+    memo = w._corner
+    if memo is None or memo[0]() is not pmf:
+        stats = PairStats(pmf, w)
+        memo = (weakref.ref(pmf), (stats.mi, stats.h_given_w, stats.h_given_wk))
+        object.__setattr__(w, "_corner", memo)
+    return memo[1]

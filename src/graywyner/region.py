@@ -18,7 +18,7 @@ from . import _optim
 from .common_information import gk_common_information
 from .distributions import AuxChannel, JointPmf, constant_channel, copy_channel
 from .errors import KTooSmallError, ShapeMismatchError
-from .infotheory import PairStats, entropy
+from .infotheory import corner_measures, entropy
 
 ACHIEVABILITY_TOL = 1e-9
 
@@ -68,10 +68,11 @@ def corner_point(pmf: JointPmf, w: AuxChannel) -> RateEquivocationTuple:
     """Extreme tuple achievable with this W.
 
     Delta terms use H(X-bar|W, X_k) = H(X-bar, W) - H(X_k, W), which holds
-    because X_k is a coordinate of X-bar.
+    because X_k is a coordinate of X-bar.  The measures come from the
+    channel's corner memo (``infotheory.corner_measures``).
     """
-    stats = PairStats(pmf, w)
-    return RateEquivocationTuple(stats.mi, stats.h_given_w, sum(stats.h_given_wk))
+    mi, h_given_w, h_given_wk = corner_measures(pmf, w)
+    return RateEquivocationTuple(mi, h_given_w, sum(h_given_wk))
 
 
 def delta_max(pmf: JointPmf) -> float:

@@ -83,10 +83,11 @@ class TestGkCommonInformation:
         monkeypatch.setattr(
             gw.distributions.SupportView, "__init__", lambda *a: built.append(a)
         )
-        for drop in range(pmf.k):
+        for drop in [*range(pmf.k), *range(pmf.k)]:
             assert gw.verify_monotonicity(pmf, drop)[0] == first.value
-        # The full law once, then each drop labels its marginal once, and
-        # builds no law, support view or cache entry for it.
+        # The full law once, then each drop labels its marginal once, on
+        # its first call only, and builds no law, support view or exact-C
+        # entry for it.
         cards = pmf.cardinalities
         assert labelled == [cards] + [cards[:d] + cards[d + 1 :] for d in range(pmf.k)]
         assert built == []
@@ -251,6 +252,28 @@ def test_prefilter_keeps_every_row_the_scalar_check_keeps(monkeypatch, family):
     if family == "tiny_link":
         # Rows the conflict test passes and the exact check then rejects.
         assert near > 0
+
+
+def test_the_oracle_scores_partitions_once_per_law(monkeypatch):
+    scored = []
+    score = common_information._score_labels
+
+    def recorded(view, labels, h_k):
+        scored.append(view)
+        return score(view, labels, h_k)
+
+    monkeypatch.setattr(common_information, "_score_labels", recorded)
+    pmf = three_component_law()
+    first = gw.gk_brute_force_oracle(pmf)
+    calls = len(scored)
+    assert calls > 0
+    assert gw.gk_brute_force_oracle(pmf) is first
+    assert len(scored) == calls
+    twin = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities)
+    second = gw.gk_brute_force_oracle(twin)
+    assert len(scored) == 2 * calls
+    assert second.value == first.value
+    assert second.witness.rows.tobytes() == first.witness.rows.tobytes()
 
 
 def test_oracle_memory_does_not_grow_with_bell_n():

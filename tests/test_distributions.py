@@ -192,6 +192,45 @@ class TestChannels:
         assert chan.is_deterministic()
         assert np.array_equal(chan.labels(), labels)
 
+    @pytest.mark.parametrize("var", [-1, 2, 5])
+    def test_variable_index_out_of_range(self, var):
+        pmf = dsbs(0.3)
+        with pytest.raises(IndexError, match=f"var index {var} out of range for 2 variables"):
+            gw.variable_channel(pmf, var)
+        with pytest.raises(IndexError, match=f"var index {var} out of range for 2 variables"):
+            pmf.digits(var)
+
+    @pytest.mark.parametrize("var", [True, False, 1.0, "1"])
+    def test_variable_index_must_be_an_integer(self, var):
+        pmf = dsbs(0.3)
+        with pytest.raises(TypeError, match="var indices must be integers"):
+            gw.variable_channel(pmf, var)
+        with pytest.raises(TypeError, match="var indices must be integers"):
+            pmf.digits(var)
+
+    def test_variable_index_may_be_a_numpy_integer(self):
+        pmf = dsbs(0.3)
+        assert np.array_equal(pmf.digits(np.int64(1)), [0, 1, 0, 1])
+        chan = gw.variable_channel(pmf, np.int64(1))
+        assert chan.rows.tobytes() == gw.variable_channel(pmf, 1).rows.tobytes()
+
+    @pytest.mark.parametrize("m", [0, -1, np.int64(0)])
+    def test_constant_channel_needs_a_symbol(self, m):
+        # Raised before numpy sees the shape: -1 was numpy's "negative
+        # dimensions" ValueError and 0 an IndexError.
+        with pytest.raises(ShapeMismatchError, match="w_cardinality must be >= 1"):
+            gw.constant_channel(dsbs(0.3), m)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2", None])
+    def test_constant_channel_cardinality_must_be_an_integer(self, m):
+        with pytest.raises(TypeError, match="w_cardinality must be an integer"):
+            gw.constant_channel(dsbs(0.3), m)
+
+    def test_constant_channel_takes_a_numpy_integer(self):
+        chan = gw.constant_channel(dsbs(0.3), np.int64(3))
+        assert chan.w_cardinality == 3
+        assert chan.rows.tobytes() == gw.constant_channel(dsbs(0.3), 3).rows.tobytes()
+
 
 class TestDocumentIO:
     def test_pmf_roundtrip_bit_exact(self):

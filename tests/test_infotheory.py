@@ -1,11 +1,13 @@
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
 import graywyner as gw
+from graywyner import common_information
 from graywyner.errors import (
     EmptySelectionError,
     MissingAuxAxisError,
@@ -245,3 +247,47 @@ def test_a_law_keeps_only_its_marginal_entropies_and_is_freed_when_dropped():
     del pmf, memo
     gc.collect()
     assert law() is None
+
+
+def test_a_measured_channel_is_freed_while_its_law_lives():
+    pmf = example2()
+    w = gw.variable_channel(pmf, 0)
+    corner = gw.corner_point(pmf, w)
+    assert gw.is_achievable_with(pmf, w, corner)
+    chan = weakref.ref(w)
+    del w
+    gc.collect()
+    assert chan() is None
+    assert gw.corner_point(pmf, gw.variable_channel(pmf, 0)) == corner
+
+
+def test_dropping_a_law_frees_its_exact_c_oracle_and_reduced_c():
+    tables = (
+        common_information._GK_RESULTS,
+        common_information._ORACLE_RESULTS,
+        common_information._REDUCED_C,
+    )
+    gc.collect()
+    before = [len(t) for t in tables]
+    pmf = random_joint(np.random.default_rng(61), k=3)
+    gw.verify_c2(pmf)
+    oracle = gw.gk_brute_force_oracle(pmf)
+    gw.verify_monotonicity(pmf, 1)
+    held = [gw.gk_common_information(pmf), oracle]
+    held += [r.witness for r in held]
+    assert [len(t) for t in tables] == [n + 1 for n in before]
+    refs = [weakref.ref(x) for x in [pmf] + held]
+    del pmf, oracle, held
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert [len(t) for t in tables] == before
+
+
+def test_a_measured_channel_pickles_without_its_memo():
+    pmf = example2()
+    w = gw.variable_channel(pmf, 0)
+    corner = gw.corner_point(pmf, w)
+    copied = pickle.loads(pickle.dumps(w))
+    assert copied._corner is None
+    assert copied.rows.tobytes() == w.rows.tobytes()
+    assert gw.corner_point(pmf, copied) == corner

@@ -156,3 +156,31 @@ def test_one_statistics_object_per_simulation(monkeypatch):
     assert gw.exact_equivocation(pmf, w, book, cfg, 0) == pytest.approx(0.0, abs=1e-9)
     assert len(built) == 2
     assert book.stats.pmf is pmf and book.stats.w is w
+
+
+def test_a_pair_is_measured_once_for_its_corner(monkeypatch):
+    built = []
+    init = infotheory.PairStats.__init__
+
+    def counted(self, pmf, w):
+        built.append((pmf, w))
+        init(self, pmf, w)
+
+    monkeypatch.setattr(infotheory.PairStats, "__init__", counted)
+    pmf = example2()
+    w = gw.variable_channel(pmf, 0)
+    corner = gw.corner_point(pmf, w)
+    assert gw.is_achievable_with(pmf, w, corner)
+    assert gw.corner_point(pmf, w) == corner
+    assert built == [(pmf, w)]
+    gw.verify_c2(pmf)
+    gw.verify_c2(pmf)
+    assert len(built) == 2
+    # The memo is one slot per channel: another law replaces it, and an
+    # equal-valued channel is another object with its own slot.
+    twin_pmf = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities)
+    twin_w = gw.AuxChannel(w.w_cardinality, w.rows)
+    assert gw.corner_point(twin_pmf, w) == corner
+    assert gw.corner_point(pmf, twin_w) == corner
+    assert gw.corner_point(pmf, w) == corner
+    assert built[2:] == [(twin_pmf, w), (pmf, twin_w), (pmf, w)]

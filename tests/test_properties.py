@@ -162,34 +162,40 @@ def test_pair_stats_match_the_join_and_the_codec_tables(pair):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.cost_k, old.cost_k))
 
 
-def _memoized_measures(pmf, w):
-    """(name, measure of a law) for every measure that reads the entropy
-    memo; each returns floats as their hex and arrays as their bytes."""
-    k = pmf.k
+def _memoized_measures(k):
+    """(name, measure of a law with K = ``k`` and a channel) for every
+    measure that reads the entropy or corner memo; each returns floats as
+    their hex and arrays as their bytes."""
     subsets = [s for r in range(1, k + 1) for s in combinations(range(k), r)]
     disjoint = [(a, b) for a in subsets for b in subsets if not set(a) & set(b)]
 
-    def pair_stats(law):
+    def pair_stats(law, w):
         stats = PairStats(law, w)
         floats = (stats.mi, stats.h_pair, *stats.h_pair_k, *stats.h_given_w, *stats.h_given_wk)
         return [t.tobytes() for t in stats.pair_k], [x.hex() for x in floats]
 
-    def corner(law):
+    def corner(law, w):
         c = gw.corner_point(law, w)
+        assert gw.is_achievable_with(law, w, c)
         return [x.hex() for x in (c.r0, *c.rk, c.delta)]
 
-    measures = [(f"H{s}", lambda law, s=s: gw.entropy(law, s[::-1]).hex()) for s in subsets]
+    def c2(law, w):
+        r = gw.verify_c2(law)
+        return [x.hex() for x in (r.c_value, *r.rate_residuals, r.mi_residual)]
+
+    measures = [(f"H{s}", lambda law, w, s=s: gw.entropy(law, s[::-1]).hex()) for s in subsets]
     measures += [
-        (f"H{a}|{b}", lambda law, a=a, b=b: gw.conditional_entropy(law, a, b).hex())
+        (f"H{a}|{b}", lambda law, w, a=a, b=b: gw.conditional_entropy(law, a, b).hex())
         for a, b in disjoint
     ]
     measures += [
-        (f"I{a};{b}", lambda law, a=a, b=b: gw.mutual_information(law, a, b).hex())
+        (f"I{a};{b}", lambda law, w, a=a, b=b: gw.mutual_information(law, a, b).hex())
         for a, b in disjoint
     ]
     measures += [
-        ("delta_max", lambda law: gw.delta_max(law).hex()),
+        ("delta_max", lambda law, w: gw.delta_max(law).hex()),
         ("corner", corner),
+        ("c2", c2),
         ("pair_stats", pair_stats),
     ]
     return measures
@@ -198,16 +204,20 @@ def _memoized_measures(pmf, w):
 @SETTINGS
 @given(joints_with_channels(), st.data())
 def test_memoized_measures_equal_a_twin_laws_to_the_bit(pair, data):
-    # The law's memo is warmed in a drawn order; each twin (equal values,
-    # new object) answers one measure from a cold memo.
+    # The law's and the channel's memos are warmed in a drawn order; each
+    # twin law and twin channel (equal values, new objects) answer one
+    # measure from cold memos.
     pmf, w = pair
-    measures = _memoized_measures(pmf, w)
+    measures = _memoized_measures(pmf.k)
     order = data.draw(st.permutations(range(len(measures))))
-    warm = {measures[i][0]: measures[i][1](pmf) for i in order}
+    warm = {measures[i][0]: measures[i][1](pmf, w) for i in order}
     for name, measure in measures:
         twin = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities.copy())
-        assert warm[name] == measure(twin), name
-    assert measures[0][1](pmf) == warm[measures[0][0]]  # a memo hit
+        twin_w = gw.AuxChannel(w.w_cardinality, w.rows.copy())
+        assert warm[name] == measure(twin, twin_w), name
+    assert measures[0][1](pmf, w) == warm[measures[0][0]]  # a memo hit
+    assert w._corner[0]() is pmf
+    assert dict(measures)["corner"](pmf, w) == warm["corner"]  # a corner memo hit
     memo = pmf._entropies
     assert len(memo) <= 2**pmf.k - 1
     assert all(type(h) is float for h in memo.values())
