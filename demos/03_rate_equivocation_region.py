@@ -6,7 +6,7 @@ For any auxiliary W the extreme achievable tuple is
 
 The constant channel spends zero common rate and attains the maximum total
 equivocation delta_max; the copy channel discloses everything.  Between the
-extremes, the searched witnesses show how much common rate can be carried
+extremes, the sweep's witnesses show how much common rate can be carried
 while keeping total equivocation at delta_max: exactly up to the common
 information C, realized by the component witness.
 """
@@ -48,7 +48,7 @@ def main():
 
     print()
     print("== searched best delta across r0 budgets ==")
-    sweep = gw.sweep_max_delta(pmf, [0.0, 0.5, 1.0, 2.0], restarts=2, seed=5)
+    sweep = gw.sweep_max_delta(pmf, [0.0, 0.5, 1.0, 2.0])
     print("r0_budget  delta    I(X-bar;W) of witness")
     for point in sweep.points:
         used = gw.corner_point(pmf, point.witness).r0

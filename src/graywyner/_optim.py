@@ -2,9 +2,9 @@
 
 Channels are optimized through row-wise softmax logits, so iterates stay
 inside the simplex.  ``lbfgs`` is the one L-BFGS-B solve over such logits.
-``fit_channel``, the soft-channel search of the region searches and the
-relaxation spot check, is its only caller: a seeded random start, then one
-solve per objective of a penalty schedule.
+``fit_channel`` is its only caller: a seeded random start, then one solve
+per objective of a penalty schedule.  It serves the membership search
+(``region.is_achievable``) and the relaxation spot check only.
 
 ``lbfgs`` drives scipy's compiled step, the private
 ``scipy.optimize._lbfgsb.setulb``, in its own loop, without the per-call
@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import numbers
 import os
 
 import numpy as np
@@ -144,6 +145,14 @@ class ChannelEval:
         self.mk = [oh.T @ self.t for oh in view.onehots]
         self.lmk = [safe_log(m) for m in self.mk]
         self.h_kw = [-float((m * lm).sum()) for m, lm in zip(self.mk, self.lmk)]
+
+
+def check_restarts(restarts, minimum: int) -> None:
+    """Reject a count of solves that is not an integer (or is a bool) or is below ``minimum``."""
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
+        raise TypeError(f"restarts must be an integer, got {restarts!r}")
+    if restarts < minimum:
+        raise ValueError(f"restarts must be >= {minimum}")
 
 
 def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.ndarray:

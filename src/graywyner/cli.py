@@ -19,7 +19,7 @@ import os
 import sys
 from typing import IO
 
-from . import codec_sim, common_information, region
+from . import _optim, codec_sim, common_information, region
 from .distributions import (
     JointPmf,
     load_aux_channel,
@@ -177,12 +177,14 @@ def _cmd_region(args) -> int:
         _emit({"r0": corner.r0, "rk": list(corner.rk), "delta": corner.delta})
         return 0
     if args.region_command == "sweep":
-        seed = _require_seed(args)
-        budgets = _parse_floats(args.r0_grid)
-        result = region.sweep_max_delta(
-            pmf, budgets, w_cardinality=args.w_cardinality,
-            restarts=args.restarts, seed=seed,
-        )
+        # The sweep takes no search options; --seed, --restarts and --w-cardinality
+        # are still checked, in the old order, so exit codes and messages stay.
+        _require_seed(args)
+        budgets = region._check_budgets(_parse_floats(args.r0_grid))
+        _optim.check_restarts(args.restarts, 0)
+        result = region.sweep_max_delta(pmf, budgets)
+        if budgets:
+            pmf.support.w_cardinality(args.w_cardinality)
         witness_files = []
         for i, point in enumerate(result.points):
             name = ""
@@ -408,7 +410,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corner.add_argument("--pmf", required=True)
     p_corner.add_argument("--aux", required=True)
     p_corner.set_defaults(handler=_cmd_region)
-    p_sweep = region_sub.add_parser("sweep", help="max delta across R0 budgets")
+    p_sweep = region_sub.add_parser(
+        "sweep", help="max delta across R0 budgets",
+        description="--w-cardinality, --restarts and --seed are accepted for "
+        "compatibility; they do not change the sweep.",
+    )
     p_sweep.add_argument("--pmf", required=True)
     p_sweep.add_argument("--r0-grid", dest="r0_grid", required=True)
     p_sweep.add_argument("--w-cardinality", dest="w_cardinality", type=int)

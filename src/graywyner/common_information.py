@@ -45,7 +45,7 @@ from .distributions import (
     deterministic_channel,
 )
 from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
-from .infotheory import corner_measures, entropy, entropy_of_vector, mutual_information
+from .infotheory import _entropy, corner_measures, entropy_of_vector, mutual_information
 
 BRUTE_SUPPORT_LIMIT = 8
 BRUTE_SLACK_TOL = 1e-12
@@ -599,7 +599,7 @@ def verify_c2(pmf: JointPmf) -> C2Report:
     result = gk_common_information(pmf)
     c = result.value
     mi, h_given_w, _ = corner_measures(pmf, result.witness)
-    rate_residuals = tuple((entropy(pmf, [k]) - c) - h for k, h in enumerate(h_given_w))
+    rate_residuals = tuple((_entropy(pmf, (k,)) - c) - h for k, h in enumerate(h_given_w))
     mi_residual = c - mi
     worst = max(max(abs(r) for r in rate_residuals), abs(mi_residual))
     if worst > C2_TOL:
@@ -624,8 +624,7 @@ def relaxation_spot_check(
     penalized maxima would exceed C by more than the finite-penalty bias;
     ``exceeds`` flags a value above C + ``SPOT_FLAG_TOL`` for investigation.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _optim.check_restarts(restarts, 1)
     c = gk_common_information(pmf).value
     view = pmf.support
     h_x = entropy_of_vector(view.p) * _optim.LN2

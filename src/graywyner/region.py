@@ -18,7 +18,7 @@ from . import _optim
 from .common_information import gk_common_information
 from .distributions import AuxChannel, JointPmf, constant_channel, copy_channel
 from .errors import KTooSmallError, ShapeMismatchError
-from .infotheory import corner_measures, entropy
+from .infotheory import _entropy, corner_measures
 
 ACHIEVABILITY_TOL = 1e-9
 
@@ -42,9 +42,9 @@ class RateEquivocationTuple:
 class SweepPoint:
     """One budget of a sweep and its best certified witness.
 
-    ``converged`` is always true: the constant channel has r0 = 0, so it
-    meets every budget and each point is certified by some candidate.  The
-    field stays because the CLI's sweep output prints it.
+    ``delta`` is ``delta_max`` at every budget: no W exceeds it, since
+    H(X-bar|W, X_k) <= H(X-bar|X_k), and the constant channel (r0 = 0)
+    reaches it.  So ``converged`` is always true; the CLI prints it.
     """
 
     r0_budget: float
@@ -79,8 +79,8 @@ def delta_max(pmf: JointPmf) -> float:
     """Maximum total equivocation sum_k H(X-bar | X_k)."""
     if pmf.k < 2:
         raise KTooSmallError("delta_max needs at least two sources")
-    h_all = entropy(pmf)
-    return sum(max(0.0, h_all - entropy(pmf, [k])) for k in range(pmf.k))
+    h_all = _entropy(pmf, tuple(range(pmf.k)))
+    return sum(max(0.0, h_all - _entropy(pmf, (k,))) for k in range(pmf.k))
 
 
 def is_achievable_with(
@@ -97,113 +97,52 @@ def is_achievable_with(
     return t.delta <= corner.delta + ACHIEVABILITY_TOL
 
 
-# ---------------------------------------------------------------------------
-# Heuristic searches over auxiliary channels
-# ---------------------------------------------------------------------------
-
-
-def _seed_channels(pmf: JointPmf) -> list[AuxChannel]:
-    # Analytic extremes first: the component witness, then the degenerate
-    # and full-disclosure channels.  Order fixes deterministic tie-breaks.
-    return [
-        gk_common_information(pmf).witness,
-        constant_channel(pmf),
-        copy_channel(pmf),
-    ]
-
-
-def _check_restarts(restarts: int) -> None:
-    # Zero restarts is valid: the seed channels alone.
-    if restarts < 0:
-        raise ValueError("restarts must be >= 0")
-
-
-def _refine(pmf: JointPmf, objectives, w_cardinality, restarts, seed):
-    """One soft channel per restart r, searched from seed (seed, r) on demand.
-
-    ``w_cardinality`` is checked on the call, before any candidate is asked
-    for, so a search that a seed channel ends early still rejects it.
-    """
-    view = pmf.support
-    w_card = view.w_cardinality(w_cardinality)
-
-    def fits():
-        for r in range(restarts):
-            rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
-            yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
-
-    return fits()
-
-
-def _max_delta_objectives(pmf: JointPmf, budget: float):
-    view = pmf.support
-    h_x_nats = -float((view.p * np.log(view.p)).sum())
-
-    def objective(mu):
-        def penalized(ev):
-            delta_bits = sum(ev.h_joint - hkw for hkw in ev.h_kw) / _optim.LN2
-            i_bits = (h_x_nats + ev.h_w - ev.h_joint) / _optim.LN2
-            excess = max(0.0, i_bits - budget)
-            f = -delta_bits + mu * excess * excess
-            grad_delta_nats = -(pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, view.digits)))
-            grad_i_nats = ev.lt - ev.lpw[None, :]
-            return f, (-grad_delta_nats + 2.0 * mu * excess * grad_i_nats / _optim.LN2) / _optim.LN2
-
-        return penalized
-
-    return [objective(mu) for mu in (10.0, 1e3, 1e5)]
-
-
-def max_delta_at_r0(
-    pmf: JointPmf,
-    r0_budget: float,
-    w_cardinality: int | None = None,
-    restarts: int = 4,
-    seed: int = 0,
-) -> tuple[float, AuxChannel]:
-    """Best certified total equivocation with I(X-bar; W) <= r0_budget.
-
-    The component witness, the constant channel, and the copy channel are
-    always evaluated alongside penalized random refinements, so analytic
-    extreme points are never missed; the returned delta is the corner-point
-    value of the returned witness.
-    """
-    point = sweep_max_delta(pmf, [r0_budget], w_cardinality, restarts, seed).points[0]
-    return point.delta, point.witness
-
-
-def sweep_max_delta(
-    pmf: JointPmf,
-    r0_budgets,
-    w_cardinality: int | None = None,
-    restarts: int = 4,
-    seed: int = 0,
-) -> SweepResult:
-    """max_delta_at_r0 across a grid of budgets; every point is certified.
-
-    The seed channels and their corners are built once for the whole grid;
-    budget i refines from seed ``seed + i``.
-    """
+def _check_budgets(r0_budgets) -> list[float]:
     budgets = [float(b) for b in r0_budgets]
     if not all(b >= 0 for b in budgets):  # NaN included
         raise ValueError("r0_budget must be a non-negative number")
-    _check_restarts(restarts)
-    seeded = [(corner_point(pmf, cand), cand) for cand in _seed_channels(pmf)]
+    return budgets
+
+
+def max_delta_at_r0(pmf: JointPmf, r0_budget: float) -> tuple[float, AuxChannel]:
+    """Largest total equivocation with I(X-bar; W) <= r0_budget, and its witness.
+
+    No W exceeds ``delta_max``, since H(X-bar|W, X_k) <= H(X-bar|X_k), and
+    the constant channel reaches it at r0 = 0; see ``sweep_max_delta``.
+    """
+    point = sweep_max_delta(pmf, [r0_budget]).points[0]
+    return point.delta, point.witness
+
+
+def sweep_max_delta(pmf: JointPmf, r0_budgets) -> SweepResult:
+    """max_delta_at_r0 across a grid of budgets, without a search.
+
+    No W exceeds ``delta_max``, since H(X-bar|W, X_k) <= H(X-bar|X_k).  The
+    component witness reaches it at r0 = C and the constant channel at
+    r0 = 0; their corners are measured once per sweep, in that order.  A
+    budget takes the first whose r0 fits it, and the other only if its delta
+    is larger by more than 1e-12, so a budget of at least C keeps C's witness.
+    """
+    budgets = _check_budgets(r0_budgets)
+    witnesses = (gk_common_information(pmf).witness, constant_channel(pmf))
+    corners = [(corner_point(pmf, w), w) for w in witnesses]
     points = []
-    for i, budget in enumerate(budgets):
-        refined = _refine(
-            pmf, _max_delta_objectives(pmf, budget), w_cardinality, restarts, seed + i
-        )
+    for budget in budgets:
         # The constant channel has r0 exactly 0, so it fits every budget and
         # ``best`` is set by the time the loop ends.
         best = None
-        for corner, cand in chain(seeded, ((corner_point(pmf, c), c) for c in refined)):
+        for corner, w in corners:
             if corner.r0 > budget + ACHIEVABILITY_TOL:
                 continue
             if best is None or corner.delta > best[0] + 1e-12:
-                best = (corner.delta, cand)
+                best = (corner.delta, w)
         points.append(SweepPoint(budget, best[0], True, best[1]))
     return SweepResult(tuple(points))
+
+
+# ---------------------------------------------------------------------------
+# Heuristic searches over auxiliary channels
+# ---------------------------------------------------------------------------
 
 
 def _membership_objective(pmf: JointPmf, t: RateEquivocationTuple):
@@ -242,14 +181,26 @@ def is_achievable(
 ) -> AchievabilityResult:
     """One-sided membership test: certify with a witness or answer Unknown.
 
-    The Unknown verdict never claims non-membership; the witness search is
-    heuristic, and it stops at the first candidate that certifies ``t``.
+    The candidates are the analytic extremes, then one soft channel per
+    restart r, searched from seed (seed, r) on demand; ``w_cardinality`` is
+    checked before any candidate is tried.  The Unknown verdict never claims
+    non-membership; the search is heuristic, and it stops at the first
+    candidate that certifies ``t``.
     """
-    _check_restarts(restarts)
-    candidates = chain(_seed_channels(pmf), _refine(
-        pmf, [_membership_objective(pmf, t)], w_cardinality, restarts, seed
-    ))
-    for cand in candidates:
+    _optim.check_restarts(restarts, 0)
+    # The component witness, then the degenerate and full-disclosure
+    # channels.  Order fixes deterministic tie-breaks.
+    seeds = [gk_common_information(pmf).witness, constant_channel(pmf), copy_channel(pmf)]
+    view = pmf.support
+    w_card = view.w_cardinality(w_cardinality)
+    objectives = [_membership_objective(pmf, t)]
+
+    def fits():
+        for r in range(restarts):
+            rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
+            yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
+
+    for cand in chain(seeds, fits()):
         if is_achievable_with(pmf, cand, t):
             return AchievabilityResult("achievable", cand)
     return AchievabilityResult("unknown", None)

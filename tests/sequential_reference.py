@@ -23,7 +23,10 @@ plain Python ints, and ``build_codebook`` finds p by trial division.
 Every score adds a block's position costs left to right (``left_sum``).
 ``claim_loop`` is the exact equivocation's encoder map as it was before
 chunks and pruning: every codeword pattern scores every block.
-``sweep_max_delta`` rebuilds the seed channels for every budget.
+``sweep_max_delta`` is the max-delta search as it was before it became a
+two-corner rule: for every budget, the three seed channels and ``restarts``
+penalized soft-channel solves (``max_delta_objectives``), the best certified
+delta kept under the package's filter and tie rule.
 """
 
 import math
@@ -34,7 +37,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from graywyner import _optim, codec_sim, common_information as ci, region
-from graywyner.distributions import deterministic_channel, join_with_aux, validate
+from graywyner.distributions import (
+    constant_channel,
+    copy_channel,
+    deterministic_channel,
+    join_with_aux,
+    validate,
+)
 from graywyner.errors import SupportTooLargeError
 from graywyner.infotheory import (
     conditional_entropy,
@@ -233,10 +242,49 @@ class CodecStats:
         return max(0.0, self.h_pair - self.h_pair_k[k])
 
 
+def seed_channels(pmf):
+    """The analytic candidates in their tie-break order."""
+    return [
+        ci.gk_common_information(pmf).witness,
+        constant_channel(pmf),
+        copy_channel(pmf),
+    ]
+
+
+def refine(pmf, objectives, w_cardinality, restarts, seed):
+    """One soft channel per restart r, searched from seed (seed, r)."""
+    view = pmf.support
+    w_card = view.w_cardinality(w_cardinality)
+    for r in range(restarts):
+        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
+        yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
+
+
+def max_delta_objectives(pmf, budget):
+    """-delta plus a quadratic penalty on I(X-bar; W) above ``budget``, one
+    objective per penalty weight."""
+    view = pmf.support
+    h_x_nats = -float((view.p * np.log(view.p)).sum())
+
+    def objective(mu):
+        def penalized(ev):
+            delta_bits = sum(ev.h_joint - hkw for hkw in ev.h_kw) / _optim.LN2
+            i_bits = (h_x_nats + ev.h_w - ev.h_joint) / _optim.LN2
+            excess = max(0.0, i_bits - budget)
+            f = -delta_bits + mu * excess * excess
+            grad_delta_nats = -(pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, view.digits)))
+            grad_i_nats = ev.lt - ev.lpw[None, :]
+            return f, (-grad_delta_nats + 2.0 * mu * excess * grad_i_nats / _optim.LN2) / _optim.LN2
+
+        return penalized
+
+    return [objective(mu) for mu in (10.0, 1e3, 1e5)]
+
+
 def max_delta_at_r0(pmf, r0_budget, w_cardinality=None, restarts=4, seed=0):
     """One budget's search with its own seed channels and corners."""
-    candidates = chain(region._seed_channels(pmf), region._refine(
-        pmf, region._max_delta_objectives(pmf, r0_budget), w_cardinality, restarts, seed
+    candidates = chain(seed_channels(pmf), refine(
+        pmf, max_delta_objectives(pmf, r0_budget), w_cardinality, restarts, seed
     ))
     best = None
     for cand in candidates:

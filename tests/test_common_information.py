@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import graywyner as gw
-from graywyner import common_information
+from graywyner import _optim, common_information
 from graywyner.errors import (
     KTooSmallError,
     SupportTooLargeError,
@@ -721,6 +721,15 @@ class TestRelaxationSpotCheck:
     def test_needs_a_restart(self, ex2):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             gw.relaxation_spot_check(ex2, restarts=0, seed=2)
+
+    @pytest.mark.parametrize("restarts", [2.5, 2.0, True, "2", None])
+    def test_restarts_must_be_an_integer(self, ex2, restarts, monkeypatch):
+        # Rejected before any solve: ``True`` used to run as one restart.
+        calls = []
+        monkeypatch.setattr(_optim, "fit_channel", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(TypeError, match="restarts must be an integer"):
+            gw.relaxation_spot_check(ex2, restarts=restarts, seed=2)
+        assert calls == []
 
     def test_examples_not_exceeded(self, ex1, ex2):
         for pmf in (ex1, ex2):

@@ -7,6 +7,9 @@ values themselves, so a refactor that moves any of them fails here.
 """
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,26 @@ def test_cli_stdout_matches_golden(name, tmp_path):
     code, stdout = run_pipeline(argv, write_documents(tmp_path))
     assert code == expected_code
     assert stdout == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
+
+
+SWEEP_PROBE = """
+import sys
+from graywyner.cli import run
+code = run(sys.argv[1:])
+print(code, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_region_sweep_does_not_load_the_solver(tmp_path):
+    # The sweep is a two-corner rule, so a sweep command never imports
+    # scipy.optimize, which takes longer to load than the command runs.
+    _, argv = PIPELINES["ex2_region_sweep"]
+    paths = write_documents(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_PROBE, *(arg.format(**paths) for arg in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import graywyner as gw
-from graywyner import common_information
+from graywyner import common_information, distributions, infotheory
 from graywyner.errors import (
     EmptySelectionError,
     MissingAuxAxisError,
@@ -15,6 +15,7 @@ from graywyner.errors import (
 )
 
 from conftest import (
+    acceptance_joints,
     binary_entropy,
     copy_pair,
     dsbs,
@@ -291,3 +292,31 @@ def test_a_measured_channel_pickles_without_its_memo():
     assert copied._corner is None
     assert copied.rows.tobytes() == w.rows.tobytes()
     assert gw.corner_point(pmf, copied) == corner
+
+
+def test_delta_max_and_verify_c2_check_no_selection(monkeypatch):
+    # Both build their own selections, so they skip ``check_selection`` and
+    # still return the floats of the public ``entropy``, here read on twin
+    # laws with cold memos.
+    calls = []
+
+    def spy(module):
+        check = module.check_selection
+        monkeypatch.setattr(module, "check_selection", lambda *a: calls.append(a) or check(*a))
+
+    spy(infotheory)
+    spy(distributions)
+    measured = [(gw.delta_max(pmf), gw.verify_c2(pmf)) for pmf in acceptance_joints()]
+    assert calls == []
+    monkeypatch.undo()
+    for twin, (dmax, report) in zip(acceptance_joints(), measured):
+        h_all = gw.entropy(twin)
+        h_k = [gw.entropy(twin, [k]) for k in range(twin.k)]
+        assert dmax.hex() == sum(max(0.0, h_all - h) for h in h_k).hex()
+        gk = gw.gk_common_information(twin)
+        corner = gw.corner_point(twin, gk.witness)
+        assert report.c_value.hex() == gk.value.hex()
+        assert [r.hex() for r in report.rate_residuals] == [
+            ((h - gk.value) - r).hex() for h, r in zip(h_k, corner.rk)
+        ]
+        assert report.mi_residual.hex() == (gk.value - corner.r0).hex()

@@ -148,6 +148,18 @@ def test_corner_delta_within_delta_max(pair):
 
 @SETTINGS
 @given(joints_with_channels())
+def test_no_channel_beats_the_two_corner_sweep(pair):
+    # H(X-bar|W, X_k) <= H(X-bar|X_k) caps every corner at delta_max, and the
+    # sweep reaches that cap within any budget; so a search cannot win.
+    pmf, w = pair
+    corner = gw.corner_point(pmf, w)
+    assert corner.delta <= gw.delta_max(pmf) + 1e-12
+    point = gw.sweep_max_delta(pmf, [corner.r0]).points[0]
+    assert point.delta >= corner.delta - 1e-12
+
+
+@SETTINGS
+@given(joints_with_channels())
 def test_pair_stats_match_the_join_and_the_codec_tables(pair):
     pmf, w = pair
     corner = gw.corner_point(pmf, w)

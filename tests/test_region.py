@@ -111,13 +111,13 @@ class TestIsAchievableWith:
 
 class TestMaxDeltaAtR0:
     def test_zero_budget_reaches_delta_max_via_constant_w(self, ex2):
-        delta, witness = gw.max_delta_at_r0(ex2, 0.0, restarts=2, seed=5)
+        delta, witness = gw.max_delta_at_r0(ex2, 0.0)
         assert delta == pytest.approx(gw.delta_max(ex2), abs=1e-6)
         corner = gw.corner_point(ex2, witness)
         assert corner.r0 <= 1e-9
 
     def test_example2_budget_one_uses_shared_component(self, ex2):
-        delta, witness = gw.max_delta_at_r0(ex2, 1.0, restarts=2, seed=5)
+        delta, witness = gw.max_delta_at_r0(ex2, 1.0)
         assert delta == pytest.approx(6.0, abs=1e-6)
         corner = gw.corner_point(ex2, witness)
         # The component witness is seeded first, so the full budget is used.
@@ -126,7 +126,7 @@ class TestMaxDeltaAtR0:
     def test_copy_pair_any_budget_gives_zero(self):
         pmf = copy_pair()
         for budget in (0.0, 0.5, 2.0):
-            delta, _ = gw.max_delta_at_r0(pmf, budget, restarts=1, seed=2)
+            delta, _ = gw.max_delta_at_r0(pmf, budget)
             assert delta == pytest.approx(0.0, abs=1e-9)
 
     def test_budget_at_least_c_reaches_delta_max(self):
@@ -134,18 +134,18 @@ class TestMaxDeltaAtR0:
         for i in range(5):
             pmf = random_joint(rng, k=2)
             c = gw.gk_common_information(pmf).value
-            delta, witness = gw.max_delta_at_r0(pmf, c, restarts=1, seed=i)
+            delta, witness = gw.max_delta_at_r0(pmf, c)
             assert delta >= gw.delta_max(pmf) - 1e-6
             assert gw.corner_point(pmf, witness).r0 <= c + 1e-9
 
     def test_negative_budget_rejected(self, ex2):
         with pytest.raises(ValueError):
-            gw.max_delta_at_r0(ex2, -0.5, restarts=1, seed=0)
+            gw.max_delta_at_r0(ex2, -0.5)
 
 
 class TestSweep:
     def test_points_are_certified(self, ex2):
-        result = gw.sweep_max_delta(ex2, [0.0, 0.5, 1.0], restarts=1, seed=9)
+        result = gw.sweep_max_delta(ex2, [0.0, 0.5, 1.0])
         assert len(result.points) == 3
         for point in result.points:
             corner = gw.corner_point(ex2, point.witness)
@@ -155,22 +155,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", ["example1", "example2", "acceptance"])
     def test_matches_the_per_budget_loop(self, name):
-        # The seed channels are built once per sweep; budget i still
-        # refines from seed + i, so every point equals its own search.
-        if name == "acceptance":
-            cases = [(pmf, [0.0, 0.3, 0.8]) for pmf in acceptance_joints(10)]
-        else:
-            pmf = example1() if name == "example1" else example2()
-            cases = [(pmf, np.linspace(0.0, 1.5, 7))]
-        for pmf, budgets in cases:
-            points = gw.sweep_max_delta(pmf, budgets, restarts=4, seed=4).points
-            expected = ref.sweep_max_delta(pmf, budgets, restarts=4, seed=4)
-            assert len(points) == len(expected)
-            for point, (budget, delta, witness) in zip(points, expected):
-                assert point.r0_budget == budget
-                assert point.delta == delta
-                assert point.witness.w_cardinality == witness.w_cardinality
-                assert point.witness.rows.tobytes() == witness.rows.tobytes()
+        # The old search, kept as the reference, ran the seed channels and
+        # ``restarts`` refinements per budget.  No refinement can beat
+        # delta_max, so the two-corner rule returns its bytes at any restarts.
+        laws = acceptance_joints() if name == "acceptance" else [
+            example1() if name == "example1" else example2()
+        ]
+        budgets = [0.0, 0.3, 0.8, 1.5, np.inf]
+        for pmf in laws:
+            points = gw.sweep_max_delta(pmf, budgets).points
+            for restarts in (0, 2, 4):
+                expected = ref.sweep_max_delta(pmf, budgets, restarts=restarts, seed=4)
+                assert len(points) == len(expected)
+                for point, (budget, delta, witness) in zip(points, expected):
+                    assert point.r0_budget == budget
+                    assert point.delta == delta
+                    assert point.witness.w_cardinality == witness.w_cardinality
+                    assert point.witness.rows.tobytes() == witness.rows.tobytes()
+
+    def test_the_sweep_does_not_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_optim, "fit_channel", lambda *args, **kwargs: calls.append(args))
+        for pmf in [example1(), example2(), *acceptance_joints(10)]:
+            gw.sweep_max_delta(pmf, [0.0, 0.5, np.inf])
+            gw.max_delta_at_r0(pmf, 1.0)
+        assert calls == []
 
     def test_component_witness_built_once_per_sweep(self, ex2, monkeypatch):
         calls = []
@@ -181,27 +190,21 @@ class TestSweep:
             return gk(pmf)
 
         monkeypatch.setattr(region, "gk_common_information", counted)
-        gw.sweep_max_delta(ex2, [0.0, 0.5, 1.0, 1.5], restarts=1, seed=9)
+        gw.sweep_max_delta(ex2, [0.0, 0.5, 1.0, 1.5])
         assert len(calls) == 1
 
     def test_negative_budget_rejected(self, ex2):
         with pytest.raises(ValueError, match="non-negative"):
-            gw.sweep_max_delta(ex2, [0.5, -1.0], restarts=1, seed=0)
+            gw.sweep_max_delta(ex2, [0.5, -1.0])
 
     def test_nan_budget_rejected(self, ex2):
         with pytest.raises(ValueError, match="non-negative number"):
-            gw.sweep_max_delta(ex2, [0.5, np.nan], restarts=1, seed=0)
+            gw.sweep_max_delta(ex2, [0.5, np.nan])
         with pytest.raises(ValueError, match="non-negative number"):
-            gw.max_delta_at_r0(ex2, float("nan"), restarts=1, seed=0)
-
-    def test_negative_restarts_rejected(self, ex2):
-        with pytest.raises(ValueError, match="restarts"):
-            gw.sweep_max_delta(ex2, [0.5], restarts=-3, seed=0)
-        with pytest.raises(ValueError, match="restarts"):
-            gw.max_delta_at_r0(ex2, 0.5, restarts=-1, seed=0)
+            gw.max_delta_at_r0(ex2, float("nan"))
 
     def test_zero_restarts_uses_the_seed_channels(self, ex2):
-        point = gw.sweep_max_delta(ex2, [1.0], restarts=0, seed=0).points[0]
+        point = gw.sweep_max_delta(ex2, [1.0]).points[0]
         assert point.delta == gw.corner_point(ex2, point.witness).delta
 
 
@@ -231,7 +234,7 @@ class TestIsAchievable:
 
     def test_stops_at_first_certifying_candidate(self, ex2, monkeypatch):
         # The component witness certifies this tuple, so no refinement runs;
-        # the max-delta search still refines once per restart.
+        # the max-delta sweep never refines.
         calls = []
         fit_channel = _optim.fit_channel
 
@@ -246,8 +249,8 @@ class TestIsAchievable:
         component = gw.gk_common_information(ex2).witness
         assert np.array_equal(result.witness.rows, component.rows)
         assert calls == []
-        gw.max_delta_at_r0(ex2, 1.0, restarts=2, seed=3)
-        assert len(calls) == 2
+        gw.max_delta_at_r0(ex2, 1.0)
+        assert calls == []
 
     def test_negative_restarts_rejected(self, ex2):
         # Rejected before the seed channels, which certify this tuple.
@@ -255,6 +258,21 @@ class TestIsAchievable:
         with pytest.raises(ValueError, match="restarts"):
             gw.is_achievable(ex2, t, restarts=-3, seed=3)
         assert gw.is_achievable(ex2, t, restarts=0, seed=3).verdict == "achievable"
+
+    @pytest.mark.parametrize("restarts", [2.5, 2.0, True, False, "2", None])
+    def test_restarts_must_be_an_integer(self, ex2, restarts):
+        # Rejected before any candidate: the component witness certifies the
+        # first tuple, and the second would reach the refinements.
+        for t in (
+            gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0),
+            gw.RateEquivocationTuple(0.0, (0.0, 0.0, 0.0), 0.0),
+        ):
+            with pytest.raises(TypeError, match="restarts must be an integer"):
+                gw.is_achievable(ex2, t, restarts=restarts, seed=3)
+
+    def test_restarts_may_be_a_numpy_integer(self, ex2):
+        t = gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0)
+        assert gw.is_achievable(ex2, t, restarts=np.int64(1), seed=3).verdict == "achievable"
 
     @pytest.mark.parametrize("w_cardinality", [0, -2])
     def test_invalid_w_cardinality_rejected_before_any_candidate(self, ex2, w_cardinality):
