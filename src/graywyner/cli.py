@@ -177,9 +177,9 @@ def _cmd_region(args) -> int:
         _emit({"r0": corner.r0, "rk": list(corner.rk), "delta": corner.delta})
         return 0
     if args.region_command == "sweep":
-        # The sweep takes no search options; --seed, --restarts and --w-cardinality
-        # are still checked, in the old order, so exit codes and messages stay.
-        _require_seed(args)
+        # The sweep takes no search options and is not randomized; --restarts and
+        # --w-cardinality are still checked, in the old order, so exit codes and
+        # messages stay.
         budgets = region._check_budgets(_parse_floats(args.r0_grid))
         _optim.check_restarts(args.restarts, 0)
         result = region.sweep_max_delta(pmf, budgets)
@@ -219,6 +219,9 @@ def _cmd_region(args) -> int:
     rk = _parse_floats(args.rk)
     t = region.RateEquivocationTuple(args.r0, tuple(rk), args.delta)
     if args.aux:
+        # The search options are checked as the search path checks them.
+        _optim.check_restarts(args.restarts, 0)
+        pmf.support.w_cardinality(args.w_cardinality)
         w = load_aux_channel(args.aux)
         ok = region.is_achievable_with(pmf, w, t)
         _emit({"verdict": "achievable" if ok else "unknown",

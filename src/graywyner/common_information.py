@@ -45,7 +45,13 @@ from .distributions import (
     deterministic_channel,
 )
 from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
-from .infotheory import _entropy, corner_measures, entropy_of_vector, mutual_information
+from .infotheory import (
+    _entropy,
+    _source_entropies,
+    corner_measures,
+    entropy_of_vector,
+    mutual_information,
+)
 
 BRUTE_SUPPORT_LIMIT = 8
 BRUTE_SLACK_TOL = 1e-12
@@ -195,15 +201,6 @@ def common_part_labels(digits, cardinalities) -> np.ndarray:
     )
 
 
-def _source_entropies(view: SupportView) -> list[float]:
-    """H(X_k) in bits for every source k, from a bincount of the support
-    masses.  ``entropy(pmf, [k])`` sums the dense marginal instead and can
-    differ in the last bit; ``_score_labels`` needs this path, whose
-    histograms hold the same masses in the same order as its H(X_k, W)
-    ones when W is a function of X_k."""
-    return [entropy_of_vector(np.bincount(d, weights=view.p)) for d in view.digits]
-
-
 def _score_labels(view: SupportView, labels: np.ndarray, h_k) -> tuple[float, float]:
     """(H(W), max_k [H(X_k, W) - H(X_k)]) for W = ``labels[s]`` on support
     row s, with ``h_k`` from ``_source_entropies``.  The k-th term is the
@@ -249,7 +246,7 @@ def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
     if result is None:
         view = pmf.support
         labels = common_part_labels(view.digits, pmf.cardinalities)
-        value, residual = _score_labels(view, labels, _source_entropies(view))
+        value, residual = _score_labels(view, labels, _source_entropies(pmf))
         result = CommonInfoResult(
             value, _label_witness(pmf, labels), "gk_components",
             Diagnostics(view.size, residual, True),
@@ -338,7 +335,7 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
         raise SupportTooLargeError(
             f"support size {view.size} exceeds {BRUTE_SUPPORT_LIMIT}"
         )
-    h_k = _source_entropies(view)
+    h_k = _source_entropies(pmf)
     table = _partition_table(view.size)
     heavy = np.flatnonzero(view.p > BRUTE_PREFILTER_TOL)
     left, right = [], []  # pairs of heavy rows that share a symbol of X_k
@@ -628,7 +625,7 @@ def relaxation_spot_check(
     c = gk_common_information(pmf).value
     view = pmf.support
     h_x = entropy_of_vector(view.p) * _optim.LN2
-    h_k = [h * _optim.LN2 for h in _source_entropies(view)]
+    h_k = [h * _optim.LN2 for h in _source_entropies(pmf)]
     w_card = view.w_cardinality(None)
 
     def objective(mu):

@@ -113,6 +113,14 @@ class JointPmf:
         sorted S; ``infotheory.entropy`` fills it, at most 2^K - 1 floats."""
         return {}
 
+    @cached_property
+    def _seed_measures(self) -> dict[str, tuple]:
+        """Floats that ``infotheory`` measures once per law on its support:
+        "sources", H(X_k) of every source from a bincount of the support
+        masses, and "constant" and "copy", the corner measures of the seed
+        channels.  No entry refers to a channel."""
+        return {}
+
     def __repr__(self) -> str:
         return f"JointPmf(variables={self.variable_names}, cardinalities={self.cardinalities})"
 
@@ -165,6 +173,9 @@ class AuxChannel:
     # (weak reference to a law, its corner measures) of the last law this
     # channel was measured with; only ``infotheory.corner_measures`` sets it.
     _corner = None
+    # "constant" or "copy" on the channels those constructors build, whose
+    # corners ``infotheory.corner_measures`` reads from the law's entropies.
+    _seed = None
 
     def __post_init__(self):
         object.__setattr__(self, "w_cardinality", int(self.w_cardinality))
@@ -176,7 +187,7 @@ class AuxChannel:
                 f"rows must have shape (num_outcomes, {self.w_cardinality}), "
                 f"got {rows.shape}"
             )
-        if np.any(rows < 0.0):
+        if (rows < 0.0).any():
             raise NegativeMassError("channel rows contain negative entries")
         sums = rows.sum(axis=1)
         worst = float(np.abs(sums - 1.0).max()) if rows.shape[0] else 0.0
@@ -221,7 +232,7 @@ def validate(pmf: JointPmf) -> None:
     if len(set(pmf.variable_names)) != len(pmf.variable_names):
         raise ShapeMismatchError(f"duplicate variable names: {pmf.variable_names}")
     flat = pmf.flat
-    if np.any(flat < 0.0):
+    if (flat < 0.0).any():
         worst = float(flat.min())
         raise NegativeMassError(f"negative probability entry {worst:.3e}")
     total = float(flat.sum())
@@ -229,7 +240,7 @@ def validate(pmf: JointPmf) -> None:
         raise NotNormalizedError(
             f"probabilities sum to {total!r}, off by {total - 1.0:.3e}"
         )
-    if not np.any(flat > 0.0):
+    if not (flat > 0.0).any():
         raise NotNormalizedError("empty support: no outcome has positive mass")
 
 
@@ -243,6 +254,10 @@ def check_selection(
     if sel is None:
         return tuple(range(pmf.k))
     items = tuple(sel)
+    k = pmf.k
+    # Distinct in-range plain ints (a bool's type is bool) need no more checks.
+    if all(type(i) is int and 0 <= i < k for i in items) and len(set(items)) == len(items):
+        return tuple(sorted(items))
     try:
         if bool in map(type, items):  # operator.index(True) would give 1
             raise TypeError
@@ -342,12 +357,19 @@ def constant_channel(pmf: JointPmf, w_cardinality: int = 1) -> AuxChannel:
         raise ShapeMismatchError("w_cardinality must be >= 1")
     rows = np.zeros((pmf.num_outcomes, w_cardinality))
     rows[:, 0] = 1.0
-    return AuxChannel(w_cardinality, rows)
+    w = AuxChannel(w_cardinality, rows)
+    if w_cardinality == 1:
+        # Exactly one column of ones, as the closed-form corner needs; other
+        # channels with |W| = 1 may hold rows within 1e-12 of 1.
+        object.__setattr__(w, "_seed", "constant")
+    return w
 
 
 def copy_channel(pmf: JointPmf) -> AuxChannel:
     """W equals the joint outcome itself (full disclosure)."""
-    return AuxChannel(pmf.num_outcomes, np.eye(pmf.num_outcomes))
+    w = AuxChannel(pmf.num_outcomes, np.eye(pmf.num_outcomes))
+    object.__setattr__(w, "_seed", "copy")
+    return w
 
 
 def deterministic_channel(

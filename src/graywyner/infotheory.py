@@ -39,7 +39,9 @@ def entropy_of_vector(p: np.ndarray) -> float:
     """H of a raw probability vector; 0 log 0 = 0."""
     p = np.asarray(p, dtype=float).reshape(-1)
     pos = p[p > 0.0]
-    return _clamp(float(-(pos * np.log2(pos)).sum()))
+    terms = np.log2(pos)
+    terms *= pos
+    return _clamp(float(-np.add.reduce(terms)))
 
 
 def binary_entropy(delta: float) -> float:
@@ -77,8 +79,24 @@ def _entropy(pmf: JointPmf, sel: tuple[int, ...]) -> float:
     h = pmf._entropies.get(sel)
     if h is None:
         drop = tuple(i for i in range(pmf.k) if i not in sel)
-        marginal = pmf.probabilities.sum(axis=drop) if drop else pmf.flat
+        marginal = np.add.reduce(pmf.probabilities, axis=drop) if drop else pmf.flat
         h = pmf._entropies[sel] = entropy_of_vector(marginal)
+    return h
+
+
+def _source_entropies(pmf: JointPmf) -> tuple[float, ...]:
+    """H(X_k) in bits for every source k, from a bincount of the support
+    masses, computed once per law.  ``entropy(pmf, [k])`` sums the dense
+    marginal instead and can differ in the last bit.  Exact C needs this
+    path, whose histograms hold the same masses in the same order as its
+    H(X_k, W) ones when W is a function of X_k; they are also ``PairStats``'
+    H(X_k, W) of the constant channel."""
+    floats = pmf._seed_measures
+    h = floats.get("sources")
+    if h is None:
+        view = pmf.support
+        h = tuple(entropy_of_vector(np.bincount(d, weights=view.p)) for d in view.digits)
+        floats["sources"] = h
     return h
 
 
@@ -179,10 +197,9 @@ class PairStats:
         self.pair_k = tuple(tables[a : a + c] for a, c in zip(starts, cards))
         self.h_pair = entropy_of_vector(self.pair)
         self.h_pair_k = tuple(entropy_of_vector(t) for t in self.pair_k)
+        h = _entropy(pmf, tuple(range(pmf.k)))
         h_w = entropy_of_vector(self.p_w)
-        self.mi = max(0.0, _entropy(pmf, tuple(range(pmf.k))) + h_w - self.h_pair)
-        self.h_given_w = tuple(max(0.0, h - h_w) for h in self.h_pair_k)
-        self.h_given_wk = tuple(max(0.0, self.h_pair - h) for h in self.h_pair_k)
+        self.mi, self.h_given_w, self.h_given_wk = _corner_floats(h, h_w, self.h_pair, self.h_pair_k)
 
     @cached_property
     def cost(self) -> np.ndarray:
@@ -195,6 +212,43 @@ class PairStats:
             return tuple(-np.log2(t) for t in self.pair_k)
 
 
+def _corner_floats(h: float, h_w: float, h_pair: float, h_pair_k) -> tuple:
+    """(I(X-bar; W), {H(X_k | W)}, {H(X-bar | W, X_k)}), each floored at
+    zero, from H(X-bar), H(W), H(X-bar, W) and {H(X_k, W)}."""
+    return (
+        max(0.0, h + h_w - h_pair),
+        tuple(max(0.0, x - h_w) for x in h_pair_k),
+        tuple(max(0.0, h_pair - x) for x in h_pair_k),
+    )
+
+
+def _seed_corner(pmf: JointPmf, kind: str) -> tuple:
+    """``PairStats``' corner floats of the constant (|W| = 1) or copy channel,
+    from the law's own entropies, computed once per law.
+
+    Each entropy sums the positive cells of the table ``PairStats`` would
+    build, in the same order, so every float is the same to the bit."""
+    floats = pmf._seed_measures
+    corner = floats.get(kind)
+    if corner is None:
+        h = _entropy(pmf, tuple(range(pmf.k)))
+        if kind == "constant":
+            # The pair table is the column p(x-bar), table k is the bincount of
+            # the support masses by x_k, and p(w) is the column's sum.
+            h_w = entropy_of_vector(pmf.flat[:, None].sum(axis=0))
+            corner = _corner_floats(h, h_w, h, _source_entropies(pmf))
+        else:
+            # The pair table is diag(p(x-bar)), so p(w) = p(x-bar), and table
+            # k holds each support mass once, at (x_k, w) in row-major order.
+            view = pmf.support
+            h_pair_k = [
+                entropy_of_vector(view.p[np.argsort(d, kind="stable")]) for d in view.digits
+            ]
+            corner = _corner_floats(h, h, h, h_pair_k)
+        floats[kind] = corner
+    return corner
+
+
 def corner_measures(
     pmf: JointPmf, w: AuxChannel
 ) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
@@ -203,7 +257,13 @@ def corner_measures(
     The channel keeps the floats of the last law it was measured with in
     one slot, next to a weak reference to that law: a repeated pair builds
     nothing, the channel never keeps its law alive, and no law holds a
-    channel.  A pair with another law replaces the slot."""
+    channel.  A pair with another law replaces the slot.  A channel that
+    ``constant_channel`` (|W| = 1) or ``copy_channel`` built is measured
+    from the law's entropies instead, to the same bits, and its floats are
+    kept on the law."""
+    if w._seed is not None:
+        check_channel(pmf, w)
+        return _seed_corner(pmf, w._seed)
     memo = w._corner
     if memo is None or memo[0]() is not pmf:
         stats = PairStats(pmf, w)

@@ -148,6 +148,16 @@ class TestRegion:
         points = json.loads(out, parse_constant=reject)["points"]
         assert [p["r0_budget"] for p in points] == [1.0, "inf"]
 
+    def test_sweep_needs_no_seed(self, docs):
+        # The sweep is not randomized: without --seed it prints what it
+        # prints with one.
+        argv = ("region", "sweep", "--pmf", docs["ex2"], "--r0-grid", "0,0.5,1,inf")
+        code, out, err = cli(*argv)
+        assert code == 0
+        assert err == ""
+        assert (code, out, err) == cli(*argv, "--seed", "5")
+        assert cli(*argv, "--format", "csv") == cli(*argv, "--format", "csv", "--seed", "9")
+
     def test_check_with_witness_file(self, docs):
         code, out, _ = cli(
             "region", "check", "--pmf", docs["ex2"], "--r0", "1.0",
@@ -330,13 +340,17 @@ class TestErrorPaths:
         ("simulate", "--pmf", "{ex2}", "--aux", "{wx0}", "--n", "2", "--slack", "0.25",
          "--trials", "10", "--seed", "7", "--exact-equivocation",
          "--enumeration-limit", "0"),
+        ("region", "check", "--pmf", "{ex2}", "--r0", "1", "--rk", "1,1,1",
+         "--delta", "6", "--aux", "{wx0}", "--restarts", "-3"),
+        ("region", "check", "--pmf", "{ex2}", "--r0", "1", "--rk", "1,1,1",
+         "--delta", "6", "--aux", "{wx0}", "--w-cardinality", "0"),
     ],
     ids=["n0", "trials0", "negative_r0", "restarts0", "negative_budget", "w_card0",
          "w_card_negative", "sweep_negative_restarts", "check_negative_restarts",
          "check_w_card0_certified_by_a_seed", "tolerance_nan", "tolerance_inf",
          "slack_nan", "slack_inf", "negative_seed", "seed_2_63", "check_nan_rates",
          "check_nan_delta", "sweep_nan_budget", "enumeration_limit_negative",
-         "enumeration_limit0"],
+         "enumeration_limit0", "check_aux_negative_restarts", "check_aux_w_card0"],
 )
 def test_rejected_values_are_usage_errors(docs, argv):
     code, out, err = cli(*(arg.format(**docs) for arg in argv))

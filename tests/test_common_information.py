@@ -133,7 +133,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(43)
         pmf = random_joint(rng, k=2, max_support=6)
         view = pmf.support
-        h_k = common_information._source_entropies(view)
+        h_k = common_information._source_entropies(pmf)
         support = pmf.support_indices()
         labels = np.zeros(pmf.num_outcomes, dtype=int)
         labels[support] = np.arange(len(support)) % 2

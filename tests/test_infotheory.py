@@ -274,9 +274,20 @@ def test_dropping_a_law_frees_its_exact_c_oracle_and_reduced_c():
     gw.verify_c2(pmf)
     oracle = gw.gk_brute_force_oracle(pmf)
     gw.verify_monotonicity(pmf, 1)
+    gw.corner_point(pmf, gw.constant_channel(pmf))
+    gw.corner_point(pmf, gw.copy_channel(pmf))
     held = [gw.gk_common_information(pmf), oracle]
     held += [r.witness for r in held]
     assert [len(t) for t in tables] == [n + 1 for n in before]
+    # The seed floats live on the law itself, as (tuples of) floats only.
+    seed_floats = vars(pmf)["_seed_measures"]
+    assert sorted(seed_floats) == ["constant", "copy", "sources"]
+
+    def leaves(x):
+        return [y for v in x for y in leaves(v)] if type(x) is tuple else [x]
+
+    assert all(type(x) is float for x in leaves(tuple(seed_floats.values())))
+    del seed_floats
     refs = [weakref.ref(x) for x in [pmf] + held]
     del pmf, oracle, held
     gc.collect()

@@ -14,7 +14,7 @@ import pytest
 
 import graywyner as gw
 from graywyner import infotheory
-from graywyner.errors import EnumerationTooLargeError
+from graywyner.errors import EnumerationTooLargeError, ShapeMismatchError
 
 import sequential_reference as ref
 from conftest import acceptance_joints, copy_pair, example1, example2, random_channel
@@ -156,6 +156,42 @@ def test_one_statistics_object_per_simulation(monkeypatch):
     assert gw.exact_equivocation(pmf, w, book, cfg, 0) == pytest.approx(0.0, abs=1e-9)
     assert len(built) == 2
     assert book.stats.pmf is pmf and book.stats.w is w
+
+
+def test_seed_channels_build_no_pair_stats(monkeypatch):
+    # A law job shaped like the benchmark's corner identities: a random
+    # channel is measured once, and fresh constant and copy channels are
+    # measured from the law's entropies.
+    built = []
+    init = infotheory.PairStats.__init__
+
+    def counted(self, pmf, w):
+        built.append((pmf, w))
+        init(self, pmf, w)
+
+    monkeypatch.setattr(infotheory.PairStats, "__init__", counted)
+    rng = np.random.default_rng(5)
+    pairs = [(pmf, random_channel(rng, pmf))
+             for pmf in acceptance_joints(20) + [example1(), example2()]]
+    for _ in range(2):
+        for pmf, w in pairs:
+            corner = gw.corner_point(pmf, w)
+            assert gw.is_achievable_with(pmf, w, corner)
+            assert corner.delta <= gw.delta_max(pmf) + 1e-9
+            const = gw.corner_point(pmf, gw.constant_channel(pmf))
+            assert const.r0 == pytest.approx(0.0, abs=1e-12)
+            assert const.rk == pytest.approx([gw.entropy(pmf, [k]) for k in range(pmf.k)])
+            assert const.delta == pytest.approx(gw.delta_max(pmf))
+            copy = gw.corner_point(pmf, gw.copy_channel(pmf))
+            assert copy.r0 == pytest.approx(gw.entropy(pmf))
+            assert copy.rk == pytest.approx([0.0] * pmf.k, abs=1e-12)
+            assert copy.delta == pytest.approx(0.0, abs=1e-12)
+    assert built == pairs
+    # A seed channel is still checked against the law it is measured with.
+    with pytest.raises(ShapeMismatchError):
+        gw.corner_point(example1(), gw.copy_channel(example2()))
+    with pytest.raises(ShapeMismatchError):
+        gw.corner_point(example1(), gw.constant_channel(example2()))
 
 
 def test_a_pair_is_measured_once_for_its_corner(monkeypatch):

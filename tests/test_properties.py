@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graywyner as gw
-from graywyner import codec_sim
+from graywyner import codec_sim, infotheory
 from graywyner.infotheory import PairStats
 
 import sequential_reference as ref
+from conftest import acceptance_joints, example1, example2
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -172,6 +173,38 @@ def test_pair_stats_match_the_join_and_the_codec_tables(pair):
     assert stats.h_given_w == tuple(old.private_rate(k) for k in range(pmf.k))
     assert stats.h_given_wk == tuple(old.equivocation_target(k) for k in range(pmf.k))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.cost_k, old.cost_k))
+
+
+def _seed_corners_and_pair_stats(pmf):
+    """For each of the constant channel, the constant channel with |W| = 3
+    and the copy channel: its ``corner_measures`` and ``PairStats``' measures
+    of an untagged twin channel (equal rows, built by ``AuxChannel``), as
+    hex."""
+    pairs = []
+    for w in (gw.constant_channel(pmf), gw.constant_channel(pmf, 3), gw.copy_channel(pmf)):
+        mi, h_given_w, h_given_wk = infotheory.corner_measures(pmf, w)
+        stats = PairStats(pmf, gw.AuxChannel(w.w_cardinality, w.rows))
+        pairs.append((
+            [x.hex() for x in (mi, *h_given_w, *h_given_wk)],
+            [x.hex() for x in (stats.mi, *stats.h_given_w, *stats.h_given_wk)],
+        ))
+    return pairs
+
+
+@SETTINGS
+@given(joints())
+def test_seed_channel_corners_equal_pair_stats_to_the_bit(pmf):
+    first = _seed_corners_and_pair_stats(pmf)
+    assert all(corner == stats for corner, stats in first)
+    # Fresh seed channels read the floats that the law kept.
+    assert _seed_corners_and_pair_stats(pmf) == first
+
+
+@pytest.mark.parametrize("laws", ["examples", "acceptance"])
+def test_seed_channel_corners_equal_pair_stats_on_the_fixed_laws(laws):
+    for pmf in [example1(), example2()] if laws == "examples" else acceptance_joints(100):
+        for corner, stats in _seed_corners_and_pair_stats(pmf):
+            assert corner == stats
 
 
 def _memoized_measures(k):
