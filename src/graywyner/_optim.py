@@ -147,12 +147,17 @@ class ChannelEval:
         self.h_kw = [-float((m * lm).sum()) for m, lm in zip(self.mk, self.lmk)]
 
 
+def check_integer(value, minimum: int, name: str) -> None:
+    """Reject a setting ``name`` that is not an integer (or is a bool) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 def check_restarts(restarts, minimum: int) -> None:
     """Reject a count of solves that is not an integer (or is a bool) or is below ``minimum``."""
-    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
-        raise TypeError(f"restarts must be an integer, got {restarts!r}")
-    if restarts < minimum:
-        raise ValueError(f"restarts must be >= {minimum}")
+    check_integer(restarts, minimum, "restarts")
 
 
 def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.ndarray:

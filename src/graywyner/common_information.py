@@ -30,7 +30,7 @@ case, and the definition-level feasibility of C with its witness.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -223,13 +223,15 @@ def _label_witness(pmf: JointPmf, labels: np.ndarray) -> AuxChannel:
     return deterministic_channel(pmf, full, int(labels.max()) + 1)
 
 
-# Exact C, the brute-force oracle's result and C after each dropped
-# variable, per live law.  A JointPmf is immutable and compares by identity,
-# so an entry can never go stale, and it leaves with its law.  No entry
-# refers to its law: a witness channel holds it only weakly.
+# Exact C, the brute-force oracle's result, C after each dropped variable
+# and the last Wyner estimate, per live law.  A JointPmf is immutable and
+# compares by identity, so an entry can never go stale, and it leaves with
+# its law.  No entry refers to its law: a witness channel holds it only
+# weakly.  A law's Wyner slot is one (settings, result) pair.
 _GK_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _ORACLE_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _REDUCED_C: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_WYNER_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
@@ -487,12 +489,28 @@ def wyner_estimate(
     :class:`WynerParams`.  The best converged restart wins (ties to the
     lowest index), else the closest to feasible, flagged not converged;
     ``diagnostics.iterations`` counts the updates of all restarts.
+
+    The settings are checked first, on every call: ``restarts`` is an
+    integer of at least 1, ``seed``, ``max_sweeps`` and ``block_maxiter``
+    integers of at least 0, and ``w_cardinality`` None or an integer of at
+    least 1 (bools are not integers here).  Each live law keeps one
+    (immutable) result, that of the last settings it was estimated at, with
+    |W| resolved, so None and an explicit support size + 1 are one setting.
+    A call at those settings returns it; a call at other settings computes
+    afresh and replaces it.
     """
     _require_sources(pmf)
     params = WynerParams(w_cardinality=w_cardinality, restarts=restarts, seed=seed, **tuning)
+    if params.w_cardinality is not None:
+        _optim.check_integer(params.w_cardinality, 1, "w_cardinality")
     w_card = pmf.support.w_cardinality(params.w_cardinality)
-    if params.restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _optim.check_restarts(params.restarts, 1)
+    for name in ("seed", "max_sweeps", "block_maxiter"):
+        _optim.check_integer(getattr(params, name), 0, name)
+    params = replace(params, w_cardinality=w_card)
+    slot = _WYNER_RESULTS.get(pmf)
+    if slot is not None and slot[0] == params:
+        return slot[1]
     runs = _wyner_restarts(_WynerProblem(pmf, w_card), params)
 
     def rank(run):  # converged first, then by value, else by residual
@@ -502,7 +520,9 @@ def wyner_estimate(
     # The witness is the mixture's posterior q(w|s), uniform where q(s) = 0.
     post = np.where(qx > 0.0, qws / np.maximum(qx, _optim.TINY), 1.0 / w_card)
     diagnostics = Diagnostics(sum(run[2] for run in runs), residual, residual <= RESIDUAL_TOL)
-    return CommonInfoResult(value, pmf.support.embed(post.T, w_card), "wyner_alt_min", diagnostics)
+    result = CommonInfoResult(value, pmf.support.embed(post.T, w_card), "wyner_alt_min", diagnostics)
+    _WYNER_RESULTS[pmf] = (params, result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,25 @@ from conftest import (
 LIGHT = dict(max_sweeps=12, block_maxiter=15)
 
 
+def twin(pmf):
+    """An equal law that is another object, so it shares no memo with ``pmf``."""
+    return gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities)
+
+
+def spy_restarts(monkeypatch, runs=None):
+    """Record the settings of every run of ``_wyner_restarts``, or of
+    ``runs`` put in its place."""
+    calls = []
+    real = runs or common_information._wyner_restarts
+
+    def spy(prob, params):
+        calls.append(params)
+        return real(prob, params)
+
+    monkeypatch.setattr(common_information, "_wyner_restarts", spy)
+    return calls
+
+
 class TestGkCommonInformation:
     def test_example2_is_shared_entropy(self, ex2):
         result = gw.gk_common_information(ex2)
@@ -342,9 +361,13 @@ class TestWynerEstimate:
         assert result.diagnostics.converged
         assert result.value >= (1.0 - binary_entropy(0.11)) - 1e-3
 
-    def test_deterministic_bit_for_bit(self, ex1):
+    def test_deterministic_bit_for_bit(self, ex1, monkeypatch):
+        # The second estimate is of a twin law, so it runs the restarts again
+        # instead of reading the first law's memo.
+        calls = spy_restarts(monkeypatch)
         a = gw.wyner_estimate(ex1, w_cardinality=4, restarts=2, seed=11, **LIGHT)
-        b = gw.wyner_estimate(ex1, w_cardinality=4, restarts=2, seed=11, **LIGHT)
+        b = gw.wyner_estimate(twin(ex1), w_cardinality=4, restarts=2, seed=11, **LIGHT)
+        assert len(calls) == 2
         assert a.value == b.value
         assert a.diagnostics == b.diagnostics
         assert np.array_equal(a.witness.rows, b.witness.rows)
@@ -439,20 +462,27 @@ def acceptance_laws():
     ids=[f"law{pin[0]}" for pin in WYNER_PINS],
 )
 def test_wyner_estimate_pinned_on_random_laws(
-    acceptance_laws, index, value, residual, iterations, digest
+    acceptance_laws, monkeypatch, index, value, residual, iterations, digest
 ):
     """Seeded estimates stay bit for bit; the golden CLI files pin only the
-    two examples."""
-    result = gw.wyner_estimate(acceptance_laws[index], restarts=2, **LIGHT)
-    assert result.value == value
-    assert result.diagnostics == common_information.Diagnostics(iterations, residual, True)
-    rows = np.ascontiguousarray(result.witness.rows)
+    two examples.  A twin of the law is read twice: the restarts run once,
+    and the second read, from the law's memo, has the pinned bytes too."""
+    calls = spy_restarts(monkeypatch)
+    pmf = twin(acceptance_laws[index])
+    first, second = (gw.wyner_estimate(pmf, restarts=2, **LIGHT) for _ in range(2))
+    assert second is first
+    assert len(calls) == 1
+    assert second.value == value
+    assert second.diagnostics == common_information.Diagnostics(iterations, residual, True)
+    rows = np.ascontiguousarray(second.witness.rows)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def estimate_both_ways(monkeypatch, pmf, **kwargs):
     """``wyner_estimate`` with its restarts updated as one stack and, as the
-    reference, one after another; also the stack size of every update."""
+    reference, one after another; also the stack size of every update.
+    The reference estimates a twin law, so it cannot read the stacked
+    estimate from the law's memo, and it is checked to have run."""
     sizes = []
     mixture = common_information._WynerProblem.mixture
 
@@ -464,8 +494,9 @@ def estimate_both_ways(monkeypatch, pmf, **kwargs):
         m.setattr(common_information._WynerProblem, "mixture", counted)
         stacked = gw.wyner_estimate(pmf, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(common_information, "_wyner_restarts", sequential_reference.wyner_runs)
-        sequential = gw.wyner_estimate(pmf, **kwargs)
+        sequential_calls = spy_restarts(m, sequential_reference.wyner_runs)
+        sequential = gw.wyner_estimate(twin(pmf), **kwargs)
+    assert len(sequential_calls) == 1
     return stacked, sequential, sizes
 
 
@@ -587,6 +618,129 @@ def test_wyner_settings_are_the_five_fields():
     assert names == ["w_cardinality", "restarts", "seed", "max_sweeps", "block_maxiter"]
     with pytest.raises(TypeError):
         gw.wyner_estimate(dsbs(0.1), restarts=1, residual_tol=1e-3)
+
+
+# Light settings of example 2, where Prop 4's precondition holds, so
+# ``verify_prop4`` needs B too.
+MEMO_SETTINGS = dict(w_cardinality=3, restarts=2, seed=7, **LIGHT)
+
+
+# Settings that wyner_estimate rejects: (bad settings, error, message).
+BAD_SETTINGS = [
+    (dict(restarts=True), TypeError, "restarts must be an integer"),
+    (dict(restarts=2.0), TypeError, "restarts must be an integer"),
+    (dict(restarts=0), ValueError, "restarts must be >= 1"),
+    (dict(seed=[1, 2]), TypeError, "seed must be an integer"),
+    (dict(seed=True), TypeError, "seed must be an integer"),
+    (dict(seed=-1), ValueError, "seed must be >= 0"),
+    (dict(max_sweeps=-3), ValueError, "max_sweeps must be >= 0"),
+    (dict(max_sweeps=1.5), TypeError, "max_sweeps must be an integer"),
+    (dict(block_maxiter=-1), ValueError, "block_maxiter must be >= 0"),
+    (dict(block_maxiter=False), TypeError, "block_maxiter must be an integer"),
+    (dict(w_cardinality=2.5), TypeError, "w_cardinality must be an integer"),
+    (dict(w_cardinality=True), TypeError, "w_cardinality must be an integer"),
+    (dict(w_cardinality=0), ValueError, "w_cardinality must be >= 1"),
+    (dict(w_cardinality=0, restarts=True), ValueError, "w_cardinality must be >= 1"),
+]
+
+
+class TestWynerMemo:
+    """One estimate per live law and settings, shared by ``verify_chain``
+    and ``verify_prop4``; other settings replace it."""
+
+    def test_chain_and_prop4_reuse_the_estimate(self, ex2, monkeypatch):
+        calls = spy_restarts(monkeypatch)
+        b = gw.wyner_estimate(ex2, **MEMO_SETTINGS)
+        params = gw.WynerParams(**MEMO_SETTINGS)
+        chain = gw.verify_chain(ex2, params)
+        prop4 = gw.verify_prop4(ex2, params)
+        assert len(calls) == 1
+        assert prop4.precondition_met
+        assert chain.b_estimate == prop4.b_estimate == b.value
+        assert gw.wyner_estimate(ex2, **MEMO_SETTINGS) is b
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=8), dict(restarts=3), dict(w_cardinality=4),
+         dict(max_sweeps=11), dict(block_maxiter=14)],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_each_setting_is_part_of_the_key(self, ex2, monkeypatch, change):
+        calls = spy_restarts(monkeypatch)
+        first = gw.wyner_estimate(ex2, **MEMO_SETTINGS)
+        second = gw.wyner_estimate(ex2, **{**MEMO_SETTINGS, **change})
+        assert len(calls) == 2
+        assert second is not first
+        assert calls[1] == gw.WynerParams(**{**MEMO_SETTINGS, **change})
+
+    def test_default_and_explicit_cardinality_share_the_slot(self, monkeypatch):
+        calls = spy_restarts(monkeypatch)
+        pmf = dsbs(0.1)
+        first = gw.wyner_estimate(pmf, restarts=2, seed=3, **LIGHT)
+        explicit = pmf.support.size + 1
+        assert gw.wyner_estimate(pmf, explicit, restarts=2, seed=3, **LIGHT) is first
+        assert len(calls) == 1
+        assert calls[0].w_cardinality == explicit
+
+    def test_twin_law_is_computed_afresh_with_equal_bytes(self, ex2, monkeypatch):
+        calls = spy_restarts(monkeypatch)
+        first = gw.wyner_estimate(ex2, **MEMO_SETTINGS)
+        second = gw.wyner_estimate(twin(ex2), **MEMO_SETTINGS)
+        assert len(calls) == 2
+        assert second is not first
+        assert second.value.hex() == first.value.hex()
+        assert second.diagnostics == first.diagnostics
+        assert second.witness.rows.tobytes() == first.witness.rows.tobytes()
+
+    def test_new_settings_replace_the_slot(self, monkeypatch):
+        calls = spy_restarts(monkeypatch)
+        table = common_information._WYNER_RESULTS
+        before = len(table)
+        pmf = dsbs(0.1)
+        first = gw.wyner_estimate(pmf, restarts=2, seed=1, **LIGHT)
+        second = gw.wyner_estimate(pmf, restarts=2, seed=2, **LIGHT)
+        assert len(table) == before + 1
+        assert table[pmf] == (calls[1], second)
+        again = gw.wyner_estimate(pmf, restarts=2, seed=1, **LIGHT)
+        assert len(calls) == 3
+        assert again is not first
+        assert again.witness.rows.tobytes() == first.witness.rows.tobytes()
+        assert len(table) == before + 1
+
+    def test_result_is_read_only(self, ex2):
+        result = gw.wyner_estimate(ex2, **MEMO_SETTINGS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.value = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.diagnostics.converged = False
+        with pytest.raises(ValueError):
+            result.witness.rows[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        BAD_SETTINGS,
+        ids=[",".join(f"{k}={v!r}" for k, v in case[0].items()) for case in BAD_SETTINGS],
+    )
+    def test_invalid_settings_raise_before_any_run(self, monkeypatch, bad, error, match):
+        calls = spy_restarts(monkeypatch)
+        pmf = dsbs(0.1)
+        valid = dict(w_cardinality=3, restarts=2, seed=1, **LIGHT)
+        with pytest.raises(error, match=match):
+            gw.wyner_estimate(pmf, **{**valid, **bad})
+        assert calls == []
+        gw.wyner_estimate(pmf, **valid)
+        with pytest.raises(error, match=match):
+            gw.wyner_estimate(pmf, **{**valid, **bad})
+        assert len(calls) == 1
+
+    def test_numpy_integers_are_settings(self, monkeypatch):
+        calls = spy_restarts(monkeypatch)
+        pmf = dsbs(0.1)
+        first = gw.wyner_estimate(pmf, 3, restarts=2, seed=1, **LIGHT)
+        second = gw.wyner_estimate(pmf, np.int64(3), restarts=np.int64(2), seed=np.int64(1),
+                                   **{k: np.int64(v) for k, v in LIGHT.items()})
+        assert second is first
+        assert len(calls) == 1
 
 
 class TestVerifyChain:

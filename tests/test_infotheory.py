@@ -267,6 +267,7 @@ def test_dropping_a_law_frees_its_exact_c_oracle_and_reduced_c():
         common_information._GK_RESULTS,
         common_information._ORACLE_RESULTS,
         common_information._REDUCED_C,
+        common_information._WYNER_RESULTS,
     )
     gc.collect()
     before = [len(t) for t in tables]
@@ -276,6 +277,9 @@ def test_dropping_a_law_frees_its_exact_c_oracle_and_reduced_c():
     gw.verify_monotonicity(pmf, 1)
     gw.corner_point(pmf, gw.constant_channel(pmf))
     gw.corner_point(pmf, gw.copy_channel(pmf))
+    # A B estimate, measured like the others, is held past the law's end.
+    b = gw.wyner_estimate(pmf, restarts=1, max_sweeps=2, block_maxiter=5)
+    gw.corner_point(pmf, b.witness)
     held = [gw.gk_common_information(pmf), oracle]
     held += [r.witness for r in held]
     assert [len(t) for t in tables] == [n + 1 for n in before]
@@ -293,6 +297,8 @@ def test_dropping_a_law_frees_its_exact_c_oracle_and_reduced_c():
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
     assert [len(t) for t in tables] == before
+    # The held B result outlives the law; its witness named it only weakly.
+    assert b.witness._corner[0]() is None
 
 
 def test_a_measured_channel_pickles_without_its_memo():
