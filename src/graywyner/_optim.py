@@ -149,7 +149,10 @@ class ChannelEval:
 
 def check_integer(value, minimum: int, name: str) -> None:
     """Reject a setting ``name`` that is not an integer (or is a bool) or is below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # A plain int (a bool's type is bool) skips the ABC checks.
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")

@@ -132,12 +132,10 @@ def _cmd_info(args) -> int:
         for k in range(pmf.k):
             measures.append({"kind": "entropy", "vars": [k],
                              "bits": entropy(pmf, [k])})
-        for i in range(pmf.k):
-            for j in range(i + 1, pmf.k):
-                measures.append(
-                    {"kind": "mutual_information", "a": [i], "b": [j],
-                     "bits": mutual_information(pmf, [i], [j])}
-                )
+        for (i, j), bits in common_information._pairwise_mi(pmf).items():
+            measures.append(
+                {"kind": "mutual_information", "a": [i], "b": [j], "bits": bits}
+            )
     _emit({"variables": list(pmf.variable_names), "measures": measures})
     return 0
 

@@ -30,7 +30,7 @@ case, and the definition-level feasibility of C with its witness.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -47,10 +47,10 @@ from .distributions import (
 from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
 from .infotheory import (
     _entropy,
+    _mutual_information,
     _source_entropies,
     corner_measures,
     entropy_of_vector,
-    mutual_information,
 )
 
 BRUTE_SUPPORT_LIMIT = 8
@@ -366,14 +366,20 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
 # ---------------------------------------------------------------------------
 
 
+def _pairwise_mi(pmf: JointPmf) -> dict[tuple[int, int], float]:
+    """I(X_i; X_j) keyed by (i, j), i < j, in that order: the floats of the
+    public ``mutual_information(pmf, [i], [j])``, with no check of the
+    selections built here."""
+    k = pmf.k
+    return {
+        (i, j): _mutual_information(pmf, (i,), (j,)) for i in range(k) for j in range(i + 1, k)
+    }
+
+
 def pairwise_mi_bounds(pmf: JointPmf) -> tuple[float, float]:
     """(min, max) of I(X_i; X_j) over unordered pairs i != j."""
     _require_sources(pmf)
-    values = [
-        mutual_information(pmf, [i], [j])
-        for i in range(pmf.k)
-        for j in range(i + 1, pmf.k)
-    ]
+    values = _pairwise_mi(pmf).values()
     return (min(values), max(values))
 
 
@@ -500,14 +506,14 @@ def wyner_estimate(
     afresh and replaces it.
     """
     _require_sources(pmf)
-    params = WynerParams(w_cardinality=w_cardinality, restarts=restarts, seed=seed, **tuning)
-    if params.w_cardinality is not None:
-        _optim.check_integer(params.w_cardinality, 1, "w_cardinality")
-    w_card = pmf.support.w_cardinality(params.w_cardinality)
+    w_card = pmf.support.w_cardinality(None) if w_cardinality is None else w_cardinality
+    # Built before the checks, so an unknown tuning key raises before any of them.
+    params = WynerParams(w_cardinality=w_card, restarts=restarts, seed=seed, **tuning)
+    if w_cardinality is not None:
+        _optim.check_integer(w_cardinality, 1, "w_cardinality")
     _optim.check_restarts(params.restarts, 1)
     for name in ("seed", "max_sweeps", "block_maxiter"):
         _optim.check_integer(getattr(params, name), 0, name)
-    params = replace(params, w_cardinality=w_card)
     slot = _WYNER_RESULTS.get(pmf)
     if slot is not None and slot[0] == params:
         return slot[1]

@@ -74,13 +74,16 @@ def entropy(pmf: JointPmf, vars: Sequence[int] | None = None) -> float:
 
 
 def _entropy(pmf: JointPmf, sel: tuple[int, ...]) -> float:
-    """``entropy`` of a checked, non-empty selection in any order."""
-    sel = tuple(sorted(sel))
-    h = pmf._entropies.get(sel)
+    """``entropy`` of a checked, non-empty selection (a tuple) in any order."""
+    memo = pmf._entropies
+    h = memo.get(sel)  # the keys are sorted, so only a sorted selection hits here
+    if h is None:
+        sel = tuple(sorted(sel))
+        h = memo.get(sel)
     if h is None:
         drop = tuple(i for i in range(pmf.k) if i not in sel)
         marginal = np.add.reduce(pmf.probabilities, axis=drop) if drop else pmf.flat
-        h = pmf._entropies[sel] = entropy_of_vector(marginal)
+        h = memo[sel] = entropy_of_vector(marginal)
     return h
 
 
@@ -103,9 +106,10 @@ def _source_entropies(pmf: JointPmf) -> tuple[float, ...]:
 def conditional_entropy(
     pmf: JointPmf, of: Sequence[int], given: Sequence[int] = ()
 ) -> float:
-    """H(of | given) = H(of, given) - H(given)."""
+    """H(of | given) = H(of, given) - H(given); ``given`` of None or ()
+    conditions on nothing."""
     of_sel = check_selection(pmf, of, "of")
-    given_sel = check_selection(pmf, given, "given") if given else ()
+    given_sel = () if given is None else check_selection(pmf, given, "given")
     if not of_sel:
         raise EmptySelectionError("conditional entropy of an empty set")
     _disjoint((of_sel, "of"), (given_sel, "given"))
@@ -121,7 +125,12 @@ def mutual_information(pmf: JointPmf, a: Sequence[int], b: Sequence[int]) -> flo
     if not a_sel or not b_sel:
         raise EmptySelectionError("mutual information needs non-empty subsets")
     _disjoint((a_sel, "a"), (b_sel, "b"))
-    return _clamp(_entropy(pmf, a_sel) + _entropy(pmf, b_sel) - _entropy(pmf, a_sel + b_sel))
+    return _mutual_information(pmf, a_sel, b_sel)
+
+
+def _mutual_information(pmf: JointPmf, a: tuple[int, ...], b: tuple[int, ...]) -> float:
+    """``mutual_information`` of checked, non-empty, disjoint selections."""
+    return _clamp(_entropy(pmf, a) + _entropy(pmf, b) - _entropy(pmf, a + b))
 
 
 def conditional_mutual_information(
@@ -130,19 +139,28 @@ def conditional_mutual_information(
     b: Sequence[int],
     given: Sequence[int] = (),
 ) -> float:
-    """I(A; B | G) = H(A|G) + H(B|G) - H(A,B|G)."""
+    """I(A; B | G) = H(A|G) + H(B|G) - H(A,B|G); ``given`` of None or ()
+    conditions on nothing."""
     a_sel = check_selection(pmf, a, "a")
     b_sel = check_selection(pmf, b, "b")
-    g_sel = check_selection(pmf, given, "given") if given else ()
+    g_sel = () if given is None else check_selection(pmf, given, "given")
     if not a_sel or not b_sel:
         raise EmptySelectionError("conditional MI needs non-empty a and b")
     _disjoint((a_sel, "a"), (b_sel, "b"), (g_sel, "given"))
     if not g_sel:
-        return mutual_information(pmf, a_sel, b_sel)
-    h_ag = _entropy(pmf, a_sel + g_sel)
-    h_bg = _entropy(pmf, b_sel + g_sel)
-    h_abg = _entropy(pmf, a_sel + b_sel + g_sel)
-    h_g = _entropy(pmf, g_sel)
+        return _mutual_information(pmf, a_sel, b_sel)
+    return _conditional_mutual_information(pmf, a_sel, b_sel, g_sel)
+
+
+def _conditional_mutual_information(
+    pmf: JointPmf, a: tuple[int, ...], b: tuple[int, ...], g: tuple[int, ...]
+) -> float:
+    """``conditional_mutual_information`` of checked, non-empty, disjoint
+    selections."""
+    h_ag = _entropy(pmf, a + g)
+    h_bg = _entropy(pmf, b + g)
+    h_abg = _entropy(pmf, a + b + g)
+    h_g = _entropy(pmf, g)
     return _clamp(h_ag + h_bg - h_abg - h_g)
 
 
@@ -159,8 +177,9 @@ def markov_slack(pmf_with_w: JointPmf, k: int) -> float:
     w_axis = n - 1
     if not 0 <= k < w_axis:
         raise IndexError(f"source index {k} out of range for {w_axis} sources")
+    (k,) = check_selection(pmf_with_w, (k,), "given")  # X_k is the condition
     others = tuple(i for i in range(w_axis) if i != k)
-    return conditional_mutual_information(pmf_with_w, others, (w_axis,), (k,))
+    return _conditional_mutual_information(pmf_with_w, others, (w_axis,), (k,))
 
 
 class PairStats:

@@ -7,6 +7,7 @@ import pytest
 
 import graywyner as gw
 from graywyner import cli as cli_module
+from graywyner import common_information
 from graywyner.cli import run
 from graywyner.infotheory import PairStats
 
@@ -44,6 +45,19 @@ class TestInfo:
         assert doc["variables"] == ["X1", "X2", "X3"]
         kinds = {m["kind"] for m in doc["measures"]}
         assert kinds == {"entropy", "mutual_information"}
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_default_pairs_are_the_pairwise_helper(self, docs, name):
+        code, out, _ = cli("info", "--pmf", docs[name])
+        assert code == 0
+        listed = [
+            ((m["a"], m["b"]), m["bits"])
+            for m in json.loads(out)["measures"]
+            if m["kind"] == "mutual_information"
+        ]
+        helper = common_information._pairwise_mi(gw.load_pmf(docs[name]))
+        assert len(listed) == 3
+        assert listed == [(([i], [j]), bits) for (i, j), bits in helper.items()]
 
     def test_requested_measures_match_library(self, docs):
         code, out, _ = cli(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import graywyner as gw
-from graywyner import _optim, common_information
+from graywyner import _optim, common_information, infotheory
 from graywyner.errors import (
     KTooSmallError,
     SupportTooLargeError,
@@ -32,6 +32,11 @@ LIGHT = dict(max_sweeps=12, block_maxiter=15)
 def twin(pmf):
     """An equal law that is another object, so it shares no memo with ``pmf``."""
     return gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities)
+
+
+def pairs(k):
+    """The unordered pairs (i, j), i < j, of k sources in (i, j) order."""
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
 def spy_restarts(monkeypatch, runs=None):
@@ -342,6 +347,31 @@ class TestPairwiseMiBounds:
         pmf = gw.product(fair_bit("A"), fair_bit("B"))
         assert gw.pairwise_mi_bounds(pmf) == (0.0, 0.0)
 
+    def test_matches_public_mutual_information_bit_for_bit(self):
+        # Each side reads a law of its own, so both memos start cold.
+        laws = acceptance_joints() + [example1(), example2()]
+        for pmf in laws:
+            cold = twin(pmf)
+            mn, mx = gw.pairwise_mi_bounds(pmf)
+            public = [gw.mutual_information(cold, [i], [j]) for i, j in pairs(pmf.k)]
+            assert (mn.hex(), mx.hex()) == (min(public).hex(), max(public).hex())
+            helper = common_information._pairwise_mi(pmf)
+            assert list(helper) == pairs(pmf.k)
+            assert [v.hex() for v in helper.values()] == [v.hex() for v in public]
+
+    def test_checks_no_selection(self, monkeypatch):
+        calls = []
+        check = infotheory.check_selection
+        monkeypatch.setattr(
+            infotheory, "check_selection", lambda *a: calls.append(a) or check(*a)
+        )
+        gw.pairwise_mi_bounds(example2())
+        assert calls == []
+
+    def test_single_source_is_rejected(self):
+        with pytest.raises(KTooSmallError):
+            gw.pairwise_mi_bounds(fair_bit())
+
 
 class TestWynerEstimate:
     def test_independent_sources_reach_zero(self):
@@ -641,6 +671,19 @@ BAD_SETTINGS = [
     (dict(w_cardinality=True), TypeError, "w_cardinality must be an integer"),
     (dict(w_cardinality=0), ValueError, "w_cardinality must be >= 1"),
     (dict(w_cardinality=0, restarts=True), ValueError, "w_cardinality must be >= 1"),
+    # Only a plain int skips the ABC checks; these still take them.
+    (dict(restarts=np.bool_(True)), TypeError, "restarts must be an integer"),
+    (dict(restarts=np.float64(2.0)), TypeError, "restarts must be an integer"),
+    (dict(seed=2.0), TypeError, "seed must be an integer"),
+    (dict(seed=np.float64(2.0)), TypeError, "seed must be an integer"),
+    (dict(max_sweeps=np.bool_(True)), TypeError, "max_sweeps must be an integer"),
+    (dict(block_maxiter=np.float64(2.0)), TypeError, "block_maxiter must be an integer"),
+    (dict(w_cardinality=np.bool_(True)), TypeError, "w_cardinality must be an integer"),
+    (dict(w_cardinality=np.float64(2.0)), TypeError, "w_cardinality must be an integer"),
+    (dict(w_cardinality=2.0), TypeError, "w_cardinality must be an integer"),
+    (dict(w_cardinality=np.int64(0)), ValueError, "w_cardinality must be >= 1"),
+    (dict(restarts=np.int64(0)), ValueError, "restarts must be >= 1"),
+    (dict(w_cardinality=0, residual_tol=1e-3), TypeError, "unexpected keyword argument"),
 ]
 
 
@@ -732,6 +775,18 @@ class TestWynerMemo:
         with pytest.raises(error, match=match):
             gw.wyner_estimate(pmf, **{**valid, **bad})
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("first", [2, np.int64(2)], ids=["int_first", "numpy_first"])
+    def test_a_numpy_integer_shares_the_slot_of_its_int(self, monkeypatch, first):
+        calls = spy_restarts(monkeypatch)
+        pmf = dsbs(0.1)
+        other = np.int64(2) if type(first) is int else 2
+        computed = gw.wyner_estimate(pmf, 3, restarts=first, seed=1, **LIGHT)
+        assert gw.wyner_estimate(pmf, 3, restarts=other, seed=1, **LIGHT) is computed
+        assert len(calls) == 1
+        cold = gw.wyner_estimate(twin(pmf), 3, restarts=other, seed=1, **LIGHT)
+        assert cold.value.hex() == computed.value.hex()
+        assert cold.witness.rows.tobytes() == computed.witness.rows.tobytes()
 
     def test_numpy_integers_are_settings(self, monkeypatch):
         calls = spy_restarts(monkeypatch)

@@ -1,7 +1,9 @@
+import ast
 import gc
 import math
 import pickle
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from conftest import (
     example2,
     example2_w_x0,
     fair_bit,
+    random_channel,
     random_joint,
 )
 
@@ -80,6 +83,47 @@ class TestConditionalEntropy:
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingSelectionsError):
             gw.conditional_entropy(copy_pair(), [0], [0])
+
+
+class TestGivenSelection:
+    """``given`` is a selection like any other: None and () condition on
+    nothing, and a numpy array is read, not tested for truth."""
+
+    @staticmethod
+    def law():
+        return gw.JointPmf(
+            ("A", "B", "C"), (2, 2, 2), [0.3, 0, 0.1, 0.1, 0.05, 0.15, 0.1, 0.2]
+        )
+
+    def test_numpy_array_of_index_zero_conditions(self):
+        pmf = self.law()
+        value = gw.conditional_entropy(pmf, [1], np.array([0]))
+        assert value == gw.conditional_entropy(pmf, [1], [0])
+        assert value == pytest.approx(binary_entropy(0.4), abs=1e-12)
+        assert value == pytest.approx(0.97095, abs=1e-5)
+        assert gw.entropy(pmf, [1]) == 1.0
+
+    def test_numpy_array_of_two_indices_conditions(self):
+        pmf = self.law()
+        value = gw.conditional_entropy(pmf, [1], np.array([0, 2]))
+        assert value == gw.conditional_entropy(pmf, [1], [0, 2])
+        cmi = gw.conditional_mutual_information(pmf, [0], [1], np.array([2]))
+        assert cmi == gw.conditional_mutual_information(pmf, [0], [1], [2])
+
+    def test_numpy_array_overlap_is_rejected(self):
+        pmf = self.law()
+        with pytest.raises(OverlappingSelectionsError, match="a and given share"):
+            gw.conditional_mutual_information(pmf, [0], [1], np.array([0]))
+        with pytest.raises(OverlappingSelectionsError, match="of and given share"):
+            gw.conditional_entropy(pmf, [1], np.array([1]))
+
+    def test_none_and_empty_condition_on_nothing(self):
+        pmf = self.law()
+        h_b = gw.entropy(pmf, [1])
+        mi = gw.mutual_information(pmf, [0], [1])
+        for given in (None, (), [], np.array([], dtype=int)):
+            assert gw.conditional_entropy(pmf, [1], given) == h_b
+            assert gw.conditional_mutual_information(pmf, [0], [1], given) == mi
 
 
 class TestMutualInformation:
@@ -171,6 +215,29 @@ class TestMarkovSlack:
     def test_missing_aux_axis(self):
         with pytest.raises(MissingAuxAxisError):
             gw.markov_slack(dsbs(0.2), 0)
+
+    @pytest.mark.parametrize(
+        "k, error, match",
+        [(3, IndexError, "source index 3 out of range"),
+         (True, TypeError, "given indices must be integers"),
+         (1.0, TypeError, "given indices must be integers")],
+    )
+    def test_invalid_source_index(self, k, error, match):
+        joint = gw.join_with_aux(example2(), example2_w_x0())
+        with pytest.raises(error, match=match):
+            gw.markov_slack(joint, k)
+
+    def test_matches_public_conditional_mi_bit_for_bit(self):
+        # Each side reads a law of its own, so both memos start cold.
+        rng = np.random.default_rng(11)
+        for pmf, twin in zip(acceptance_joints(), acceptance_joints()):
+            w = random_channel(rng, pmf)
+            joint, twin_joint = gw.join_with_aux(pmf, w), gw.join_with_aux(twin, w)
+            w_axis = pmf.k
+            for k in [np.int64(pmf.k - 1), *range(pmf.k)]:
+                others = [i for i in range(w_axis) if i != k]
+                public = gw.conditional_mutual_information(twin_joint, others, [w_axis], [k])
+                assert gw.markov_slack(joint, k).hex() == public.hex()
 
 
 class TestProperties:
@@ -337,3 +404,40 @@ def test_delta_max_and_verify_c2_check_no_selection(monkeypatch):
             ((h - gk.value) - r).hex() for h, r in zip(h_k, corner.rk)
         ]
         assert report.mi_residual.hex() == (gk.value - corner.r0).hex()
+
+
+PUBLIC_MEASURES = {
+    "entropy", "conditional_entropy", "mutual_information", "conditional_mutual_information",
+}
+
+
+def public_measure_calls(path):
+    """(line, name) of every call in ``path`` to a public measure, by name
+    or attribute."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in PUBLIC_MEASURES:
+                calls.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            calls.extend((node.lineno, a.name) for a in node.names if a.name in PUBLIC_MEASURES)
+    return calls
+
+
+def test_only_the_cli_calls_the_public_measures():
+    # The public measures check their selections; the library builds its
+    # own, so it reads ``infotheory._entropy`` and the private helpers, and
+    # only the CLI, which passes user input on, calls the public ones.
+    package = Path(gw.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {"cli.py", "infotheory.py", "common_information.py"} <= {m.name for m in modules}
+    offenders = {
+        m.name: calls for m in modules if m.name != "cli.py" and (calls := public_measure_calls(m))
+    }
+    assert offenders == {}
+    # The walk does see such calls where they are made.
+    assert {name for _, name in public_measure_calls(package / "cli.py")} == {
+        "entropy", "conditional_entropy", "mutual_information",
+    }

@@ -28,8 +28,8 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def joints(draw):
-    k = draw(st.integers(2, 3))
+def joints(draw, max_k=3):
+    k = draw(st.integers(2, max_k))
     cards = tuple(draw(st.lists(st.integers(2, 3), min_size=k, max_size=k)))
     total = math.prod(cards)
     support = draw(
@@ -89,6 +89,21 @@ def test_c_below_pairwise_mi_bounds(pmf):
     mn, mx = gw.pairwise_mi_bounds(pmf)
     assert c <= mn + 1e-9
     assert mn <= mx
+
+
+@SETTINGS
+@given(joints(max_k=4))
+def test_pairwise_bounds_are_the_public_mutual_information(pmf):
+    # A twin law is read on the public path, so neither side reads the
+    # other's entropy memo.
+    mn, mx = gw.pairwise_mi_bounds(pmf)
+    twin = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities)
+    public = [
+        gw.mutual_information(twin, [i], [j])
+        for i in range(pmf.k)
+        for j in range(i + 1, pmf.k)
+    ]
+    assert (mn.hex(), mx.hex()) == (min(public).hex(), max(public).hex())
 
 
 @SETTINGS

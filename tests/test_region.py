@@ -208,6 +208,22 @@ class TestSweep:
         assert point.delta == gw.corner_point(ex2, point.witness).delta
 
 
+def soft_only_tuple():
+    """DSBS(0.3) and an interior tuple dominated only by a soft witness:
+    private rates sit below H(X_k) (rules out the constant and component
+    channels) while delta stays positive (rules out the copy channel)."""
+    pmf = dsbs(0.3)
+    rng = np.random.default_rng(99)
+    hidden = gw.AuxChannel(2, rng.dirichlet((2, 2), size=4))
+    corner = gw.corner_point(pmf, hidden)
+    t = gw.RateEquivocationTuple(
+        corner.r0 + 0.05,
+        tuple(r + 0.001 for r in corner.rk),
+        max(0.0, corner.delta - 0.05),
+    )
+    return pmf, t
+
+
 class TestIsAchievable:
     def test_constant_tuple(self, ex2):
         t = gw.RateEquivocationTuple(0.0, (2.0, 2.0, 2.0), gw.delta_max(ex2))
@@ -262,17 +278,37 @@ class TestIsAchievable:
     @pytest.mark.parametrize("restarts", [2.5, 2.0, True, False, "2", None])
     def test_restarts_must_be_an_integer(self, ex2, restarts):
         # Rejected before any candidate: the component witness certifies the
-        # first tuple, and the second would reach the refinements.
+        # first tuple, and the second would reach the refinements.  Each is
+        # rejected on a fresh law and again after a valid call filled its memos.
         for t in (
             gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0),
             gw.RateEquivocationTuple(0.0, (0.0, 0.0, 0.0), 0.0),
         ):
             with pytest.raises(TypeError, match="restarts must be an integer"):
                 gw.is_achievable(ex2, t, restarts=restarts, seed=3)
+        certified = gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0)
+        assert gw.is_achievable(ex2, certified, restarts=2, seed=3).verdict == "achievable"
+        with pytest.raises(TypeError, match="restarts must be an integer"):
+            gw.is_achievable(ex2, certified, restarts=restarts, seed=3)
+
+    @pytest.mark.parametrize(
+        "restarts", [np.bool_(True), np.float64(2.0)], ids=["numpy_bool", "numpy_float"]
+    )
+    def test_numpy_non_integers_are_not_restart_counts(self, ex2, restarts):
+        self.test_restarts_must_be_an_integer(ex2, restarts)
 
     def test_restarts_may_be_a_numpy_integer(self, ex2):
         t = gw.RateEquivocationTuple(1.0, (1.0, 1.0, 1.0), 6.0)
         assert gw.is_achievable(ex2, t, restarts=np.int64(1), seed=3).verdict == "achievable"
+
+    def test_a_numpy_restart_count_searches_like_its_int(self):
+        # Only a refinement certifies this tuple, so both counts run the
+        # same seeded search, the second on the memos the first filled.
+        pmf, t = soft_only_tuple()
+        plain = gw.is_achievable(pmf, t, restarts=6, seed=1)
+        numpy = gw.is_achievable(pmf, t, restarts=np.int64(6), seed=1)
+        assert plain.verdict == numpy.verdict == "achievable"
+        assert plain.witness.rows.tobytes() == numpy.witness.rows.tobytes()
 
     @pytest.mark.parametrize("w_cardinality", [0, -2])
     def test_invalid_w_cardinality_rejected_before_any_candidate(self, ex2, w_cardinality):
@@ -286,18 +322,7 @@ class TestIsAchievable:
                 gw.is_achievable(ex2, t, w_cardinality=w_cardinality, restarts=2, seed=3)
 
     def test_search_certifies_beyond_the_analytic_seeds(self):
-        # Interior tuple dominated only by a soft witness: private rates sit
-        # below H(X_k) (rules out the constant and component channels) while
-        # delta stays positive (rules out the copy channel).
-        pmf = dsbs(0.3)
-        rng = np.random.default_rng(99)
-        hidden = gw.AuxChannel(2, rng.dirichlet((2, 2), size=4))
-        corner = gw.corner_point(pmf, hidden)
-        t = gw.RateEquivocationTuple(
-            corner.r0 + 0.05,
-            tuple(r + 0.001 for r in corner.rk),
-            max(0.0, corner.delta - 0.05),
-        )
+        pmf, t = soft_only_tuple()
         for chan in (
             gw.constant_channel(pmf),
             gw.copy_channel(pmf),
