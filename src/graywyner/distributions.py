@@ -226,8 +226,9 @@ def validate(pmf: JointPmf) -> None:
     """Raise unless all JointPmf invariants hold.
 
     Checks, in order: no duplicate names, non-negative entries, unit sum
-    within ``NORMALIZATION_TOL`` (which no NaN or infinite entry meets),
-    non-empty support.
+    within ``NORMALIZATION_TOL`` (which no NaN or infinite entry meets).
+    Non-negative entries with a sum near 1 leave some entry positive, so
+    the support is never empty.
     """
     if len(set(pmf.variable_names)) != len(pmf.variable_names):
         raise ShapeMismatchError(f"duplicate variable names: {pmf.variable_names}")
@@ -240,8 +241,6 @@ def validate(pmf: JointPmf) -> None:
         raise NotNormalizedError(
             f"probabilities sum to {total!r}, off by {total - 1.0:.3e}"
         )
-    if not (flat > 0.0).any():
-        raise NotNormalizedError("empty support: no outcome has positive mass")
 
 
 def check_selection(
@@ -346,6 +345,17 @@ def product(a: JointPmf, b: JointPmf) -> JointPmf:
 # ---------------------------------------------------------------------------
 
 
+def _one_hot_channel(rows: np.ndarray) -> AuxChannel:
+    """The channel of fresh ``rows`` of exact zeros with one 1 per row.
+    Such rows pass every ``AuxChannel`` check by construction, so they are
+    frozen in place, with no second pass and no copy."""
+    rows.setflags(write=False)
+    w = object.__new__(AuxChannel)
+    object.__setattr__(w, "w_cardinality", rows.shape[1])
+    object.__setattr__(w, "rows", rows)
+    return w
+
+
 def constant_channel(pmf: JointPmf, w_cardinality: int = 1) -> AuxChannel:
     """W constant (all mass on symbol 0), independent of the sources.
 
@@ -357,7 +367,7 @@ def constant_channel(pmf: JointPmf, w_cardinality: int = 1) -> AuxChannel:
         raise ShapeMismatchError("w_cardinality must be >= 1")
     rows = np.zeros((pmf.num_outcomes, w_cardinality))
     rows[:, 0] = 1.0
-    w = AuxChannel(w_cardinality, rows)
+    w = _one_hot_channel(rows)
     if w_cardinality == 1:
         # Exactly one column of ones, as the closed-form corner needs; other
         # channels with |W| = 1 may hold rows within 1e-12 of 1.
@@ -367,7 +377,7 @@ def constant_channel(pmf: JointPmf, w_cardinality: int = 1) -> AuxChannel:
 
 def copy_channel(pmf: JointPmf) -> AuxChannel:
     """W equals the joint outcome itself (full disclosure)."""
-    w = AuxChannel(pmf.num_outcomes, np.eye(pmf.num_outcomes))
+    w = _one_hot_channel(np.eye(pmf.num_outcomes))
     object.__setattr__(w, "_seed", "copy")
     return w
 
@@ -386,7 +396,7 @@ def deterministic_channel(
         raise ShapeMismatchError("label out of range for w_cardinality")
     rows = np.zeros((pmf.num_outcomes, m))
     rows[np.arange(pmf.num_outcomes), labels] = 1.0
-    return AuxChannel(m, rows)
+    return _one_hot_channel(rows)
 
 
 def variable_channel(pmf: JointPmf, var: int) -> AuxChannel:

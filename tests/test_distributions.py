@@ -39,6 +39,16 @@ class TestValidate:
         with pytest.raises(NotNormalizedError):
             gw.JointPmf(("A", "B"), (2, 2), [0.5, bad, 0.0, 0.5])
 
+    def test_all_zero_law_fails_the_sum_check(self):
+        # Non-negative entries summing to 1 leave some entry positive, so the
+        # sum check is the one that rejects an empty support.
+        with pytest.raises(NotNormalizedError, match="sum to 0"):
+            gw.JointPmf(("A", "B"), (2, 2), [0.0] * 4)
+
+    def test_a_negative_entry_beside_a_nan_is_reported_as_negative(self):
+        with pytest.raises(NegativeMassError):
+            gw.JointPmf(("A", "B"), (2, 2), [np.nan, -0.5, 1.5, 0.0])
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ShapeMismatchError):
             gw.JointPmf(("A", "A"), (2, 2), [0.25] * 4)
@@ -166,6 +176,14 @@ class TestJoinWithAux:
         pmf = dsbs(0.2)
         with pytest.raises(ShapeMismatchError):
             gw.join_with_aux(pmf, gw.AuxChannel(2, np.full((3, 2), 0.5)))
+
+    def test_errors_of_two_valid_inputs_add_up_past_the_tolerance(self):
+        # Each input is off by 9e-13, within NORMALIZATION_TOL; the joint is
+        # off by (1 + e)^2 - 1, about 1.8e-12, so the join raises.
+        law = gw.JointPmf(("A", "B"), (2, 2), [0.25, 0.25, 0.25, 0.25 + 9e-13])
+        w = gw.AuxChannel(2, np.tile([0.5, 0.5 + 9e-13], (4, 1)))
+        with pytest.raises(NotNormalizedError, match="off by 1.800e-12"):
+            gw.join_with_aux(law, w)
 
 
 class TestChannels:

@@ -17,7 +17,14 @@ from graywyner import infotheory
 from graywyner.errors import EnumerationTooLargeError, ShapeMismatchError
 
 import sequential_reference as ref
-from conftest import acceptance_joints, copy_pair, example1, example2, random_channel
+from conftest import (
+    acceptance_joints,
+    copy_pair,
+    example1,
+    example2,
+    random_channel,
+    random_joint,
+)
 
 MEASURE_MOVE_TOL = 1e-14
 
@@ -192,6 +199,49 @@ def test_seed_channels_build_no_pair_stats(monkeypatch):
         gw.corner_point(example1(), gw.copy_channel(example2()))
     with pytest.raises(ShapeMismatchError):
         gw.corner_point(example1(), gw.constant_channel(example2()))
+
+
+def _criterion_6_identities(pmf, w):
+    """Criterion 6's identity block for one (law, channel) pair, shaped as
+    in ``test_acceptance.py``."""
+    corner = gw.corner_point(pmf, w)
+    assert gw.is_achievable_with(pmf, w, corner)
+    joint = gw.join_with_aux(pmf, w)
+    h_all_w = gw.conditional_entropy(joint, list(range(pmf.k)), [pmf.k])
+    alt_delta = sum(
+        h_all_w - gw.conditional_entropy(joint, [k], [pmf.k]) for k in range(pmf.k)
+    )
+    assert abs(corner.delta - alt_delta) <= 1e-9
+    dmax = gw.delta_max(pmf)
+    const = gw.corner_point(pmf, gw.constant_channel(pmf))
+    assert abs(const.delta - dmax) <= 1e-9
+    assert all(abs(r - gw.entropy(pmf, [k])) <= 1e-9 for k, r in enumerate(const.rk))
+    copy = gw.corner_point(pmf, gw.copy_channel(pmf))
+    assert abs(copy.r0 - gw.entropy(pmf)) <= 1e-9
+    return corner, alt_delta, const, copy
+
+
+def test_a_repeated_identity_block_checks_no_seed_channel_row(monkeypatch):
+    # Criterion 6's first law and channel.
+    rng = np.random.default_rng(20260811)
+    pmf = random_joint(rng)
+    w = random_channel(rng, pmf)
+    first = _criterion_6_identities(pmf, w)
+    checked = []
+    init = gw.AuxChannel.__post_init__
+
+    def spy(self):
+        checked.append(self)
+        return init(self)
+
+    monkeypatch.setattr(gw.AuxChannel, "__post_init__", spy)
+    # The constant and copy channels are built one-hot, with no row check.
+    assert _criterion_6_identities(pmf, w) == first
+    assert checked == []
+    # A channel from user input is still checked.
+    twin_w = gw.AuxChannel(w.w_cardinality, w.rows)
+    assert _criterion_6_identities(pmf, twin_w) == first
+    assert checked == [twin_w]
 
 
 def test_a_pair_is_measured_once_for_its_corner(monkeypatch):

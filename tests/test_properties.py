@@ -284,6 +284,34 @@ def test_memoized_measures_equal_a_twin_laws_to_the_bit(pair, data):
     assert all(key == tuple(sorted(key)) for key in memo)
 
 
+def _corner_hex(pmf, w):
+    c = gw.corner_point(pmf, w)
+    return [x.hex() for x in (c.r0, *c.rk, c.delta)]
+
+
+@SETTINGS
+@given(joints())
+def test_one_hot_channels_equal_checked_twins_to_the_bit(pmf):
+    # The corners are compared on a twin law (equal values, a new object),
+    # so the checked side never reads a memo that the one-hot side filled.
+    twin = gw.JointPmf(pmf.variable_names, pmf.cardinalities, pmf.probabilities.copy())
+    one_hot = [
+        gw.constant_channel(pmf),
+        gw.constant_channel(pmf, 3),
+        gw.copy_channel(pmf),
+        gw.variable_channel(pmf, pmf.k - 1),
+        gw.deterministic_channel(pmf, pmf.digits(0) // 2),
+        gw.gk_common_information(pmf).witness,
+    ]
+    for chan in one_hot:
+        checked = gw.AuxChannel(chan.w_cardinality, chan.rows.copy())
+        assert type(chan.w_cardinality) is int
+        assert chan.rows.dtype == checked.rows.dtype and chan.rows.shape == checked.rows.shape
+        assert chan.rows.tobytes() == checked.rows.tobytes()
+        assert not chan.rows.flags.writeable
+        assert _corner_hex(pmf, chan) == _corner_hex(twin, checked)
+
+
 @SETTINGS
 @given(joints())
 def test_reduced_c_is_c_of_the_marginal_law_to_the_bit(pmf):
