@@ -62,9 +62,6 @@ def inspect(name, pmf, w_cardinality, seed):
         pmf, gw.WynerParams(w_cardinality=w_cardinality, restarts=4, seed=seed)
     )
     print(f"equal-pairwise-MI case: {prop4.message}")
-    spot = gw.relaxation_spot_check(pmf, restarts=3, seed=seed)
-    print(f"soft-witness spot check: best I = {spot.best_value:.6f} "
-          f"(never above C + 1e-4: {not spot.exceeds})")
     print()
 
 

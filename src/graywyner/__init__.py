@@ -27,13 +27,11 @@ from .common_information import (
     CommonInfoResult,
     Diagnostics,
     Prop4Report,
-    SpotCheckResult,
     WynerParams,
     gk_brute_force_oracle,
     gk_common_information,
     iter_set_partitions,
     pairwise_mi_bounds,
-    relaxation_spot_check,
     verify_c2,
     verify_chain,
     verify_monotonicity,

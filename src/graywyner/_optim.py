@@ -4,7 +4,8 @@ Channels are optimized through row-wise softmax logits, so iterates stay
 inside the simplex.  ``lbfgs`` is the one L-BFGS-B solve over such logits.
 ``fit_channel`` is its only caller: a seeded random start, then one solve
 per objective of a penalty schedule.  It serves the membership search
-(``region.is_achievable``) and the relaxation spot check only.
+(``region.is_achievable``); the tests reuse it for the relaxation spot
+check and the max-delta sweep reference.
 
 ``lbfgs`` drives scipy's compiled step, the private
 ``scipy.optimize._lbfgsb.setulb``, in its own loop, without the per-call
@@ -156,11 +157,6 @@ def check_integer(value, minimum: int, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
-
-
-def check_restarts(restarts, minimum: int) -> None:
-    """Reject a count of solves that is not an integer (or is a bool) or is below ``minimum``."""
-    check_integer(restarts, minimum, "restarts")
 
 
 def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.ndarray:

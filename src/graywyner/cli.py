@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import IO
 
 from . import _optim, codec_sim, common_information, region
@@ -179,7 +180,7 @@ def _cmd_region(args) -> int:
         # --w-cardinality are still checked, in the old order, so exit codes and
         # messages stay.
         budgets = region._check_budgets(_parse_floats(args.r0_grid))
-        _optim.check_restarts(args.restarts, 0)
+        _optim.check_integer(args.restarts, 0, "restarts")
         result = region.sweep_max_delta(pmf, budgets)
         if budgets:
             pmf.support.w_cardinality(args.w_cardinality)
@@ -218,7 +219,7 @@ def _cmd_region(args) -> int:
     t = region.RateEquivocationTuple(args.r0, tuple(rk), args.delta)
     if args.aux:
         # The search options are checked as the search path checks them.
-        _optim.check_restarts(args.restarts, 0)
+        _optim.check_integer(args.restarts, 0, "restarts")
         pmf.support.w_cardinality(args.w_cardinality)
         w = load_aux_channel(args.aux)
         ok = region.is_achievable_with(pmf, w, t)
@@ -310,12 +311,9 @@ def _cmd_verify(args) -> int:
     if unknown:
         raise _UsageError(f"unknown property ids {sorted(unknown)}")
     seed = _require_seed(args) if args.chain or props & {3, 4} else None
-    # Prop 3, prop 4 and the chain share one B estimate, made on first use.
-    estimate_b = functools.cache(
-        lambda: common_information.wyner_estimate(
-            pmf, args.w_cardinality, args.restarts, seed
-        )
-    )
+    # Prop 3, prop 4 and the chain read one B estimate: the first of them
+    # computes it, and the others find it in the law's Wyner slot.
+    params = common_information.WynerParams(args.w_cardinality, args.restarts, seed)
     out: dict = {"delta_max": region.delta_max(pmf)}
     failed = False
     c = common_information.gk_common_information(pmf)
@@ -339,7 +337,7 @@ def _cmd_verify(args) -> int:
         out["prop2"] = {"holds": holds, "margin": mn - c.value}
         failed = failed or not holds
     if 3 in props:
-        b = estimate_b()
+        b = common_information.wyner_estimate(pmf, **asdict(params))
         if b.diagnostics.converged:
             holds = b.value >= mx - common_information.CHAIN_TOL
             out["prop3"] = {"holds": holds, "b_estimate": b.value,
@@ -349,7 +347,7 @@ def _cmd_verify(args) -> int:
             out["prop3"] = {"holds": None, "b_estimate": b.value,
                             "converged": False}
     if 4 in props:
-        report = common_information._prop4_report(c.value, mn, mx, estimate_b)
+        report = common_information.verify_prop4(pmf, params)
         out["prop4"] = {
             "precondition_met": report.precondition_met,
             "hypothesis_established": report.hypothesis_established,
@@ -358,7 +356,7 @@ def _cmd_verify(args) -> int:
         }
         failed = failed or report.conclusion_holds is False
     if args.chain:
-        report = common_information._chain_report(c.value, mn, mx, estimate_b())
+        report = common_information.verify_chain(pmf, params)
         out["chain"] = {
             "holds": report.chain_holds,
             "c_value": report.c_value,

@@ -72,10 +72,6 @@ STAGE_TOL = 1e-13
 TAIL_STALL = 50
 TAIL_MAXITER = 4000
 
-SPOT_MU_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
-SPOT_MAXITER = 300
-SPOT_FLAG_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -140,14 +136,6 @@ class C2Report:
     c_value: float
     rate_residuals: tuple[float, ...]
     mi_residual: float
-
-
-@dataclass(frozen=True)
-class SpotCheckResult:
-    best_value: float
-    max_slack: float
-    c_value: float
-    exceeds: bool
 
 
 def _require_sources(pmf: JointPmf, least: int = 2) -> None:
@@ -511,7 +499,7 @@ def wyner_estimate(
     params = WynerParams(w_cardinality=w_card, restarts=restarts, seed=seed, **tuning)
     if w_cardinality is not None:
         _optim.check_integer(w_cardinality, 1, "w_cardinality")
-    _optim.check_restarts(params.restarts, 1)
+    _optim.check_integer(params.restarts, 1, "restarts")
     for name in ("seed", "max_sweeps", "block_maxiter"):
         _optim.check_integer(getattr(params, name), 0, name)
     slot = _WYNER_RESULTS.get(pmf)
@@ -536,18 +524,6 @@ def wyner_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _chain_report(c: float, mn: float, mx: float, b: CommonInfoResult) -> BoundsReport:
-    links = (mn - c, mx - mn, b.value - mx)
-    chain_holds = (
-        links[0] >= -CHAIN_TOL
-        and links[1] >= -CHAIN_MID_TOL
-        and (not b.diagnostics.converged or links[2] >= -CHAIN_TOL)
-    )
-    return BoundsReport(
-        c, mn, mx, b.value, b.diagnostics.converged, chain_holds, links
-    )
-
-
 def verify_chain(
     pmf: JointPmf, wyner_params: WynerParams | None = None
 ) -> BoundsReport:
@@ -559,7 +535,16 @@ def verify_chain(
     params = wyner_params or WynerParams()
     c = gk_common_information(pmf).value
     mn, mx = pairwise_mi_bounds(pmf)
-    return _chain_report(c, mn, mx, wyner_estimate(pmf, **asdict(params)))
+    b = wyner_estimate(pmf, **asdict(params))
+    links = (mn - c, mx - mn, b.value - mx)
+    chain_holds = (
+        links[0] >= -CHAIN_TOL
+        and links[1] >= -CHAIN_MID_TOL
+        and (not b.diagnostics.converged or links[2] >= -CHAIN_TOL)
+    )
+    return BoundsReport(
+        c, mn, mx, b.value, b.diagnostics.converged, chain_holds, links
+    )
 
 
 def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
@@ -581,13 +566,20 @@ def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
     return gk_common_information(pmf).value, reduced[drop]
 
 
-def _prop4_report(c: float, mn: float, mx: float, estimate_b) -> Prop4Report:
-    """Prop 4's report; ``estimate_b()`` runs only if the precondition holds."""
+def verify_prop4(
+    pmf: JointPmf, wyner_params: WynerParams | None = None
+) -> Prop4Report:
+    """Equal-pairwise-MI special case: C equals the shared MI when the
+    B estimate meets the matching upper value.  B is estimated only if
+    the precondition, equal pairwise MIs, holds."""
+    params = wyner_params or WynerParams()
+    mn, mx = pairwise_mi_bounds(pmf)
+    c = gk_common_information(pmf).value
     if abs(mx - mn) > PROP4_PRECONDITION_TOL:
         return Prop4Report(
             False, False, None, c, mn, mx, None, None, "precondition not met"
         )
-    b = estimate_b()
+    b = wyner_estimate(pmf, **asdict(params))
     established = b.diagnostics.converged and abs(b.value - mx) <= PROP4_B_TOL
     if not established:
         return Prop4Report(
@@ -599,17 +591,6 @@ def _prop4_report(c: float, mn: float, mx: float, estimate_b) -> Prop4Report:
     return Prop4Report(
         True, True, holds, c, mn, mx, b.value, b.diagnostics.converged, message
     )
-
-
-def verify_prop4(
-    pmf: JointPmf, wyner_params: WynerParams | None = None
-) -> Prop4Report:
-    """Equal-pairwise-MI special case: C equals the shared MI when the
-    B estimate meets the matching upper value."""
-    params = wyner_params or WynerParams()
-    mn, mx = pairwise_mi_bounds(pmf)
-    c = gk_common_information(pmf).value
-    return _prop4_report(c, mn, mx, lambda: wyner_estimate(pmf, **asdict(params)))
 
 
 def verify_c2(pmf: JointPmf) -> C2Report:
@@ -630,57 +611,3 @@ def verify_c2(pmf: JointPmf) -> C2Report:
             f"witness failed definition-level feasibility by {worst:.3e} bits"
         )
     return C2Report(c, rate_residuals, mi_residual)
-
-
-# ---------------------------------------------------------------------------
-# Continuous-relaxation spot check for the deterministic-witness presumption
-# ---------------------------------------------------------------------------
-
-
-def relaxation_spot_check(
-    pmf: JointPmf, restarts: int = 6, seed: int = 0
-) -> SpotCheckResult:
-    """Soft-channel maximization of I(X-bar; W) under penalized Markov slack,
-    with |W| = support size + 1 and one solve per ``SPOT_MU_SCHEDULE`` value.
-
-    If randomized soft witnesses could beat the component construction, the
-    penalized maxima would exceed C by more than the finite-penalty bias;
-    ``exceeds`` flags a value above C + ``SPOT_FLAG_TOL`` for investigation.
-    """
-    _optim.check_restarts(restarts, 1)
-    c = gk_common_information(pmf).value
-    view = pmf.support
-    h_x = entropy_of_vector(view.p) * _optim.LN2
-    h_k = [h * _optim.LN2 for h in _source_entropies(pmf)]
-    w_card = view.w_cardinality(None)
-
-    def objective(mu):
-        def penalized(ev):
-            i_nats = h_x + ev.h_w - ev.h_joint
-            grad_i = -(ev.lpw[None, :] - ev.lt)
-            slack_total = 0.0
-            grad_slack = np.zeros_like(ev.t)
-            for k in range(pmf.k):
-                slack_total += (ev.h_kw[k] - h_k[k]) - (ev.h_joint - h_x)
-                grad_slack += ev.lt - ev.lmk[k][view.digits[k], :]
-            return -(i_nats - mu * slack_total), -(grad_i - mu * grad_slack)
-
-        return penalized
-
-    objectives = [objective(mu) for mu in SPOT_MU_SCHEDULE]
-    best_value = -np.inf
-    best_slack = np.inf
-    for r in range(restarts):
-        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, SPOT_MAXITER)
-        ev = _optim.ChannelEval(view, rho)
-        i_bits = max(0.0, (h_x + ev.h_w - ev.h_joint) / _optim.LN2)
-        slacks = [
-            ((ev.h_kw[k] - h_k[k]) - (ev.h_joint - h_x)) / _optim.LN2
-            for k in range(pmf.k)
-        ]
-        if i_bits > best_value:
-            best_value = i_bits
-            best_slack = max(slacks)
-    return SpotCheckResult(
-        best_value, best_slack, c, best_value > c + SPOT_FLAG_TOL
-    )

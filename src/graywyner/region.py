@@ -187,7 +187,7 @@ def is_achievable(
     non-membership; the search is heuristic, and it stops at the first
     candidate that certifies ``t``.
     """
-    _optim.check_restarts(restarts, 0)
+    _optim.check_integer(restarts, 0, "restarts")
     # The component witness, then the degenerate and full-disclosure
     # channels.  Order fixes deterministic tie-breaks.
     seeds = [gk_common_information(pmf).witness, constant_channel(pmf), copy_channel(pmf)]

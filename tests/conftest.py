@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graywyner as gw
+from graywyner import common_information
 
 
 def fair_bit(name="X"):
@@ -82,6 +83,20 @@ def random_channel(rng, pmf, w_cardinality=None):
 def acceptance_joints(count=100, seed=20260809, k=None):
     rng = np.random.default_rng(seed)
     return [random_joint(rng, k=k) for _ in range(count)]
+
+
+def spy_restarts(monkeypatch, runs=None):
+    """Record the settings of every run of ``_wyner_restarts``, or of
+    ``runs`` put in its place."""
+    calls = []
+    real = runs or common_information._wyner_restarts
+
+    def spy(prob, params):
+        calls.append(params)
+        return real(prob, params)
+
+    monkeypatch.setattr(common_information, "_wyner_restarts", spy)
+    return calls
 
 
 @pytest.fixture

@@ -11,6 +11,11 @@ the estimator, which updates all restarts as one stack.
 pruned partitions: one partition at a time from ``iter_set_partitions``,
 each checked with the scalar slack test.
 
+``relaxation_spot_check`` searches for a soft witness that beats the
+exact C, which the Gacs-Korner-Witsenhausen theorem rules out: it maximizes
+I(X-bar; W) under a penalty on the Markov slack, one ``_optim.fit_channel``
+solve per penalty weight, and flags a value above C + ``SPOT_FLAG_TOL``.
+
 ``corner_point`` and ``c2_residuals`` measure a (law, channel) pair the way
 the package did before it had one statistics object: they join W into a
 new law and call the generic entropy functions.  ``CodecStats`` is the
@@ -30,6 +35,7 @@ delta kept under the package's filter and tie rule.
 """
 
 import math
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import chain, product
 
@@ -46,11 +52,18 @@ from graywyner.distributions import (
 )
 from graywyner.errors import SupportTooLargeError
 from graywyner.infotheory import (
+    _source_entropies,
     conditional_entropy,
     entropy,
     entropy_of_vector,
     mutual_information,
 )
+
+SPOT_MU_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
+SPOT_MAXITER = 300
+SPOT_FLAG_TOL = 1e-4
+
+SpotCheckResult = namedtuple("SpotCheckResult", "best_value c_value exceeds")
 
 
 def reference(fun, z0, maxiter):
@@ -205,6 +218,43 @@ def c2_residuals(pmf):
         for k in range(pmf.k)
     )
     return rate_residuals, c - mutual_information(joint, range(pmf.k), [w_axis])
+
+
+def relaxation_spot_check(pmf, restarts=6, seed=0):
+    """Soft-channel maximization of I(X-bar; W) under penalized Markov slack,
+    with |W| = support size + 1, restart r drawn from seed (seed, r), and
+    one solve per ``SPOT_MU_SCHEDULE`` value.
+
+    If soft witnesses could beat the component construction, the penalized
+    maxima would exceed C by more than the finite-penalty bias; ``exceeds``
+    flags a value above C + ``SPOT_FLAG_TOL``.
+    """
+    c = ci.gk_common_information(pmf).value
+    view = pmf.support
+    h_x = entropy_of_vector(view.p) * _optim.LN2
+    h_k = [h * _optim.LN2 for h in _source_entropies(pmf)]
+    w_card = view.w_cardinality(None)
+
+    def objective(mu):
+        def penalized(ev):
+            i_nats = h_x + ev.h_w - ev.h_joint
+            grad_i = -(ev.lpw[None, :] - ev.lt)
+            slack_total = 0.0
+            grad_slack = np.zeros_like(ev.t)
+            for k in range(pmf.k):
+                slack_total += (ev.h_kw[k] - h_k[k]) - (ev.h_joint - h_x)
+                grad_slack += ev.lt - ev.lmk[k][view.digits[k], :]
+            return -(i_nats - mu * slack_total), -(grad_i - mu * grad_slack)
+
+        return penalized
+
+    objectives = [objective(mu) for mu in SPOT_MU_SCHEDULE]
+    best_value = -np.inf
+    for r in range(restarts):
+        rho = _optim.fit_channel(view, w_card, [seed, r], objectives, SPOT_MAXITER)
+        ev = _optim.ChannelEval(view, rho)
+        best_value = max(best_value, (h_x + ev.h_w - ev.h_joint) / _optim.LN2, 0.0)
+    return SpotCheckResult(best_value, c, best_value > c + SPOT_FLAG_TOL)
 
 
 class CodecStats:

@@ -11,7 +11,7 @@ from graywyner import common_information
 from graywyner.cli import run
 from graywyner.infotheory import PairStats
 
-from conftest import example1, example2, example2_w_x0
+from conftest import example1, example2, example2_w_x0, spy_restarts
 
 
 def cli(*argv):
@@ -255,6 +255,23 @@ class TestVerify:
         assert doc["prop3"]["holds"]
         assert doc["prop4"]["conclusion_holds"]
         assert doc["chain"]["holds"]
+
+    @pytest.mark.parametrize("name, argv, runs", [
+        ("ex2", ["--props", "1,2,3,4", "--chain", "--w-cardinality", "3",
+                 "--restarts", "2"], 1),
+        # Example 1's pairwise MIs differ, so prop 4 needs no B.
+        ("ex1", ["--props", "4"], 0),
+        # Each reader of B alone computes it once; props 1 and 2 need none.
+        ("ex2", ["--props", "3", "--restarts", "2"], 1),
+        ("ex2", ["--props", "4", "--restarts", "2"], 1),
+        ("ex2", ["--chain", "--restarts", "2"], 1),
+        ("ex2", ["--props", "1,2"], 0),
+    ])
+    def test_one_b_per_run(self, docs, monkeypatch, name, argv, runs):
+        calls = spy_restarts(monkeypatch)
+        code, _, _ = cli("verify", "--pmf", docs[name], *argv, "--seed", "7")
+        assert code == 0
+        assert len(calls) == runs
 
     def test_chain_requires_seed(self, docs):
         code, _, err = cli("verify", "--pmf", docs["ex2"], "--chain")

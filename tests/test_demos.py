@@ -1,9 +1,9 @@
 """Smoke test of the demo scripts: each runs to completion and prints.
 
 The demos drive the public API end to end (demo 01 joins a channel and
-measures Markov slack; demo 02 runs exact C, the brute-force oracle and
-the relaxation spot check), so a change that breaks one of them fails
-here rather than only when someone runs it by hand.
+measures Markov slack; demo 02 runs exact C, the brute-force oracle, the
+Wyner estimate and the verification reports), so a change that breaks one
+of them fails here rather than only when someone runs it by hand.
 """
 
 import os

@@ -3,10 +3,12 @@
 ``_optim.lbfgs`` runs scipy's compiled L-BFGS-B step in its own loop.  The
 reference is the ``scipy.optimize.minimize`` call on the same problem;
 every solve must return the same bytes.  The solves are the five of the
-relaxation spot check and three KL problems on (17, 4) rows.  A scipy
+relaxation spot check in ``sequential_reference``, whose start logits are
+pinned by a SHA-256, and three KL problems on (17, 4) rows.  A scipy
 release that changes either the compiled step or ``minimize`` fails here.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,12 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graywyner import _optim, common_information
+from graywyner import _optim
 
 from conftest import acceptance_joints
-from sequential_reference import reference
+from sequential_reference import reference, relaxation_spot_check
 
 MAXITERS = (1, 15, 300)
+# SHA-256 of the five start logits of the spot check's solves below, in
+# solve order: the seeded draw, then each warm start.
+SPOT_STARTS_SHA256 = "689a892ce0514000ff29f8d7828ff91252bf44cb2910d1485e7ed58e4ac2d716"
 
 
 def captured_solves(run):
@@ -58,13 +63,18 @@ def law():
 def solves(law):
     """The spot check's five solves, then three KL problems to random
     targets on (17, 4) rows, each solved alone."""
-    spot = captured_solves(
-        lambda: common_information.relaxation_spot_check(law, restarts=1, seed=3)
-    )
+    spot = captured_solves(lambda: relaxation_spot_check(law, restarts=1, seed=3))
     rng = np.random.default_rng(1)
     targets = rng.dirichlet(np.ones(4), size=(3, 17))
     starts = rng.normal(size=(3, 17, 4))
     return spot + [(kl_to(target), z0) for target, z0 in zip(targets, starts)]
+
+
+def test_spot_check_starts_are_pinned(solves):
+    digest = hashlib.sha256()
+    for _, z0 in solves[:5]:
+        digest.update(z0.tobytes())
+    assert digest.hexdigest() == SPOT_STARTS_SHA256
 
 
 @pytest.mark.parametrize("maxiter", MAXITERS)
