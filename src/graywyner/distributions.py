@@ -286,11 +286,12 @@ def marginalize(pmf: JointPmf, keep: Sequence[int]) -> JointPmf:
         raise EmptySelectionError("keep selects no variables")
     drop = tuple(i for i in range(pmf.k) if i not in keep_sorted)
     tensor = pmf.probabilities.sum(axis=drop) if drop else pmf.probabilities
-    return JointPmf(
-        tuple(pmf.variable_names[i] for i in keep_sorted),
-        tuple(pmf.cardinalities[i] for i in keep_sorted),
-        tensor,
-    )
+    names = tuple(pmf.variable_names[i] for i in keep_sorted)
+    cards = tuple(pmf.cardinalities[i] for i in keep_sorted)
+    try:
+        return JointPmf(names, cards, tensor)
+    except NotNormalizedError:  # summed in another order; see join_with_aux
+        return JointPmf(names, cards, tensor / tensor.sum())
 
 
 def condition(pmf: JointPmf, on: int, value: int) -> JointPmf:
@@ -321,11 +322,13 @@ def join_with_aux(pmf: JointPmf, w: AuxChannel) -> JointPmf:
     while w_name in pmf.variable_names:
         w_name += "_"
     tensor = pmf.flat[:, None] * w.rows
-    return JointPmf(
-        pmf.variable_names + (w_name,),
-        pmf.cardinalities + (w.w_cardinality,),
-        tensor,
-    )
+    names, cards = pmf.variable_names + (w_name,), pmf.cardinalities + (w.w_cardinality,)
+    try:
+        return JointPmf(names, cards, tensor)
+    except NotNormalizedError:
+        # Law and channel may each be off by NORMALIZATION_TOL, and so their
+        # product twice over; only then is the tensor divided by its sum.
+        return JointPmf(names, cards, tensor / tensor.sum())
 
 
 def product(a: JointPmf, b: JointPmf) -> JointPmf:
@@ -333,11 +336,11 @@ def product(a: JointPmf, b: JointPmf) -> JointPmf:
     if set(a.variable_names) & set(b.variable_names):
         raise ShapeMismatchError("product factors share variable names")
     tensor = np.outer(a.flat, b.flat)
-    return JointPmf(
-        a.variable_names + b.variable_names,
-        a.cardinalities + b.cardinalities,
-        tensor,
-    )
+    names, cards = a.variable_names + b.variable_names, a.cardinalities + b.cardinalities
+    try:
+        return JointPmf(names, cards, tensor)
+    except NotNormalizedError:  # as in join_with_aux
+        return JointPmf(names, cards, tensor / tensor.sum())
 
 
 # ---------------------------------------------------------------------------

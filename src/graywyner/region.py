@@ -2,25 +2,27 @@
 
 For a source law and an auxiliary channel W the extreme achievable tuple is
 (I(X-bar; W), {H(X_k|W)}, sum_k H(X-bar|W, X_k)); the region is the union of
-everything dominated by such corners over all W.  Membership testing is
-therefore one-sided: a tuple is declared achievable only with a certifying
-witness, and the search returns Unknown otherwise.
+everything dominated by such corners over all W.  A tuple is declared
+achievable only with a certifying witness.  Otherwise it is Unknown: proved
+outside by the converse, or missed by a heuristic search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import _optim
-from .common_information import gk_common_information
+from .common_information import _require_sources, gk_common_information
 from .distributions import AuxChannel, JointPmf, constant_channel, copy_channel
 from .errors import KTooSmallError, ShapeMismatchError
 from .infotheory import _entropy, corner_measures
 
 ACHIEVABILITY_TOL = 1e-9
+# Rounding room (bits) in each converse inequality.  No corner of a random law
+# and channel, both off by 9e-13 in their sums, broke one by over 6e-12.
+_FLOAT_ALLOWANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,16 @@ def delta_max(pmf: JointPmf) -> float:
     return sum(max(0.0, h_all - _entropy(pmf, (k,))) for k in range(pmf.k))
 
 
+def _check_rates(pmf: JointPmf, t: RateEquivocationTuple) -> None:
+    if len(t.rk) != pmf.k:
+        raise ShapeMismatchError(f"tuple has {len(t.rk)} private rates, need {pmf.k}")
+
+
 def is_achievable_with(
     pmf: JointPmf, w: AuxChannel, t: RateEquivocationTuple
 ) -> bool:
     """True iff ``t`` is dominated by the corner point of ``w``."""
-    if len(t.rk) != pmf.k:
-        raise ShapeMismatchError(f"tuple has {len(t.rk)} private rates, need {pmf.k}")
+    _check_rates(pmf, t)
     corner = corner_point(pmf, w)
     if t.r0 < corner.r0 - ACHIEVABILITY_TOL:
         return False
@@ -141,7 +147,7 @@ def sweep_max_delta(pmf: JointPmf, r0_budgets) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic searches over auxiliary channels
+# Membership: the converse, then a search over auxiliary channels
 # ---------------------------------------------------------------------------
 
 
@@ -172,6 +178,29 @@ def _membership_objective(pmf: JointPmf, t: RateEquivocationTuple):
     return shortfall
 
 
+def _converse_violation(pmf: JointPmf, t: RateEquivocationTuple) -> str | None:
+    """The first converse inequality that ``t`` breaks, or None.
+
+    With L = max(0, max_k (H_k - R_k), H - sum_k R_k), a corner certifying
+    ``t`` has I(X-bar; W) >= L - K tol (tol = ``ACHIEVABILITY_TOL``), so
+    (i) R_0 >= L, (ii) Delta <= delta_max - sum_k max(0, L - H_k) and
+    (iii) Delta <= (K - 1)(H - L) hold up to (K + 1), K^2 + 1 and
+    K (K - 1) + 1 times tol, plus ``_FLOAT_ALLOWANCE``."""
+    k = pmf.k
+    h = _entropy(pmf, tuple(range(k)))
+    h_k = [_entropy(pmf, (i,)) for i in range(k)]
+    low = max(0.0, *(hi - r for hi, r in zip(h_k, t.rk)), h - sum(t.rk))
+    tol = ACHIEVABILITY_TOL
+    if t.r0 < low - (k + 1) * tol - _FLOAT_ALLOWANCE:
+        return "(i) R0 >= L"
+    private = delta_max(pmf) - sum(max(0.0, low - hi) for hi in h_k)
+    if t.delta > private + (k * k + 1) * tol + _FLOAT_ALLOWANCE:
+        return "(ii) Delta <= delta_max - sum_k max(0, L - H_k)"
+    if t.delta > (k - 1) * (h - low) + (k * (k - 1) + 1) * tol + _FLOAT_ALLOWANCE:
+        return "(iii) Delta <= (K - 1)(H - L)"
+    return None
+
+
 def is_achievable(
     pmf: JointPmf,
     t: RateEquivocationTuple,
@@ -181,26 +210,31 @@ def is_achievable(
 ) -> AchievabilityResult:
     """One-sided membership test: certify with a witness or answer Unknown.
 
-    The candidates are the analytic extremes, then one soft channel per
-    restart r, searched from seed (seed, r) on demand; ``w_cardinality`` is
-    checked before any candidate is tried.  The Unknown verdict never claims
-    non-membership; the search is heuristic, and it stops at the first
-    candidate that certifies ``t``.
+    After the argument checks, a tuple that the converse rejects is Unknown
+    at once, and that Unknown is a proof that ``t`` lies outside the region.
+    Otherwise the candidates are the analytic extremes, each built in its
+    turn, then one soft channel per restart r, from seed (seed, r), up to
+    the first that certifies ``t``; this Unknown claims nothing.
     """
     _optim.check_integer(restarts, 0, "restarts")
-    # The component witness, then the degenerate and full-disclosure
-    # channels.  Order fixes deterministic tie-breaks.
-    seeds = [gk_common_information(pmf).witness, constant_channel(pmf), copy_channel(pmf)]
+    _require_sources(pmf)
     view = pmf.support
     w_card = view.w_cardinality(w_cardinality)
-    objectives = [_membership_objective(pmf, t)]
+    _check_rates(pmf, t)
+    if _converse_violation(pmf, t) is not None:
+        return AchievabilityResult("unknown", None)
 
-    def fits():
+    def candidates():
+        # The component witness, constant and copy channels; order fixes ties.
+        yield gk_common_information(pmf).witness
+        yield constant_channel(pmf)
+        yield copy_channel(pmf)
+        objectives = [_membership_objective(pmf, t)]
         for r in range(restarts):
             rho = _optim.fit_channel(view, w_card, [seed, r], objectives, maxiter=200)
             yield view.embed(rho / rho.sum(axis=1, keepdims=True), w_card)
 
-    for cand in chain(seeds, fits()):
+    for cand in candidates():
         if is_achievable_with(pmf, cand, t):
             return AchievabilityResult("achievable", cand)
     return AchievabilityResult("unknown", None)

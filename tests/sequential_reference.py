@@ -1,7 +1,7 @@
 """Reference code that the package's faster solvers must reproduce.
 
-``reference`` is one L-BFGS-B solve through ``scipy.optimize.minimize``,
-the public call that ``_optim.lbfgs`` replays.
+``reference`` is one L-BFGS-B solve through ``scipy.optimize.minimize``
+with the package's settings, the call that ``_optim.lbfgs`` makes.
 ``wyner_runs`` runs the restarts of ``wyner_estimate`` one after another,
 each with its own 2-D arrays and its own loops over the annealing stages
 and the beta = 1 tail, so that tests can require byte-equal results from

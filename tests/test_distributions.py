@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import graywyner as gw
+from graywyner.distributions import NORMALIZATION_TOL
 from graywyner.errors import (
     EmptySelectionError,
     NegativeMassError,
@@ -178,12 +179,19 @@ class TestJoinWithAux:
             gw.join_with_aux(pmf, gw.AuxChannel(2, np.full((3, 2), 0.5)))
 
     def test_errors_of_two_valid_inputs_add_up_past_the_tolerance(self):
-        # Each input is off by 9e-13, within NORMALIZATION_TOL; the joint is
-        # off by (1 + e)^2 - 1, about 1.8e-12, so the join raises.
+        # Each input is off by 9e-13, within NORMALIZATION_TOL; their product
+        # is off by (1 + e)^2 - 1, about 1.8e-12, so the join divides it by
+        # its sum, and only then.
         law = gw.JointPmf(("A", "B"), (2, 2), [0.25, 0.25, 0.25, 0.25 + 9e-13])
         w = gw.AuxChannel(2, np.tile([0.5, 0.5 + 9e-13], (4, 1)))
-        with pytest.raises(NotNormalizedError, match="off by 1.800e-12"):
-            gw.join_with_aux(law, w)
+        raw = law.flat[:, None] * w.rows
+        assert abs(raw.sum() - 1.0) > NORMALIZATION_TOL
+        joint = gw.join_with_aux(law, w)
+        assert joint.flat.tobytes() == (raw / raw.sum()).tobytes()
+        bit = gw.JointPmf(("C",), (2,), [0.5, 0.5 + 9e-13])
+        raw = np.outer(law.flat, bit.flat)
+        assert abs(raw.sum() - 1.0) > NORMALIZATION_TOL
+        assert gw.product(law, bit).flat.tobytes() == (raw / raw.sum()).reshape(-1).tobytes()
 
 
 class TestChannels:

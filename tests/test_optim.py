@@ -1,13 +1,14 @@
-"""The L-BFGS-B loop against the public scipy call it replaces.
+"""The package's L-BFGS-B solve against the reference call.
 
-``_optim.lbfgs`` runs scipy's compiled L-BFGS-B step in its own loop.  The
-reference is the ``scipy.optimize.minimize`` call on the same problem;
-every solve must return the same bytes.  The solves are the five of the
-relaxation spot check in ``sequential_reference``, whose start logits are
-pinned by a SHA-256, and three KL problems on (17, 4) rows.  A scipy
-release that changes either the compiled step or ``minimize`` fails here.
+``_optim.lbfgs`` is one ``scipy.optimize.minimize`` call on the logits.  The
+reference spells that call out with the package's ``FTOL`` and ``GTOL``;
+every solve must return the same bytes, so a change of the settings, the
+objective's logit wrapper or the start fails here.  The solves are the five
+of the relaxation spot check in ``sequential_reference``, whose start logits
+are pinned by a SHA-256, and three KL problems on (17, 4) rows.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -147,29 +148,6 @@ class TestOneSolve:
         assert growing.calls > 1
 
 
-def test_blas_threads_are_restored_after_a_solve():
-    threads = _optim._blas_threads()
-    if threads is None:
-        pytest.skip("scipy here bundles no OpenBLAS with thread controls")
-    get, put = threads
-    kl = kl_to(TestOneSolve.target)
-    during = []
-
-    def fun(rows):
-        during.append(get())
-        return kl(rows)
-
-    before = get()
-    try:
-        put(2)
-        _optim.lbfgs(fun, TestOneSolve.start, 15)
-        after = get()
-    finally:
-        put(before)
-    assert set(during) == {1}
-    assert after == 2
-
-
 # Which modules a fresh process has loaded after the package's import, the
 # CLI's, exact C and a Wyner estimate, and then after one soft-channel fit.
 SCIPY_PROBE = """
@@ -196,3 +174,43 @@ def test_scipy_optimize_loads_with_the_first_solve():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def _private_imports(tree):
+    """Each module that ``tree`` imports from ``ctypes`` or from a private
+    part of scipy, as written."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            if parts[0] == "ctypes" or (
+                parts[0] == "scipy" and any(part.startswith("_") for part in parts[1:])
+            ):
+                found.append(module)
+    return found
+
+
+def test_the_package_imports_no_ctypes_and_no_private_scipy():
+    package = Path(__file__).resolve().parent.parent / "src" / "graywyner"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = {
+        path.name: _private_imports(ast.parse(path.read_text(), str(path)))
+        for path in sources
+    }
+    assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["import ctypes", "from ctypes import CDLL", "from scipy.optimize import _lbfgsb",
+     "import scipy.optimize._lbfgsb", "from scipy.optimize._lbfgsb import setulb"],
+)
+def test_the_import_guard_sees(line):
+    assert _private_imports(ast.parse(f"def f():\n    {line}\n"))

@@ -14,11 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import graywyner as gw
-from graywyner import codec_sim, infotheory
+from graywyner import codec_sim, infotheory, region
+from graywyner.distributions import NORMALIZATION_TOL
 from graywyner.infotheory import PairStats
 
 import sequential_reference as ref
@@ -188,6 +189,67 @@ def test_pair_stats_match_the_join_and_the_codec_tables(pair):
     assert stats.h_given_w == tuple(old.private_rate(k) for k in range(pmf.k))
     assert stats.h_given_wk == tuple(old.equivocation_target(k) for k in range(pmf.k))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.cost_k, old.cost_k))
+
+
+@SETTINGS
+@given(joints_with_channels(), st.data())
+def test_no_candidate_certifies_a_tuple_the_converse_rejects(pair, data):
+    # Each candidate's corner, moved by ACHIEVABILITY_TOL up or down in
+    # every coordinate, is a tuple that the candidate still certifies, so
+    # the converse must let it through.
+    pmf, w = pair
+    tol = region.ACHIEVABILITY_TOL
+    for cand in (gw.gk_common_information(pmf).witness, gw.constant_channel(pmf),
+                 gw.copy_channel(pmf), w):
+        corner = gw.corner_point(pmf, cand)
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=pmf.k + 2,
+                                   max_size=pmf.k + 2))
+        t = gw.RateEquivocationTuple(
+            corner.r0 + signs[0] * tol,
+            tuple(r + s * tol for r, s in zip(corner.rk, signs[2:])),
+            corner.delta + signs[1] * tol,
+        )
+        assert gw.is_achievable_with(pmf, cand, t)
+        assert region._converse_violation(pmf, t) is None
+
+
+@st.composite
+def off_by_a_little(draw, pmf, prefix="X"):
+    """``pmf`` with its masses scaled so that their sum is off by up to
+    NORMALIZATION_TOL, its variables named ``prefix`` 1, 2, ..., if the law
+    accepts it."""
+    error = draw(st.floats(-NORMALIZATION_TOL, NORMALIZATION_TOL))
+    names = tuple(f"{prefix}{i + 1}" for i in range(pmf.k))
+    try:
+        return gw.JointPmf(names, pmf.cardinalities, pmf.flat * (1.0 + error))
+    except gw.NotNormalizedError:
+        reject()
+
+
+@SETTINGS
+@given(joints_with_channels(), st.data())
+def test_compositions_of_valid_inputs_are_accepted(pair, data):
+    pmf, w = pair
+    law = data.draw(off_by_a_little(pmf))
+    errors = np.array(data.draw(st.lists(
+        st.floats(-NORMALIZATION_TOL, NORMALIZATION_TOL),
+        min_size=w.num_rows, max_size=w.num_rows,
+    )))
+    try:
+        w = gw.AuxChannel(w.w_cardinality, w.rows * (1.0 + errors)[:, None])
+    except gw.NotNormalizedError:
+        reject()
+    other = data.draw(off_by_a_little(data.draw(joints()), "Y"))
+    gw.product(law, other)
+    gw.product(other, law)
+    gw.join_with_aux(law, w)
+    for size in range(1, law.k + 1):
+        for keep in combinations(range(law.k), size):
+            gw.marginalize(law, keep)
+    for on, card in enumerate(law.cardinalities):
+        for value in range(card):
+            if np.take(law.probabilities, value, axis=on).sum() > 0:
+                gw.condition(law, on, value)
 
 
 def _seed_corners_and_pair_stats(pmf):

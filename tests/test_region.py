@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,78 @@ class TestIsAchievable:
         assert result.verdict == "unknown"
         assert result.witness is None
 
+    def test_converse_rejects_before_any_candidate(self, monkeypatch):
+        # The infeasible tuple above: R0 = 0 is below L = H(X-bar), so no
+        # seed channel is built and no refinement runs.
+        fits, copies = [], []
+        monkeypatch.setattr(_optim, "fit_channel", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(region, "copy_channel", lambda pmf: copies.append(pmf))
+        pmf = dsbs(0.11)
+        t = gw.RateEquivocationTuple(0.0, (0.0, 0.0), 0.0)
+        assert region._converse_violation(pmf, t).startswith("(i)")
+        result = gw.is_achievable(pmf, t, restarts=2, seed=3)
+        assert (result.verdict, result.witness) == ("unknown", None)
+        assert fits == [] and copies == []
+
+    @pytest.mark.parametrize(
+        "t, rule",
+        [((0.5, (0.5, 0.5, 0.5), 0.0), "(i)"), ((1.0, (1.0, 1.0, 1.0), 6.5), "(ii)"),
+         ((1.5, (0.5, 1.0, 1.0), 5.5), "(iii)")],
+        ids=["r0", "private", "total"],
+    )
+    def test_each_converse_inequality_rejects(self, ex2, t, rule):
+        # Example 2 has H = 4, H_k = 2 and delta_max = 6.  The tuples have
+        # L = 2.5, 1 and 1.5, so (i) asks R0 >= 2.5, (ii) caps Delta at 6 and
+        # (iii) caps it at 2 (4 - 1.5) = 5 while (ii) allows 6.
+        violation = region._converse_violation(ex2, gw.RateEquivocationTuple(*t))
+        assert violation.startswith(rule)
+        assert gw.is_achievable(ex2, gw.RateEquivocationTuple(*t)).verdict == "unknown"
+
+    def test_the_converse_changes_no_answer(self, monkeypatch):
+        # The same verdicts and witness bytes with the converse as with the
+        # search alone, on tuples drawn as in the membership baseline.
+        rng = np.random.default_rng(5)
+        cases = []
+        for pmf in acceptance_joints(6):
+            h = gw.entropy(pmf)
+            h_k = [gw.entropy(pmf, [k]) for k in range(pmf.k)]
+            for _ in range(4):
+                t = gw.RateEquivocationTuple(
+                    rng.uniform(0, h), tuple(rng.uniform(0, x) for x in h_k),
+                    rng.uniform(0, gw.delta_max(pmf)),
+                )
+                cases.append((pmf, t))
+
+        def answers():
+            out = []
+            for pmf, t in cases:
+                result = gw.is_achievable(pmf, t, restarts=1, seed=0)
+                out.append((result.verdict, result.witness and result.witness.rows.tobytes()))
+            return out
+
+        with_converse = answers()
+        assert sum(region._converse_violation(pmf, t) is not None for pmf, t in cases) > 0
+        monkeypatch.setattr(region, "_converse_violation", lambda pmf, t: None)
+        assert answers() == with_converse
+
+    def test_a_constant_certified_tuple_on_a_large_law_builds_no_copy_channel(self):
+        # A 20^3 law on 50 outcomes: the copy channel would be np.eye(8000),
+        # 512 MB, but the constant channel certifies first.
+        rng = np.random.default_rng(0)
+        flat = np.zeros(20**3)
+        flat[rng.choice(flat.size, 50, replace=False)] = rng.dirichlet(np.ones(50))
+        pmf = gw.JointPmf(("A", "B", "C"), (20, 20, 20), flat)
+        t = gw.corner_point(pmf, gw.constant_channel(pmf))
+        tracemalloc.start()
+        try:
+            result = gw.is_achievable(pmf, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "achievable"
+        assert result.witness.w_cardinality == 1
+        assert peak < 50e6
+
     def test_stops_at_first_certifying_candidate(self, ex2, monkeypatch):
         # The component witness certifies this tuple, so no refinement runs;
         # the max-delta sweep never refines.
@@ -320,6 +394,23 @@ class TestIsAchievable:
         ):
             with pytest.raises(ValueError, match="w_cardinality"):
                 gw.is_achievable(ex2, t, w_cardinality=w_cardinality, restarts=2, seed=3)
+
+    @pytest.mark.parametrize(
+        "law, restarts, w_cardinality, error, match",
+        [("one", -1, 0, ValueError, "restarts"), ("one", 1, 0, KTooSmallError, "sources"),
+         ("ex2", 1, 0, ValueError, "w_cardinality"),
+         ("ex2", 1, None, ShapeMismatchError, "private rates")],
+        ids=["restarts", "sources", "w_cardinality", "rate_count"],
+    )
+    def test_argument_errors_come_before_the_converse(self, law, restarts, w_cardinality,
+                                                      error, match):
+        # Each case breaks its own check and every later one; its tuple, with
+        # one private rate, is outside the region, so only the checks stand
+        # before the converse.
+        pmf = fair_bit() if law == "one" else example2()
+        t = gw.RateEquivocationTuple(0.0, (0.0,), 0.0)
+        with pytest.raises(error, match=match):
+            gw.is_achievable(pmf, t, w_cardinality=w_cardinality, restarts=restarts, seed=3)
 
     def test_search_certifies_beyond_the_analytic_seeds(self):
         pmf, t = soft_only_tuple()
