@@ -19,9 +19,10 @@ right.  ``_encode_outcomes`` and ``_decode_indices`` are batch kernels
 that ``run_trials`` feeds chunks of trials of about ``CHUNK_ELEMENTS``
 array elements each, and that ``encode`` and ``decode`` call with a batch
 of one.  Codewords come from ``default_rng([seed, 0])``, hash keys from
-``default_rng([seed, 3])`` and trial t's block from
-``default_rng([seed, 2, t])``, which ``_draw_uniforms`` reproduces for a
-whole chunk at once.
+``default_rng([seed, 3])`` and the trials' blocks from one
+``default_rng([seed, 2])`` stream, drawn in order: trial t's block comes
+from the stream's doubles t n to t n + n - 1, which
+``PCG64(SeedSequence([seed, 2])).advance(t * n)`` reaches directly.
 
 ``exact_equivocation`` computes (1/n) H(X-bar^n \\ X_k^n | J_0, J_k) exactly
 by enumerating every source block over the support; encoder failures map to
@@ -355,129 +356,16 @@ def run_trials(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig, trials: int) -> Si
 
     Encoder failure counts as an error at every decoder; the conditional
     decoder error rates (given encoding succeeded) are reported separately.
-    Trial t's block is ``default_rng([seed, 2, t]).choice`` of n joint
-    outcomes, so reports are reproducible and trial order is immaterial;
-    a kernel following NumPy's SeedSequence and PCG64 computes those draws
-    for a chunk of trials at once.  Trials run in chunks: equal blocks of
-    a chunk are encoded once, equal (j0, jk) messages decoded once, and
-    each score is summed as for a single block, so the report is the one
-    a trial-by-trial loop gives.
+    One ``default_rng([seed, 2])`` stream draws the blocks, as
+    ``choice(pmf.num_outcomes, size=(trials, n), p=pmf.flat)`` would, so a
+    report is reproducible and chunk boundaries cannot move it.  Trial t's
+    block comes from the stream's doubles t n to t n + n - 1, so
+    ``Generator(PCG64(SeedSequence([seed, 2])).advance(t * n))`` draws it
+    alone.  Trials run in chunks: equal blocks of a chunk are encoded once,
+    equal (j0, jk) messages decoded once, and each score is summed as for a
+    single block, so the report is the one a trial-by-trial loop gives.
     """
     return _run_trials(build_codebook(pmf, w, cfg), trials)
-
-
-# NumPy's SeedSequence hash (pool of four uint32 words) and PCG64's
-# 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_U32 = np.uint64(32)
-_LOW32 = np.uint64(0xFFFFFFFF)
-# uint64-sized temporaries the draw kernel holds per trial, which
-# run_trials counts against CHUNK_ELEMENTS beside the trial's n draws.
-_DRAW_TEMPORARIES = 32
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's little-endian uint32 words of a non-negative integer."""
-    value = int(value)
-    words = [value & 0xFFFFFFFF]
-    while value >> 32:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _hash_constants(value: int, mult: int):
-    """The (xor, multiplier) pair of each successive SeedSequence hash."""
-    while True:
-        nxt = value * mult & 0xFFFFFFFF
-        yield np.uint32(value), np.uint32(nxt)
-        value = nxt
-
-
-def _hashmix(words: np.ndarray, consts) -> np.ndarray:
-    xor, mult = next(consts)
-    words = (words ^ xor) * mult
-    return words ^ (words >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
-    a0, a1 = a & _LOW32, a >> _U32
-    b0, b1 = b & _LOW32, b >> _U32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """(hi, lo) * multiplier + (inc_hi, inc_lo) modulo 2^128."""
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    carry = new_lo < inc_lo
-    new_hi = _mulhi(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + carry
-    return new_hi, new_lo
-
-
-def _draw_uniforms(seed: int, n: int, lo: int, hi: int) -> np.ndarray:
-    """``default_rng([seed, 2, t]).random(n)`` of every trial t in lo..hi-1,
-    one per row, computed for all trials at once.
-
-    Each step follows NumPy's SeedSequence and PCG64 with fixed-width
-    unsigned arrays: the entropy words of [seed, 2, t] go through the
-    pool's hash and mix, ``generate_state(4, np.uint64)`` seeds the 128-bit
-    state and increment, and each draw is an LCG step, the XSL-RR output
-    and ``(next64 >> 11) * 2**-53``.  The hash constants do not depend on
-    the data, so every trial takes the same steps.  Explicit uint32 and
-    uint64 operands make every product wrap alike under numpy 1.x value
-    casting and NEP 50.
-    """
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    words = [np.full(len(trials), w, np.uint32) for w in _uint32_words(seed) + [2]]
-    words.append((trials & _LOW32).astype(np.uint32))
-    # t's second word, present only for t >= 2^32; a pool slot beyond the
-    # entropy hashes 0, which this word is wherever t has no second word.
-    high = (trials >> _U32).astype(np.uint32)
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    filled = (words + [high] + [np.zeros_like(high)] * _POOL_SIZE)[:_POOL_SIZE]
-    pool = [_hashmix(w, consts) for w in filled]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-    if len(words) >= _POOL_SIZE and hi > 1 << 32:
-        for dst in range(_POOL_SIZE):
-            mixed = _mix(pool[dst], _hashmix(high, consts))
-            pool[dst] = np.where(high > 0, mixed, pool[dst])
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    state = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64) for i in range(8)]
-    init_hi, init_lo, seq_hi, seq_lo = (
-        state[i] | state[i + 1] << _U32 for i in range(0, 8, 2)
-    )
-    # PCG64 seeding: state 0 steps to inc, adds initstate, steps again.
-    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
-    s_lo = inc_lo + init_lo
-    s_hi = inc_hi + init_hi + (s_lo < init_lo)
-    s_hi, s_lo = _lcg_step(s_hi, s_lo, inc_hi, inc_lo)
-    out = np.empty((len(trials), n))
-    for j in range(n):
-        s_hi, s_lo = _lcg_step(s_hi, s_lo, inc_hi, inc_lo)
-        rot = s_hi >> np.uint64(58)
-        x = s_hi ^ s_lo
-        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        np.multiply(x >> np.uint64(11), 2.0**-53, out=out[:, j])
-    return out
 
 
 def _run_trials(codebook: Codebook, trials: int) -> SimReport:
@@ -494,10 +382,12 @@ def _run_trials(codebook: Codebook, trials: int) -> SimReport:
     cdf /= cdf[-1]
     decode_errors = np.zeros(pmf.k, dtype=np.int64)
     failures = 0
-    step = max(1, CHUNK_ELEMENTS // (n + _DRAW_TEMPORARIES))
+    rng = np.random.default_rng([cfg.seed, 2])
+    # A chunk holds n float64 uniforms and n int64 indices per trial.
+    step = max(1, CHUNK_ELEMENTS // (2 * n))
     for lo in range(0, trials, step):
-        # The indices default_rng([seed, 2, trial]).choice returns, one block per row.
-        drawn = cdf.searchsorted(_draw_uniforms(cfg.seed, n, lo, min(trials, lo + step)), "right")
+        # The indices Generator.choice returns, one block per row.
+        drawn = cdf.searchsorted(rng.random((min(step, trials - lo), n)), "right")
         blocks, _, counts = _distinct_rows(drawn)
         j0 = _batched(
             partial(_encode_outcomes, codebook), len(codebook.pattern_digits) * n, blocks

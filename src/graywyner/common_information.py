@@ -189,6 +189,15 @@ def common_part_labels(digits, cardinalities) -> np.ndarray:
     )
 
 
+def _label_entropy(labels: np.ndarray, p: np.ndarray) -> float:
+    """H(W) for W = ``labels[s]`` on outcome s of mass ``p[s]``, labels
+    numbered from 0 by first appearance: exactly 0.0 for one label, whose
+    summed mass may round to just under 1."""
+    if not labels.any():
+        return 0.0
+    return entropy_of_vector(np.bincount(labels, weights=p))
+
+
 def _score_labels(view: SupportView, labels: np.ndarray, h_k) -> tuple[float, float]:
     """(H(W), max_k [H(X_k, W) - H(X_k)]) for W = ``labels[s]`` on support
     row s, with ``h_k`` from ``_source_entropies``.  The k-th term is the
@@ -200,7 +209,7 @@ def _score_labels(view: SupportView, labels: np.ndarray, h_k) -> tuple[float, fl
     for d, h in zip(view.digits, h_k):
         joint_kw = np.bincount(d * m + labels, weights=view.p)
         worst = max(worst, entropy_of_vector(joint_kw) - h)
-    return entropy_of_vector(np.bincount(labels, weights=view.p)), worst
+    return _label_entropy(labels, view.p), worst
 
 
 def _label_witness(pmf: JointPmf, labels: np.ndarray) -> AuxChannel:
@@ -494,11 +503,13 @@ def wyner_estimate(
     afresh and replaces it.
     """
     _require_sources(pmf)
-    w_card = pmf.support.w_cardinality(None) if w_cardinality is None else w_cardinality
+    view = pmf.support
     # Built before the checks, so an unknown tuning key raises before any of them.
-    params = WynerParams(w_cardinality=w_card, restarts=restarts, seed=seed, **tuning)
-    if w_cardinality is not None:
-        _optim.check_integer(w_cardinality, 1, "w_cardinality")
+    params = WynerParams(
+        view.w_cardinality(None) if w_cardinality is None else w_cardinality,
+        restarts, seed, **tuning,
+    )
+    w_card = view.w_cardinality(w_cardinality)
     _optim.check_integer(params.restarts, 1, "restarts")
     for name in ("seed", "max_sweeps", "block_maxiter"):
         _optim.check_integer(getattr(params, name), 0, name)
@@ -562,7 +573,7 @@ def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
         flat = marginal.reshape(-1)
         rows = np.flatnonzero(flat > 0.0)
         labels = common_part_labels(np.unravel_index(rows, marginal.shape), marginal.shape)
-        reduced[drop] = entropy_of_vector(np.bincount(labels, weights=flat[rows]))
+        reduced[drop] = _label_entropy(labels, flat[rows])
     return gk_common_information(pmf).value, reduced[drop]
 
 

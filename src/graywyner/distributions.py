@@ -19,6 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from ._optim import check_integer
 from .errors import (
     EmptySelectionError,
     NegativeMassError,
@@ -152,10 +153,12 @@ class SupportView:
         return len(self.indices)
 
     def w_cardinality(self, requested: int | None) -> int:
-        """``requested``, else support size + 1 (enough for any mixture)."""
-        if requested is not None and requested < 1:
-            raise ValueError("w_cardinality must be >= 1")
-        return self.size + 1 if requested is None else requested
+        """``requested``, checked to be an integer of at least 1 (not a
+        bool), else support size + 1 (enough for any mixture)."""
+        if requested is None:
+            return self.size + 1
+        check_integer(requested, 1, "w_cardinality")
+        return requested
 
     def embed(self, rows: np.ndarray, w_cardinality: int) -> AuxChannel:
         """Full channel with ``rows`` on the support and uniform rows off it."""

@@ -21,7 +21,8 @@ the package did before it had one statistics object: they join W into a
 new law and call the generic entropy functions.  ``CodecStats`` is the
 simulator's own table-and-formula code from that time, with the codebook,
 trial loop and exact equivocation that read it; the trial loop draws,
-encodes, hashes (``bin_of_sequence``) and decodes one trial at a time, and
+encodes, hashes (``bin_of_sequence``) and decodes one trial at a time, its
+blocks drawn in order from one ``default_rng([seed, 2])`` stream, and
 decoder k scans every sequence of X_k^n for the members of its bin.
 ``bin_of_sequence`` computes the universal hash ((a x + b) mod p) mod M on
 plain Python ints, and ``build_codebook`` finds p by trial division.
@@ -183,7 +184,11 @@ def brute_force_oracle(pmf):
         worst = scalar_slack(pmf, labels, m)
         if worst > ci.BRUTE_SLACK_TOL:
             continue
-        value = entropy_of_vector(np.bincount(labels, weights=view.p, minlength=m))
+        # One block is a constant W: H(W) = 0.0 exactly, where the summed
+        # mass would round to just under 1.
+        value = 0.0 if m == 1 else entropy_of_vector(
+            np.bincount(labels, weights=view.p, minlength=m)
+        )
         if value > best_value:
             best_value = value
             best_labels = labels.copy()
@@ -475,8 +480,8 @@ def run_trials(pmf, w, cfg, trials):
     errors = np.zeros(pmf.k, dtype=np.int64)
     decode_errors = np.zeros(pmf.k, dtype=np.int64)
     failures = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([cfg.seed, 2, trial])
+    rng = np.random.default_rng([cfg.seed, 2])
+    for _ in range(trials):
         o_seq = rng.choice(pmf.num_outcomes, size=cfg.n, p=pmf.flat)
         j0 = _encode_outcomes(codebook, stats, o_seq)
         if j0 == 0:

@@ -75,38 +75,17 @@ def test_largest_seed_runs():
     assert gw.run_trials(pmf, w, cfg, 40) == ref.run_trials(pmf, w, cfg, 40)
 
 
-def _generator_uniforms(seed, n, trials):
-    return np.array(
-        [np.random.default_rng([seed, 2, t]).random(n) for t in trials]
-    ).reshape(len(trials), n)
+def _counts(report):
+    """(encoder failures, errors of each decoder) of a report, as counts."""
+    return round(report.encoder_failure_rate * report.trials), tuple(
+        round(rate * report.trials) for rate in report.error_rates
+    )
 
 
-class TestDrawKernel:
-    """``_draw_uniforms`` against one ``default_rng([seed, 2, t])`` per trial."""
+class TestTrialStream:
+    """Every block comes from one ``default_rng([seed, 2])`` stream."""
 
-    # 2^64 + 3 takes three words: beyond CodeConfig's range, but the
-    # kernel hashes any number of seed words as SeedSequence does.
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
-    def test_matches_the_generators_for_every_blocklength(self, seed):
-        for n in range(1, 17):
-            assert np.array_equal(
-                codec_sim._draw_uniforms(seed, n, 0, 60),
-                _generator_uniforms(seed, n, range(60)),
-            )
-
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
-    def test_trials_that_take_two_words(self, seed):
-        # Trial indices from 2^32 on take a second uint32 entropy word.
-        lo, hi = 2**32 - 50, 2**32 + 50
-        assert np.array_equal(
-            codec_sim._draw_uniforms(seed, 3, lo, hi),
-            _generator_uniforms(seed, 3, range(lo, hi)),
-        )
-
-    def test_empty_range(self):
-        assert codec_sim._draw_uniforms(5, 4, 7, 7).shape == (0, 4)
-
-    def test_trials_build_no_generator(self, monkeypatch):
+    def test_trials_build_one_generator(self, monkeypatch):
         pmf, w = example2(), example2_w_x0()
         book = gw.build_codebook(pmf, w, gw.CodeConfig(n=2, slack=0.25, seed=3))
         built = []
@@ -118,9 +97,51 @@ class TestDrawKernel:
 
         monkeypatch.setattr(np.random, "default_rng", spy)
         report = codec_sim._run_trials(book, 500)
-        assert built == []
+        assert built == [([3, 2],)]
         monkeypatch.undo()
         assert report == ref.run_trials(pmf, w, book.config, 500)
+
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # A chunk of CHUNK_ELEMENTS / (2 n) trials holds n uniforms and n
+        # indices per trial, so the peak past the first chunk stays flat;
+        # drawing 20,000 trials in one call would add 16 * 20,000 * n
+        # bytes.  What a run leaves allocated (numpy keeps freed small
+        # buffers for reuse) is subtracted from its peak.
+        pmf, w = example2(), example2_w_x0()
+        book = gw.build_codebook(pmf, w, gw.CodeConfig(n=3, slack=0.25, seed=5))
+        monkeypatch.setattr(codec_sim, "CHUNK_ELEMENTS", 1 << 10)
+        codec_sim._run_trials(book, 1_000)  # fills the codebook's caches
+        transient = []
+        for trials in (1_000, 20_000):
+            tracemalloc.start()
+            try:
+                codec_sim._run_trials(book, trials)
+                left, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transient.append(peak - left)
+        assert transient[1] - transient[0] <= 8 * codec_sim.CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("trial", [0, 1, 17, 150])
+    def test_each_trial_is_the_stream_advanced_past_the_earlier_ones(self, trial):
+        pmf, w = example2(), example2_w_x0()
+        cfg = gw.CodeConfig(n=3, slack=0.25, seed=11)
+        book = gw.build_codebook(pmf, w, cfg)
+        before = _counts(codec_sim._run_trials(book, trial)) if trial else (0, (0, 0, 0))
+        after = _counts(codec_sim._run_trials(book, trial + 1))
+        bits = np.random.PCG64(np.random.SeedSequence([cfg.seed, 2])).advance(trial * cfg.n)
+        drawn = np.random.Generator(bits).choice(pmf.num_outcomes, size=cfg.n, p=pmf.flat)
+        block = np.array(np.unravel_index(drawn, pmf.cardinalities))
+        messages = gw.encode(book, pmf, w, block)
+        if isinstance(messages, codec_sim.EncoderFailure):
+            outcome = (1, (1,) * pmf.k)
+        else:
+            outcome = (0, tuple(
+                int(not np.array_equal(gw.decode(book, pmf, w, k, messages.j0, jk), block[k]))
+                for k, jk in enumerate(messages.bins)
+            ))
+        assert after[0] - before[0] == outcome[0]
+        assert tuple(a - b for a, b in zip(after[1], before[1])) == outcome[1]
 
 
 def test_code_config_accepts_numpy_integers():
@@ -334,9 +355,8 @@ class TestRunTrials:
             return encode(codebook, o_seqs)
 
         monkeypatch.setattr(codec_sim, "_encode_outcomes", spy)
-        # 40 elements: one trial per draw (the draw kernel's temporaries
-        # count too), one block per encode call and one message per
-        # decode call.
+        # 40 elements: six trials per draw, one block per encode call and
+        # one message per decode call.
         monkeypatch.setattr(codec_sim, "CHUNK_ELEMENTS", 40)
         assert gw.run_trials(pmf, w, cfg, 150) == whole
         assert len(sizes) > 12 and set(sizes) == {1}

@@ -50,6 +50,22 @@ class TestGkCommonInformation:
     def test_example1_is_zero(self, ex1):
         assert gw.gk_common_information(ex1).value == 0.0
 
+    def test_one_component_is_exactly_zero(self):
+        # The one label's summed mass rounds to just under 1: C read
+        # 3.2e-16 on this 4 x 4 law and its reduced C, and 1.6e-16 or
+        # 3.2e-16 on 19 of the 85 one-component acceptance laws.
+        pairs = np.kron(dsbs(0.1).probabilities, dsbs(0.3).probabilities)
+        pmf = gw.JointPmf(("A", "B"), (4, 4), pairs.reshape(-1))
+        assert gw.gk_common_information(pmf).value == 0.0
+        with_bit = gw.product(pmf, fair_bit("C"))
+        assert gw.verify_monotonicity(with_bit, 2) == (0.0, 0.0)
+        single = [law for law in acceptance_joints()
+                  if gw.gk_common_information(law).witness.w_cardinality == 1]
+        assert len(single) == 85
+        for law in single:
+            assert gw.gk_common_information(law).value == 0.0
+            assert gw.gk_brute_force_oracle(law).value == 0.0
+
     def test_full_correlation(self):
         assert gw.gk_common_information(copy_triple()).value == pytest.approx(
             1.0, abs=1e-12

@@ -419,20 +419,6 @@ def test_batched_trials_match_the_trial_loop(pair, n, slack, tolerance, seed, tr
     assert gw.run_trials(pmf, w, cfg, trials) == ref.run_trials(pmf, w, cfg, trials)
 
 
-@SETTINGS
-@given(
-    st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]), st.integers(0, 2**63 - 1)),
-    st.integers(1, 16),
-    st.one_of(st.integers(0, 10**6), st.integers(2**32 - 30, 2**32 + 10**6)),
-    st.integers(0, 30),
-)
-def test_draw_kernel_matches_one_generator_per_trial(seed, n, lo, count):
-    expected = [np.random.default_rng([seed, 2, t]).random(n) for t in range(lo, lo + count)]
-    drawn = codec_sim._draw_uniforms(seed, n, lo, lo + count)
-    assert drawn.shape == (count, n)
-    assert np.array_equal(drawn, np.reshape(expected, (count, n)))
-
-
 @st.composite
 def claim_cases(draw, binary):
     """A law, a soft channel or a deterministic one (W = X_0, or the

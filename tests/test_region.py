@@ -395,6 +395,24 @@ class TestIsAchievable:
             with pytest.raises(ValueError, match="w_cardinality"):
                 gw.is_achievable(ex2, t, w_cardinality=w_cardinality, restarts=2, seed=3)
 
+    @pytest.mark.parametrize("w_cardinality", [True, 2.0, 2.5])
+    @pytest.mark.parametrize(
+        "t", [(1.0, (1.0, 1.0, 1.0), 6.0), (0.5, (1.5, 1.5, 1.5), 5.0)],
+        ids=["seeded", "searched"],
+    )
+    def test_non_integer_w_cardinality_is_a_type_error(self, ex2, monkeypatch, t,
+                                                        w_cardinality):
+        # The component witness certifies the first tuple and only the
+        # search reads |W| for the second; both raise wyner_estimate's
+        # typed error before any candidate is built.
+        built = []
+        monkeypatch.setattr(region, "gk_common_information", lambda pmf: built.append(pmf))
+        monkeypatch.setattr(_optim, "fit_channel", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(TypeError, match="w_cardinality must be an integer"):
+            gw.is_achievable(ex2, gw.RateEquivocationTuple(*t), w_cardinality=w_cardinality,
+                             restarts=2, seed=3)
+        assert built == []
+
     @pytest.mark.parametrize(
         "law, restarts, w_cardinality, error, match",
         [("one", -1, 0, ValueError, "restarts"), ("one", 1, 0, KTooSmallError, "sources"),
