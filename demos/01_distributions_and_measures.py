@@ -72,7 +72,7 @@ def main():
         pmf_path = Path(outdir) / "noisy_triple.pmf.json"
         gw.save_pmf(noisy_triple, str(pmf_path))
         again = gw.load_pmf(str(pmf_path))
-        print("wrote", pmf_path)
+        print("wrote", pmf_path.name)
     print("round-trip bit-exact:", np.array_equal(again.flat, noisy_triple.flat))
 
 

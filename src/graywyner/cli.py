@@ -316,9 +316,17 @@ def _cmd_verify(args) -> int:
     params = common_information.WynerParams(args.w_cardinality, args.restarts, seed)
     out: dict = {"delta_max": region.delta_max(pmf)}
     failed = False
-    c = common_information.gk_common_information(pmf)
-    mn, mx = common_information.pairwise_mi_bounds(pmf)
-    out["c_value"] = c.value
+    # Prop 4's report and the chain's carry exact C and the pairwise MI
+    # bounds; without either, they are read here.
+    prop4 = common_information.verify_prop4(pmf, params) if 4 in props else None
+    chain = common_information.verify_chain(pmf, params) if args.chain else None
+    report = chain if chain is not None else prop4
+    if report is None:
+        c = common_information.gk_common_information(pmf).value
+        mn, mx = common_information.pairwise_mi_bounds(pmf)
+    else:
+        c, mn, mx = report.c_value, report.min_pairwise_mi, report.max_pairwise_mi
+    out["c_value"] = c
     out["min_pairwise_mi"] = mn
     out["max_pairwise_mi"] = mx
     if 1 in props:
@@ -333,8 +341,8 @@ def _cmd_verify(args) -> int:
         out["prop1"] = {"holds": ok, "drops": drops}
         failed = failed or not ok
     if 2 in props:
-        holds = c.value <= mn + common_information.CHAIN_TOL
-        out["prop2"] = {"holds": holds, "margin": mn - c.value}
+        holds = c <= mn + common_information.CHAIN_TOL
+        out["prop2"] = {"holds": holds, "margin": mn - c}
         failed = failed or not holds
     if 3 in props:
         b = common_information.wyner_estimate(pmf, **asdict(params))
@@ -346,27 +354,25 @@ def _cmd_verify(args) -> int:
         else:
             out["prop3"] = {"holds": None, "b_estimate": b.value,
                             "converged": False}
-    if 4 in props:
-        report = common_information.verify_prop4(pmf, params)
+    if prop4 is not None:
         out["prop4"] = {
-            "precondition_met": report.precondition_met,
-            "hypothesis_established": report.hypothesis_established,
-            "conclusion_holds": report.conclusion_holds,
-            "message": report.message,
+            "precondition_met": prop4.precondition_met,
+            "hypothesis_established": prop4.hypothesis_established,
+            "conclusion_holds": prop4.conclusion_holds,
+            "message": prop4.message,
         }
-        failed = failed or report.conclusion_holds is False
-    if args.chain:
-        report = common_information.verify_chain(pmf, params)
+        failed = failed or prop4.conclusion_holds is False
+    if chain is not None:
         out["chain"] = {
-            "holds": report.chain_holds,
-            "c_value": report.c_value,
-            "min_pairwise_mi": report.min_pairwise_mi,
-            "max_pairwise_mi": report.max_pairwise_mi,
-            "b_estimate": report.b_estimate,
-            "b_converged": report.b_converged,
-            "link_residuals": list(report.link_residuals),
+            "holds": chain.chain_holds,
+            "c_value": chain.c_value,
+            "min_pairwise_mi": chain.min_pairwise_mi,
+            "max_pairwise_mi": chain.max_pairwise_mi,
+            "b_estimate": chain.b_estimate,
+            "b_converged": chain.b_converged,
+            "link_residuals": list(chain.link_residuals),
         }
-        failed = failed or not report.chain_holds
+        failed = failed or not chain.chain_holds
     _emit(out)
     return 1 if failed else 0
 

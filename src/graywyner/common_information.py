@@ -19,8 +19,13 @@ Two quantities live here:
   proportional to r(w) prod_k r(x_k(s)|w)^beta.  Raising beta to 1 is
   deterministic annealing (Rose 1998), and at beta = 1 the update is the EM
   step of the mixture q(w) prod_k q(x_k|w); B is I(X-bar; W) of that
-  mixture, certified by its marginal residual.  The seeded restarts are
-  updated as one numpy stack.
+  mixture, certified by its marginal residual.  One update is one gemm
+  against every source's one-hot columns side by side.  The annealing
+  stages and the beta = 1 tail advance by SQUAREM cycles (Varadhan and
+  Roland 2008): two plain updates, an extrapolated point, and one
+  stabilizing update; every update counts toward the caps and the
+  reported iterations.  The seeded restarts are updated as one numpy
+  stack, and each ends bit for bit where it would end alone.
 
 Verification helpers check the bound chain C <= min MI <= max MI <= B, the
 monotonicity of C under dropping a variable, the equal-pairwise-MI special
@@ -392,26 +397,40 @@ class _WynerProblem:
     r(w|s) and cond the product over k of the rows r(x_k|w)."""
 
     def __init__(self, pmf: JointPmf, w_card: int):
-        self.view = pmf.support
-        self.p = self.view.p
+        view = pmf.support
+        self.p = view.p
         self.w_card = w_card
-        self.cards = pmf.cardinalities  # rows r(x_k|w) share one zero-padded (K, width) block
-        self.width = max(self.cards)
-        self.index = self.view.digits + self.width * np.arange(pmf.k)[:, None]
+        # Every source's one-hot columns side by side; index[k, s] is the
+        # column of the symbol of X_k in support row s.
+        self.onehot = np.concatenate(view.onehots, axis=1)
+        self.index = view.digits + np.cumsum((0,) + pmf.cardinalities[:-1])[:, None]
 
     def mixture(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, cond) of every channel of the stack ``r``."""
+        """(a, cond) of every channel of the stack ``r``.  One gemm gives the
+        unnormalized rows of every source, and each row sums to a(w)."""
         m = r * self.p
-        rows = np.zeros(m.shape[:-1] + (len(self.cards), self.width))
-        for k, onehot in enumerate(self.view.onehots):
-            np.matmul(m, onehot, out=rows[..., k, : self.cards[k]])
-        # numpy sums up to 8 entries in order (padding moves no bit), longer rows pairwise.
-        sums = rows.sum(axis=-1, keepdims=True) if self.width <= 8 else np.stack(
-            [rows[..., k, :c].sum(-1, keepdims=True) for k, c in enumerate(self.cards)], -2)
-        rows /= np.maximum(sums, _optim.TINY)
-        factors = rows.reshape(m.shape[:-1] + (-1,)).take(self.index, axis=-1)
-        cond = np.multiply.reduce(factors, axis=-2, out=np.empty(m.shape))
-        return m.sum(axis=-1), cond
+        a = np.add.reduce(m, axis=-1)
+        rows = m @ self.onehot
+        rows /= np.maximum(a, _optim.TINY)[..., None]
+        factors = rows.take(self.index, axis=-1)
+        return a, np.multiply.reduce(factors, axis=-2, out=np.empty(m.shape))
+
+
+def _squarem(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The S3 point of SQUAREM (Varadhan and Roland 2008) of every channel
+    of a stack, from two plain updates x0 -> x1 -> x2: with d = x1 - x0 and
+    v = x2 - 2 x1 + x0, alpha = -|d| / |v|, at most -1, and the point is
+    x0 - 2 alpha d + alpha^2 v, or x2 if that point has a negative entry."""
+    d = x1 - x0
+    v = x2 - x1 - d
+    dd = np.add.reduce(np.square(d).reshape(len(d), -1), axis=-1)
+    vv = np.add.reduce(np.square(v).reshape(len(v), -1), axis=-1)
+    alpha = np.minimum(-np.sqrt(dd / np.maximum(vv, _optim.TINY)), -1.0)[:, None, None]
+    y = x0 - 2.0 * alpha * d + alpha * alpha * v
+    if np.minimum.reduce(y, axis=None) < 0.0:
+        negative = np.logical_or.reduce(y < 0.0, axis=(-2, -1))
+        y[negative] = x2[negative]
+    return y
 
 
 def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
@@ -419,16 +438,28 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
 
     Restart r draws a Dirichlet(1) channel from ``default_rng([seed, r])``;
     with j0 = ``START_EXPONENTS[r % len(START_EXPONENTS)]``, its stage i
-    repeats the update at beta = 1 - 2^-(j0 + i) until no entry moves by
-    ``STAGE_TOL``.  A tail of EM updates (beta = 1) follows until the
-    mixture's residual is at most ``RESIDUAL_TOL / 4`` or has not fallen for
-    ``TAIL_STALL`` updates.  Each restart ends where it would alone, bit for
-    bit: every operation acts on each channel alone, on C-ordered arrays
-    (sums add up in layout order), so ``cond`` is a C-ordered buffer;
-    ``mixture`` makes one gemm per source, of a lone channel's shape (BLAS
-    adds in another order for another column count); the live stack is
-    compact, and a restart's rows go back into ``r`` when it leaves; the
-    power's exponent is a full array (a broadcast one changes last bits).
+    updates it at beta = 1 - 2^-(j0 + i) until an update moves no entry by
+    ``STAGE_TOL``, or for ``block_maxiter`` updates.  A tail of EM updates
+    (beta = 1) follows until the mixture's residual is at most
+    ``RESIDUAL_TOL / 4`` or has not fallen for ``TAIL_STALL`` updates, or
+    for ``TAIL_MAXITER`` updates.  An update is one ``mixture`` call, whose
+    one gemm serves every source, followed by the closed-form posterior.
+    Stages and tail advance by SQUAREM cycles: two plain updates x -> x1 ->
+    x2, the extrapolated point of ``_squarem``, and one stabilizing update
+    from it, which starts the next cycle.  Every update counts, toward the
+    stage's and the tail's caps and toward the restart's updates; a stage
+    or tail stops at the first update that meets its rule.  A stage ends
+    at the point its last update reached, or at its cap at the point the
+    cycle goes on from; the tail ends at the mixture of the point it last
+    measured.
+
+    Each restart ends where it would alone, bit for bit: every operation,
+    alpha and its norms included, acts on each channel alone, on C-ordered
+    arrays (sums add up in layout order), so ``cond`` is a C-ordered buffer;
+    the gemm has a lone channel's shape; the live stack is compact, and a
+    restart's rows go back into ``r`` when it leaves; the power's exponent
+    is a full array (numpy computes a broadcast exponent of 0.5 as a square
+    root on a stack of one channel, and as a power on a larger stack).
     """
     n = params.restarts
     r = np.stack([
@@ -438,30 +469,32 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
     j0 = np.resize(np.array(START_EXPONENTS, dtype=float), n)[:, None, None]
     updates = np.zeros(n, dtype=int)
     for stage in range(params.max_sweeps):
-        live, x = np.arange(n), r
+        live, x, x0 = np.arange(n), r, r
         beta = 1.0 - 2.0 ** -(j0 + stage) + np.zeros_like(r)
         for step in range(1, params.block_maxiter + 1):
             a, cond = prob.mixture(x)
             t = a[..., None] * cond**beta
-            t /= np.maximum(t.sum(axis=-2), _optim.TINY)[..., None, :]
-            # x (r itself on a stage's first update) is not read again; r gets each row back.
-            stay = np.abs(np.subtract(t, x, out=x), out=x).max(axis=(-2, -1)) >= STAGE_TOL
-            x = t
-            if not stay.all():
-                r[live[~stay]] = x[~stay]
+            t /= np.maximum(np.add.reduce(t, axis=-2), _optim.TINY)[..., None, :]
+            moved = np.maximum.reduce(np.abs(t - x), axis=(-2, -1))
+            if np.minimum.reduce(moved) < STAGE_TOL:
+                stay = moved >= STAGE_TOL
+                r[live[~stay]] = t[~stay]
                 updates[live[~stay]] += step
-                live, x, beta = live[stay], x[stay], beta[stay]
+                live, x, x0, t, beta = (v[stay] for v in (live, x, x0, t, beta))
                 if not live.size:
                     break
+            # x0 is the cycle's start from its first update to its second.
+            x, x0 = (_squarem(x0, x, t), x0) if step % 3 == 2 else (t, x)
         else:
             r[live] = x
             updates[live] += params.block_maxiter
-    runs, x, live, best, stall = [None] * n, r, np.arange(n), np.full(n, np.inf), np.zeros(n, int)
+    runs, x, x0 = [None] * n, r, r
+    live, best, stall = np.arange(n), np.full(n, np.inf), np.zeros(n, int)
     for tail in range(TAIL_MAXITER + 1):
         a, cond = prob.mixture(x)
         qws = a[..., None] * cond
-        qx = qws.sum(axis=-2)
-        tv = 0.5 * np.abs(prob.p - qx).sum(axis=-1)
+        qx = np.add.reduce(qws, axis=-2)
+        tv = 0.5 * np.add.reduce(np.abs(prob.p - qx), axis=-1)
         improved = tv < best - 1e-16
         best = np.where(improved, tv, best)
         stall = np.where(improved, 0, stall + 1)
@@ -471,10 +504,14 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
                 i_nats = (qws[j] * (_optim.safe_log(cond[j]) - _optim.safe_log(qx[j]))).sum()
                 runs[live[j]] = (max(0.0, float(i_nats) / _optim.LN2), float(tv[j]),
                                  int(updates[live[j]]) + tail, (qws[j], qx[j]))
-            live, best, stall, qws, qx = (v[~done] for v in (live, best, stall, qws, qx))
+            keep = ~done
+            live, best, stall, qws, qx, x, x0 = (
+                v[keep] for v in (live, best, stall, qws, qx, x, x0))
             if not live.size:
                 return runs
-        x = qws / np.maximum(qx, _optim.TINY)[:, None, :]
+        t = qws / np.maximum(qx, _optim.TINY)[:, None, :]
+        # Update tail + 1 of the tail; the second of a cycle extrapolates.
+        x, x0 = (_squarem(x0, x, t), x0) if tail % 3 == 1 else (t, x)
 
 
 def wyner_estimate(

@@ -3,9 +3,10 @@
 ``reference`` is one L-BFGS-B solve through ``scipy.optimize.minimize``
 with the package's settings, the call that ``_optim.lbfgs`` makes.
 ``wyner_runs`` runs the restarts of ``wyner_estimate`` one after another,
-each with its own 2-D arrays and its own loops over the annealing stages
-and the beta = 1 tail, so that tests can require byte-equal results from
-the estimator, which updates all restarts as one stack.
+each with its own 2-D arrays and its own loops of SQUAREM cycles over the
+annealing stages and the beta = 1 tail, so that tests can require
+byte-equal results from the estimator, which updates all restarts as one
+stack.
 
 ``brute_force_oracle`` is the set-partition oracle as it was before it
 pruned partitions: one partition at a time from ``iter_set_partitions``,
@@ -89,30 +90,46 @@ def reference(fun, z0, maxiter):
 def wyner_mixture(prob, r):
     """(a, cond) of the mixture that one channel r (|W|, S) induces."""
     m = r * prob.p
+    a = m.sum(axis=1)
+    rows = (m @ prob.onehot) / np.maximum(a, _optim.TINY)[:, None]
     cond = None
-    for d, onehot in zip(prob.view.digits, prob.view.onehots):
-        rows = m @ onehot
-        rows = rows / np.maximum(rows.sum(axis=1, keepdims=True), _optim.TINY)
-        cond = rows[:, d].copy() if cond is None else cond * rows[:, d]
-    return m.sum(axis=1), cond
+    for columns in prob.index:
+        cond = rows[:, columns].copy() if cond is None else cond * rows[:, columns]
+    return a, cond
+
+
+def squarem(x0, x1, x2):
+    """SQUAREM's S3 point from the plain updates x0 -> x1 -> x2 of one
+    channel, or x2 if that point has a negative entry."""
+    d = x1 - x0
+    v = x2 - x1 - d
+    alpha = min(-math.sqrt(np.square(d).sum() / max(np.square(v).sum(), _optim.TINY)), -1.0)
+    y = x0 - 2.0 * alpha * d + alpha * alpha * v
+    return x2 if (y < 0.0).any() else y
 
 
 def wyner_single(prob, rng, params, j0):
     """One restart with start exponent ``j0``: (value in bits, residual,
-    updates, (q(w, s), q(s)))."""
+    updates, (q(w, s), q(s))).  ``r`` is the point that the next update
+    starts from; a SQUAREM cycle saves its start in ``base`` and
+    extrapolates after its second update."""
     r = rng.dirichlet(np.ones(prob.w_card), len(prob.p)).T.copy()
     updates = 0
     for stage in range(params.max_sweeps):
         beta = 1.0 - 2.0 ** -(j0 + stage)
-        for _ in range(params.block_maxiter):
+        for step in range(1, params.block_maxiter + 1):
             a, cond = wyner_mixture(prob, r)
             t = a[:, None] * cond ** np.full(cond.shape, beta)
             post = t / np.maximum(t.sum(axis=0), _optim.TINY)[None, :]
             moved = np.abs(post - r).max()
-            r = post
             updates += 1
             if moved < ci.STAGE_TOL:
+                r = post
                 break
+            if step % 3 == 1:
+                base, r = r, post
+            else:
+                r = squarem(base, r, post) if step % 3 == 2 else post
     best_tv = np.inf
     stall = 0
     for tail in range(ci.TAIL_MAXITER + 1):
@@ -127,8 +144,12 @@ def wyner_single(prob, rng, params, j0):
             stall += 1
         if tv <= ci.RESIDUAL_TOL / 4 or stall >= ci.TAIL_STALL or tail == ci.TAIL_MAXITER:
             break
-        r = qws / np.maximum(qx, _optim.TINY)[None, :]
+        post = qws / np.maximum(qx, _optim.TINY)[None, :]
         updates += 1
+        if tail % 3 == 0:
+            base, r = r, post
+        else:
+            r = squarem(base, r, post) if tail % 3 == 1 else post
     i_nats = float((qws * (_optim.safe_log(cond) - _optim.safe_log(qx)[None, :])).sum())
     return max(0.0, i_nats / _optim.LN2), tv, updates, (qws, qx)
 

@@ -273,6 +273,33 @@ class TestVerify:
         assert code == 0
         assert len(calls) == runs
 
+    @pytest.mark.parametrize("argv, calls", [
+        # The chain's report carries C and the MI bounds that prop 2 reads.
+        (["--props", "2,3", "--chain"], 1),
+        (["--props", "4"], 1),
+        (["--props", "2,3"], 1),
+        # Prop 4 and the chain each read them for their own report.
+        (["--props", "4", "--chain"], 2),
+    ])
+    def test_c_and_mi_bounds_are_read_once(self, docs, monkeypatch, argv, calls):
+        counted = []
+
+        def spy(name):
+            real = getattr(common_information, name)
+
+            def counting(pmf):
+                counted.append(name)
+                return real(pmf)
+
+            monkeypatch.setattr(common_information, name, counting)
+
+        spy("pairwise_mi_bounds")
+        spy("gk_common_information")
+        code, _, _ = cli("verify", "--pmf", docs["ex2"], *argv, "--restarts", "2", "--seed", "7")
+        assert code == 0
+        assert counted.count("pairwise_mi_bounds") == calls
+        assert counted.count("gk_common_information") == calls
+
     def test_chain_requires_seed(self, docs):
         code, _, err = cli("verify", "--pmf", docs["ex2"], "--chain")
         assert code == 2

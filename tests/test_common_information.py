@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,9 @@ from graywyner.errors import (
     SupportTooLargeError,
 )
 
+import closed_forms
 import sequential_reference
+from closed_forms import wyner_dsbs
 from conftest import (
     acceptance_joints,
     binary_entropy,
@@ -430,29 +431,23 @@ class TestWynerEstimate:
 
 # (acceptance law, value, residual, iterations, SHA-256 of the witness rows)
 # of wyner_estimate(law, restarts=2, **LIGHT), recorded from the annealed
-# estimator; K and support size per line.
+# estimator with SQUAREM cycles; K and support size per line.
 WYNER_PINS = [
-    (19, 3.346129493461538e-16, 5.551115123125783e-17, 360,
-     "58db94085b8026b629b3efbeac264e27e0c775976801ef32dc5fb0a98546273b"),  # K=2, 2
-    (23, 0.11579727973123626, 0.0, 360,
-     "31781771eec4b321cd54793efc1ddd51acb877bf3b195b0ce037d7f5ca2eb4b9"),  # K=2, 3
-    (36, 0.5509217671043016, 2.7755575615628914e-17, 360,
-     "e4126708884f1e2104dcdaf84e2e59b9742db1c97efee8809e91e39ec10e4c74"),  # K=2, 4
-    (26, 1.0835000112452706, 1.734723475976807e-18, 360,
-     "12f3e48429ff76a55b6c1482ba8757a5fb8c7815ccbdd1c8e6c51927ab133d17"),  # K=3, 5
-    (16, 0.4817217196145832, 2.483013579641924e-07, 374,
-     "e45051d953ce6aba2196f2ecf02471125b8a4e87517de231b5cd6b8c8e66529d"),  # K=2, 6
-    (21, 1.2193350636523637, 2.4627496842018204e-07, 589,
-     "ba380b08c257aa263f6b91f4fece5f4e4b5bee126fbfa1845c86f8251669c623"),  # K=3, 7
-    (31, 1.4770666958750924, 2.4972026073551146e-07, 811,
-     "7953ea1df4949c580b2d62ea071ca09d228317a60877133a9d7197cff78a1d95"),  # K=3, 8
+    (19, 8.018666905573471e-17, 0.0, 46,
+     "bba409b3142ea1813236b212a80802b654fb3a1e933fc01d12fee421ab3c7f74"),  # K=2, 2
+    (23, 0.1125626620817787, 0.0, 320,
+     "f46d69ffa25980d4f8fc42f762a4f9ec8c1a5ff36078a2cc6557dd34c716e4b4"),  # K=2, 3
+    (36, 0.5495843801208354, 1.3877787807814457e-16, 360,
+     "20ddc112891ee5367f1ccf0e5bcb50bdc6f0d6596a65788a8ad529776170f91d"),  # K=2, 4
+    (26, 1.0815636510687867, 1.0286910212542466e-15, 360,
+     "50fb71686411327fa89deb357b3898b1ac1bda5e393cb47f30ff8bf894777488"),  # K=3, 5
+    (16, 0.478167061227953, 3.5297923049737445e-08, 369,
+     "0ff79a8e9b5f0fced6c853c49e72f6db1037fe78e566cdf685cf7c1e570b2aae"),  # K=2, 6
+    (21, 1.2141486113232491, 1.4829443652566998e-07, 365,
+     "d4999ac9355e20149de71b32c8ff3f191c6be5f2522c41670d37c373218f5369"),  # K=3, 7
+    (31, 1.4043670754571738, 7.28085425838465e-08, 366,
+     "51965945555f768080dcfa526dfe9810d6b5118b10b48f3bce4fdd1d104f9d3f"),  # K=3, 8
 ]
-
-
-def wyner_dsbs(a0):
-    """Wyner's closed form for the DSBS(a0): 1 + h(a0) - 2 h(a1)."""
-    a1 = (1 - math.sqrt(1 - 2 * a0)) / 2
-    return 1 + binary_entropy(a0) - 2 * binary_entropy(a1)
 
 
 # (id, law, closed form, ceiling of the gap).  The ceilings at a0 = 0.45
@@ -483,6 +478,82 @@ def test_wyner_estimate_against_closed_form(make, exact, ceiling):
 
 def test_closed_form_of_example1():
     assert wyner_dsbs(0.11) == pytest.approx(0.857699, abs=1e-6)
+
+
+def test_dsbs045_meets_the_closed_form():
+    """The loosest DSBS of the yardstick, within 1e-5 at default settings."""
+    result = gw.wyner_estimate(dsbs(0.45))
+    assert result.diagnostics.converged
+    assert abs(result.value - wyner_dsbs(0.45)) < 1e-5
+
+
+# Each family's ceiling on |B estimate - B| at default settings (seed 0)
+# is ten times the largest gap that the estimator without SQUAREM cycles
+# left in the family, rounded up at the second digit, and at least 1e-12:
+# erasure 8.61e-7 (e = 0.7), DSBS products 1.07e-5 ((0.1, 0.3), where
+# the extra atoms of |W| = 17 hold the estimate up) and common parts
+# 2.2e-16, a rounding error.
+CLOSED_FORMS = (
+    [(f"erasure{e}", lambda e=e: closed_forms.erasure(e), closed_forms.erasure_b(e), 8.7e-6)
+     for e in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    + [(f"dsbs{a0}x{b0}", lambda a0=a0, b0=b0: closed_forms.dsbs_product(a0, b0),
+        wyner_dsbs(a0) + wyner_dsbs(b0), 1.1e-4)
+       for a0, b0 in ((0.1, 0.1), (0.2, 0.05), (0.1, 0.3))]
+    + [(f"common{k}_{len(u)}x{len(v)}", lambda k=k, u=u, v=v: closed_forms.common_part(k, u, v),
+        infotheory.entropy_of_vector(u), 1e-12)
+       for k, u, v in closed_forms.COMMON_PARTS]
+)
+
+
+@pytest.mark.parametrize(
+    "make, exact, ceiling", [case[1:] for case in CLOSED_FORMS],
+    ids=[case[0] for case in CLOSED_FORMS],
+)
+def test_wyner_estimate_meets_closed_forms(make, exact, ceiling):
+    """B of the erasure source, of products of two DSBS pairs and of
+    common-part laws (``closed_forms``): default estimates converge within
+    the family's ceiling.  Run with ``-s`` to see each gap."""
+    result = gw.wyner_estimate(make())
+    gap = result.value - exact
+    print(f"B estimate {result.value:.12f}, closed form {exact:.12f}, gap {gap:.2e}")
+    assert result.diagnostics.converged
+    assert abs(gap) < ceiling
+
+
+def test_closed_form_laws():
+    """The builders make the laws their docstrings name."""
+    assert closed_forms.erasure(0.3).support.size == 4
+    assert gw.gk_common_information(closed_forms.erasure(0.3)).value == 0.0
+    product = closed_forms.dsbs_product(0.1, 0.3)
+    assert product.cardinalities == (4, 4)
+    assert gw.mutual_information(product, [0], [1]) == pytest.approx(
+        gw.mutual_information(dsbs(0.1), [0], [1]) + gw.mutual_information(dsbs(0.3), [0], [1]),
+        abs=1e-12,
+    )
+    sizes = [closed_forms.common_part(k, u, v).support.size
+             for k, u, v in closed_forms.COMMON_PARTS]
+    assert sizes == [24, 54, 32, 48]
+    for k, u, v in closed_forms.COMMON_PARTS:
+        c = gw.gk_common_information(closed_forms.common_part(k, u, v)).value
+        assert c == pytest.approx(infotheory.entropy_of_vector(u), abs=1e-12)
+
+
+# Updates that SQUAREM cycles leave; the plain annealed loop took 21,420,
+# 25,411 and 4,762.
+UPDATE_BUDGETS = {
+    "example2": (example2, dict(seed=0), 2000),
+    "common_part54": (lambda: closed_forms.common_part(*closed_forms.COMMON_PARTS[1]),
+                      dict(seed=0), 2000),
+    "law98": (lambda: acceptance_joints(100)[98], dict(restarts=3, seed=98, **LIGHT), 1500),
+}
+
+
+@pytest.mark.parametrize("case", UPDATE_BUDGETS)
+def test_updates_stay_within_budget(case):
+    make, kwargs, budget = UPDATE_BUDGETS[case]
+    result = gw.wyner_estimate(make(), **kwargs)
+    assert result.diagnostics.converged
+    assert result.diagnostics.iterations < budget
 
 
 @pytest.fixture(scope="module")
@@ -534,8 +605,9 @@ def estimate_both_ways(monkeypatch, pmf, **kwargs):
 
 
 def wide_law():
-    """Cardinalities (12, 6, 3): the rows r(x_k|w), padded to 12 entries,
-    are longer than the 8 entries numpy adds one by one."""
+    """Cardinalities (12, 6, 3) on 28 support rows: 21 one-hot columns in
+    the one gemm, and sums a(w) longer than the 8 entries numpy adds one by
+    one."""
     cards = (12, 6, 3)
     p = np.random.default_rng(5).dirichlet(np.full(216, 0.3))
     p[p < 0.01] = 0.0
@@ -549,8 +621,7 @@ MIXTURE_EXAMPLES = {"example1": (example1, 4), "example2": (example2, 3), "wide"
 def test_stacked_mixture_matches_lone_channels(acceptance_laws, case):
     """Each restart of a 3-restart stack gets the (a, cond) of its channel
     alone, byte for byte, and ``cond`` is C-ordered, so the sums taken over
-    it add up in the same order.  Example 2 (4-ary on support 16) is where a
-    single gemm over all sources' columns would move the last bits."""
+    it add up in the same order."""
     if case in MIXTURE_EXAMPLES:
         make, w_card = MIXTURE_EXAMPLES[case]
         pmf = make()
@@ -567,13 +638,36 @@ def test_stacked_mixture_matches_lone_channels(acceptance_laws, case):
         assert cond[i].tobytes() == cond_i.tobytes()
 
 
+def test_stacked_squarem_matches_lone_channels():
+    """The extrapolated point of each channel of a stack is that of the
+    channel alone, byte for byte, whether it is kept or falls back to x2."""
+    rng = np.random.default_rng(4)
+    x0, z = rng.dirichlet(np.ones(5), (2, 4, 7)).transpose(0, 1, 3, 2).copy()
+    x1 = 0.9 * x0 + 0.1 * z
+    # Steps that shrink by half: alpha = -2 and the point 0.8 x0 + 0.2 z.
+    x2 = x1 + 0.5 * (x1 - x0)
+    # A step that barely shrinks: alpha = -100, far past x0's simplex.
+    x2[1] = x1[1] + 0.99 * (x1[1] - x0[1])
+    y = common_information._squarem(x0, x1, x2)
+    fell_back = []
+    for i in range(4):
+        y_i = sequential_reference.squarem(x0[i], x1[i], x2[i])
+        assert y[i].tobytes() == y_i.tobytes()
+        fell_back.append(np.array_equal(y_i, x2[i]))
+    assert fell_back == [False, True, False, False]
+
+
 # Examples at default settings: their restarts stop on STAGE_TOL at
-# different updates, so rows leave the stack and are copied back at every
-# stack size.
+# different updates, so rows leave the stack and are copied back.
 LOCKSTEP_EXAMPLES = {
     "example1": (example1, dict(w_cardinality=4, restarts=4, seed=11)),
     "example2": (example2, dict(w_cardinality=3, restarts=4, seed=7)),
 }
+
+# The stack sizes that these cases' updates see, as the spy on
+# ``_WynerProblem.mixture`` records them: the stack shrinks from 4 to 3, 2
+# and 1 while the others go on, or (example 2) three restarts stop at once.
+LOCKSTEP_SIZES = {7: [1, 2, 3, 4], "example1": [1, 2, 3, 4], "example2": [1, 4]}
 
 
 @pytest.mark.parametrize("index", [*range(20), *LOCKSTEP_EXAMPLES])
@@ -590,10 +684,8 @@ def test_lockstep_restarts_match_sequential_loop(acceptance_laws, monkeypatch, i
     assert stacked.diagnostics == sequential.diagnostics
     assert stacked.witness.rows.tobytes() == sequential.witness.rows.tobytes()
     assert sizes[0] == kwargs["restarts"] == max(sizes)
-    if index in (7, *LOCKSTEP_EXAMPLES):
-        # These restarts stop at different updates: the stack shrinks
-        # from 4 to 3, 2 and 1 while the others go on.
-        assert sorted(set(sizes)) == [1, 2, 3, 4]
+    if index in LOCKSTEP_SIZES:
+        assert sorted(set(sizes)) == LOCKSTEP_SIZES[index]
 
 
 class TestWynerRestartSelection:

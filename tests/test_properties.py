@@ -23,14 +23,15 @@ from graywyner.distributions import NORMALIZATION_TOL
 from graywyner.infotheory import PairStats
 
 import sequential_reference as ref
+from closed_forms import pair_product
 from conftest import acceptance_joints, example1, example2
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def joints(draw, max_k=3):
-    k = draw(st.integers(2, max_k))
+def joints(draw, max_k=3, min_k=2):
+    k = draw(st.integers(min_k, max_k))
     cards = tuple(draw(st.lists(st.integers(2, 3), min_size=k, max_size=k)))
     total = math.prod(cards)
     support = draw(
@@ -105,6 +106,35 @@ def test_pairwise_bounds_are_the_public_mutual_information(pmf):
         for j in range(i + 1, pmf.k)
     ]
     assert (mn.hex(), mx.hex()) == (min(public).hex(), max(public).hex())
+
+
+@st.composite
+def block_joints(draw, k):
+    """One or two laws from ``joints`` with K = ``k`` on disjoint symbols of
+    every source, so that C is positive whenever there are two."""
+    blocks = [draw(joints(min_k=k, max_k=k)) for _ in range(draw(st.integers(1, 2)))]
+    weight = draw(st.floats(0.1, 0.9))
+    cards = tuple(sum(block.cardinalities[i] for block in blocks) for i in range(k))
+    probs = np.zeros(cards)
+    start = np.zeros(k, dtype=int)
+    for block, w in zip(blocks, (weight, 1.0 - weight)):
+        probs[tuple(slice(o, o + c) for o, c in zip(start, block.cardinalities))] = (
+            w * block.probabilities)
+        start += block.cardinalities
+    return gw.JointPmf(blocks[0].variable_names, cards, probs / probs.sum())
+
+
+@SETTINGS
+@given(st.data())
+def test_exact_c_adds_over_products(data):
+    """The common part of two independent laws, each source seeing its
+    symbols of both, is the pair of their common parts (Gacs and Korner
+    1973), so exact C adds."""
+    k = data.draw(st.integers(2, 3))
+    a, b = data.draw(block_joints(k)), data.draw(block_joints(k))
+    c = gw.gk_common_information(pair_product(a, b)).value
+    parts = gw.gk_common_information(a).value + gw.gk_common_information(b).value
+    assert abs(c - parts) <= 1e-12
 
 
 @SETTINGS
