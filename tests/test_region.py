@@ -7,7 +7,7 @@ import graywyner as gw
 from graywyner import _optim, region
 from graywyner.errors import KTooSmallError, ShapeMismatchError
 
-import sequential_reference as ref
+import make_sweep_fixture as sweep_fixture
 from conftest import (
     acceptance_joints,
     copy_pair,
@@ -160,20 +160,23 @@ class TestSweep:
         # The old search, kept as the reference, ran the seed channels and
         # ``restarts`` refinements per budget.  No refinement can beat
         # delta_max, so the two-corner rule returns its bytes at any restarts.
-        laws = acceptance_joints() if name == "acceptance" else [
-            example1() if name == "example1" else example2()
-        ]
-        budgets = [0.0, 0.3, 0.8, 1.5, np.inf]
-        for pmf in laws:
+        # ``make_sweep_fixture.py`` froze the reference's answers.
+        fixture = sweep_fixture.load()
+        budgets = fixture["budgets"]
+        for i, pmf in enumerate(sweep_fixture.laws()[name]):
             points = gw.sweep_max_delta(pmf, budgets).points
-            for restarts in (0, 2, 4):
-                expected = ref.sweep_max_delta(pmf, budgets, restarts=restarts, seed=4)
+            for restarts in sweep_fixture.RESTARTS:
+                expected = fixture["cases"][name, i, restarts]
                 assert len(points) == len(expected)
-                for point, (budget, delta, witness) in zip(points, expected):
+                for point, budget, (delta, m, digest) in zip(points, budgets, expected):
                     assert point.r0_budget == budget
                     assert point.delta == delta
-                    assert point.witness.w_cardinality == witness.w_cardinality
-                    assert point.witness.rows.tobytes() == witness.rows.tobytes()
+                    assert point.witness.w_cardinality == m
+                    assert sweep_fixture.witness_digest(point.witness) == digest
+
+    def test_the_frozen_sweep_still_replays(self):
+        # The reference, replayed on a subset, still gives the frozen bytes.
+        assert sweep_fixture.main(["--check"]) == 0
 
     def test_the_sweep_does_not_search(self, monkeypatch):
         calls = []
