@@ -56,6 +56,7 @@ from .distributions import (
     variable_channel,
 )
 from .errors import (
+    ChannelTooLargeError,
     CodebookTooLargeError,
     EmptySelectionError,
     EnumerationTooLargeError,

@@ -65,8 +65,9 @@ class ChannelEval:
     """Entropy pieces (in nats) of the joint t(s, w) = p(s) * rho(w|s).
 
     ``s`` ranges over the outcomes of a support view (see
-    ``JointPmf.support``): ``view.p`` gives p(s), and ``view.onehots[k]``
-    aggregates t by (X_k, W) into ``mk[k]``.
+    ``JointPmf.support``): ``view.p`` gives p(s), and one gemm with
+    ``view.onehot`` aggregates t by (X_k, W) for every k into the node
+    table ``mkw`` (rows ``view.columns[k]`` for source k), with log ``lmkw``.
     """
 
     def __init__(self, view, rho: np.ndarray):
@@ -76,9 +77,9 @@ class ChannelEval:
         self.lpw = safe_log(self.pw)
         self.h_joint = -float((self.t * self.lt).sum())
         self.h_w = -float((self.pw * self.lpw).sum())
-        self.mk = [oh.T @ self.t for oh in view.onehots]
-        self.lmk = [safe_log(m) for m in self.mk]
-        self.h_kw = [-float((m * lm).sum()) for m, lm in zip(self.mk, self.lmk)]
+        self.mkw = view.onehot.T @ self.t
+        self.lmkw = safe_log(self.mkw)
+        self.h_kw = [-float((self.mkw[c] * self.lmkw[c]).sum()) for c in view.columns]
 
 
 def check_integer(value, minimum: int, name: str) -> None:

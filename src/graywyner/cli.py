@@ -6,7 +6,7 @@ report.  No numeric logic lives here.  Randomized subcommands require an
 explicit --seed so output is byte-identical across reruns.
 
 Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage error
-(including a value the library rejects, such as --n 0 or a negative budget).
+(including a value the library rejects, such as --n 0 or a |W| too large).
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ from dataclasses import asdict
 from typing import IO
 
 from . import _optim, codec_sim, common_information, region
-from .distributions import (
-    JointPmf,
-    load_aux_channel,
-    load_pmf,
-    save_aux_channel,
-)
-from .errors import GrayWynerError
+from .distributions import JointPmf, load_aux_channel, load_pmf, save_aux_channel
+from .errors import ChannelTooLargeError, GrayWynerError
 from .infotheory import conditional_entropy, entropy, mutual_information
 
 CSV_SWEEP_SCHEMA = "# schema: graywyner.region.sweep v1"
@@ -488,7 +483,8 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
             return 2
         except GrayWynerError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+            # A channel too large for the guard is a request to lower |W|.
+            return 2 if isinstance(exc, ChannelTooLargeError) else 1
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -19,11 +19,12 @@ Two quantities live here:
   proportional to r(w) prod_k r(x_k(s)|w)^beta.  Raising beta to 1 is
   deterministic annealing (Rose 1998), and at beta = 1 the update is the EM
   step of the mixture q(w) prod_k q(x_k|w); B is I(X-bar; W) of that
-  mixture, certified by its marginal residual.  One update is one gemm
-  against every source's one-hot columns side by side.  The annealing
-  stages and the beta = 1 tail advance by SQUAREM cycles (Varadhan and
-  Roland 2008): two plain updates, an extrapolated point, and one
-  stabilizing update; every update counts toward the caps and the
+  mixture, certified by its marginal residual.  An update reads the law's
+  support view: one gemm against its ``onehot`` gives every source's rows
+  q(x_k|w), and its ``nodes`` pick each support row's factors.  The
+  annealing stages and the beta = 1 tail advance by SQUAREM cycles
+  (Varadhan and Roland 2008): two plain updates, an extrapolated point,
+  and one stabilizing update; every update counts toward the caps and the
   reported iterations.  The seeded restarts are updated as one numpy
   stack, and each ends bit for bit where it would end alone.
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -48,8 +48,10 @@ from .distributions import (
     SupportView,
     check_selection,
     deterministic_channel,
+    symbol_nodes,
 )
-from .errors import KTooSmallError, SupportTooLargeError, WitnessInfeasibleError
+from .errors import ChannelTooLargeError, KTooSmallError, SupportTooLargeError
+from .errors import WitnessInfeasibleError
 from .infotheory import (
     _entropy,
     _mutual_information,
@@ -76,6 +78,9 @@ START_EXPONENTS = (1, 2, 1, 2, 3, 4, 5, 6)
 STAGE_TOL = 1e-13
 TAIL_STALL = 50
 TAIL_MAXITER = 4000
+# Bytes that restarts x |W| x support size doubles (one stack of channels, of
+# which an update holds about ten) or the outcomes x |W| witness may take.
+WYNER_BYTES_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -171,19 +176,17 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def common_part_labels(digits, cardinalities) -> np.ndarray:
+def common_part_labels(nodes, node_count: int) -> np.ndarray:
     """Component label of every support row of a law.
 
-    ``digits[k][s]`` is the symbol of variable k on support row s, and
-    ``cardinalities`` are the variables' alphabet sizes.  Nodes are
-    (variable, symbol) pairs carrying positive marginal mass; each
-    positive-probability outcome connects its K coordinate nodes.  Labels
-    are numbered by first appearance along the support rows (row-major
-    order), so the result is deterministic.
+    ``nodes[k][s]`` is the (variable, symbol) node of variable k on support
+    row s, numbered below ``node_count`` as ``symbol_nodes`` lays them out.
+    Each positive-probability outcome connects its K coordinate nodes.
+    Labels are numbered by first appearance along the support rows
+    (row-major order), so the result is deterministic.
     """
-    offsets = np.array(list(accumulate(cardinalities[:-1], initial=0)))
-    rows = (np.asarray(digits) + offsets[:, None]).T.tolist()  # K nodes per row
-    uf = _UnionFind(int(sum(cardinalities)))
+    rows = np.asarray(nodes).T.tolist()  # K nodes per row
+    uf = _UnionFind(int(node_count))
     for first, *rest in rows:
         for node in rest:
             uf.union(first, node)
@@ -249,7 +252,7 @@ def gk_common_information(pmf: JointPmf) -> CommonInfoResult:
     result = _GK_RESULTS.get(pmf)
     if result is None:
         view = pmf.support
-        labels = common_part_labels(view.digits, pmf.cardinalities)
+        labels = common_part_labels(view.nodes, sum(pmf.cardinalities))
         value, residual = _score_labels(view, labels, _source_entropies(pmf))
         result = CommonInfoResult(
             value, _label_witness(pmf, labels), "gk_components",
@@ -342,13 +345,12 @@ def gk_brute_force_oracle(pmf: JointPmf) -> CommonInfoResult:
     h_k = _source_entropies(pmf)
     table = _partition_table(view.size)
     heavy = np.flatnonzero(view.p > BRUTE_PREFILTER_TOL)
-    left, right = [], []  # pairs of heavy rows that share a symbol of X_k
-    for d in view.digits:
-        rows = heavy[np.argsort(d[heavy], kind="stable")]
-        same = d[rows[1:]] == d[rows[:-1]]
-        left.append(rows[:-1][same])
-        right.append(rows[1:][same])
-    left, right = np.concatenate(left), np.concatenate(right)
+    # Pairs of heavy rows that share a node: adjacent in a stable sort of nodes.
+    nodes = view.nodes[:, heavy].reshape(-1)
+    order = np.argsort(nodes, kind="stable")
+    rows, nodes = np.tile(heavy, pmf.k)[order], nodes[order]
+    same = nodes[1:] == nodes[:-1]
+    left, right = rows[:-1][same], rows[1:][same]
     keep = (table[:, left] == table[:, right]).all(axis=1)
     best = (-1.0, None, 0.0)  # value, labels, residual
     for labels in table[keep].astype(np.intp):
@@ -390,30 +392,17 @@ def pairwise_mi_bounds(pmf: JointPmf) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-class _WynerProblem:
-    """The support view and |W| shared by all restarts.  A stack of channels
-    r(w|s) on the support rows s is held W-major, (R, |W|, S); each channel
-    induces the mixture q(w, s) = a(w) cond(w, s), with a(w) = sum_s p(s)
-    r(w|s) and cond the product over k of the rows r(x_k|w)."""
-
-    def __init__(self, pmf: JointPmf, w_card: int):
-        view = pmf.support
-        self.p = view.p
-        self.w_card = w_card
-        # Every source's one-hot columns side by side; index[k, s] is the
-        # column of the symbol of X_k in support row s.
-        self.onehot = np.concatenate(view.onehots, axis=1)
-        self.index = view.digits + np.cumsum((0,) + pmf.cardinalities[:-1])[:, None]
-
-    def mixture(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, cond) of every channel of the stack ``r``.  One gemm gives the
-        unnormalized rows of every source, and each row sums to a(w)."""
-        m = r * self.p
-        a = np.add.reduce(m, axis=-1)
-        rows = m @ self.onehot
-        rows /= np.maximum(a, _optim.TINY)[..., None]
-        factors = rows.take(self.index, axis=-1)
-        return a, np.multiply.reduce(factors, axis=-2, out=np.empty(m.shape))
+def _mixture(view: SupportView, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, cond) of each channel r(w|s) of a W-major stack ``r`` (R, |W|, S):
+    the mixture q(w, s) = a(w) cond(w, s), with a(w) = sum_s p(s) r(w|s) and
+    cond the product over k of the rows r(x_k|w).  One gemm against the
+    view's ``onehot`` gives every source's rows, each summing to a(w)."""
+    m = r * view.p
+    a = np.add.reduce(m, axis=-1)
+    rows = m @ view.onehot
+    rows /= np.maximum(a, _optim.TINY)[..., None]
+    factors = rows.take(view.nodes, axis=-1)
+    return a, np.multiply.reduce(factors, axis=-2, out=np.empty(m.shape))
 
 
 def _squarem(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -433,7 +422,7 @@ def _squarem(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return y
 
 
-def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
+def _wyner_restarts(view: SupportView, params: WynerParams) -> list:
     """(value in bits, residual, updates, (q(w, s), q(s))) of every restart.
 
     Restart r draws a Dirichlet(1) channel from ``default_rng([seed, r])``;
@@ -442,16 +431,15 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
     ``STAGE_TOL``, or for ``block_maxiter`` updates.  A tail of EM updates
     (beta = 1) follows until the mixture's residual is at most
     ``RESIDUAL_TOL / 4`` or has not fallen for ``TAIL_STALL`` updates, or
-    for ``TAIL_MAXITER`` updates.  An update is one ``mixture`` call, whose
-    one gemm serves every source, followed by the closed-form posterior.
-    Stages and tail advance by SQUAREM cycles: two plain updates x -> x1 ->
-    x2, the extrapolated point of ``_squarem``, and one stabilizing update
-    from it, which starts the next cycle.  Every update counts, toward the
-    stage's and the tail's caps and toward the restart's updates; a stage
-    or tail stops at the first update that meets its rule.  A stage ends
-    at the point its last update reached, or at its cap at the point the
-    cycle goes on from; the tail ends at the mixture of the point it last
-    measured.
+    for ``TAIL_MAXITER`` updates.  An update is one ``_mixture`` call and the
+    closed-form posterior.  Stages and tail advance by SQUAREM cycles: two
+    plain updates x -> x1 -> x2, the extrapolated point of ``_squarem``, and
+    one stabilizing update from it, which starts the next cycle.  Every
+    update counts, toward the stage's and the tail's caps and toward the
+    restart's updates; a stage or tail stops at the first update that meets
+    its rule.  A stage ends at the point its last update reached, or at its
+    cap at the point the cycle goes on from; the tail ends at the mixture of
+    the point it last measured.
 
     Each restart ends where it would alone, bit for bit: every operation,
     alpha and its norms included, acts on each channel alone, on C-ordered
@@ -461,10 +449,9 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
     is a full array (numpy computes a broadcast exponent of 0.5 as a square
     root on a stack of one channel, and as a power on a larger stack).
     """
-    n = params.restarts
+    n, ones = params.restarts, np.ones(params.w_cardinality)
     r = np.stack([
-        np.random.default_rng([params.seed, i]).dirichlet(np.ones(prob.w_card), len(prob.p)).T
-        for i in range(n)
+        np.random.default_rng([params.seed, i]).dirichlet(ones, view.size).T for i in range(n)
     ]).copy()
     j0 = np.resize(np.array(START_EXPONENTS, dtype=float), n)[:, None, None]
     updates = np.zeros(n, dtype=int)
@@ -472,7 +459,7 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
         live, x, x0 = np.arange(n), r, r
         beta = 1.0 - 2.0 ** -(j0 + stage) + np.zeros_like(r)
         for step in range(1, params.block_maxiter + 1):
-            a, cond = prob.mixture(x)
+            a, cond = _mixture(view, x)
             t = a[..., None] * cond**beta
             t /= np.maximum(np.add.reduce(t, axis=-2), _optim.TINY)[..., None, :]
             moved = np.maximum.reduce(np.abs(t - x), axis=(-2, -1))
@@ -491,10 +478,10 @@ def _wyner_restarts(prob: _WynerProblem, params: WynerParams) -> list:
     runs, x, x0 = [None] * n, r, r
     live, best, stall = np.arange(n), np.full(n, np.inf), np.zeros(n, int)
     for tail in range(TAIL_MAXITER + 1):
-        a, cond = prob.mixture(x)
+        a, cond = _mixture(view, x)
         qws = a[..., None] * cond
         qx = np.add.reduce(qws, axis=-2)
-        tv = 0.5 * np.add.reduce(np.abs(prob.p - qx), axis=-1)
+        tv = 0.5 * np.add.reduce(np.abs(view.p - qx), axis=-1)
         improved = tv < best - 1e-16
         best = np.where(improved, tv, best)
         stall = np.where(improved, 0, stall + 1)
@@ -533,7 +520,8 @@ def wyner_estimate(
     The settings are checked first, on every call: ``restarts`` is an
     integer of at least 1, ``seed``, ``max_sweeps`` and ``block_maxiter``
     integers of at least 0, and ``w_cardinality`` None or an integer of at
-    least 1 (bools are not integers here).  Each live law keeps one
+    least 1 (bools are not integers here); then ``ChannelTooLargeError``
+    rejects channels over ``WYNER_BYTES_LIMIT``.  Each live law keeps one
     (immutable) result, that of the last settings it was estimated at, with
     |W| resolved, so None and an explicit support size + 1 are one setting.
     A call at those settings returns it; a call at other settings computes
@@ -550,10 +538,13 @@ def wyner_estimate(
     _optim.check_integer(params.restarts, 1, "restarts")
     for name in ("seed", "max_sweeps", "block_maxiter"):
         _optim.check_integer(getattr(params, name), 0, name)
+    need = 8 * w_card * max(params.restarts * view.size, view.num_outcomes)
+    if need > WYNER_BYTES_LIMIT:
+        raise ChannelTooLargeError(f"|W| = {w_card} needs {need} bytes, over the byte guard")
     slot = _WYNER_RESULTS.get(pmf)
     if slot is not None and slot[0] == params:
         return slot[1]
-    runs = _wyner_restarts(_WynerProblem(pmf, w_card), params)
+    runs = _wyner_restarts(view, params)
 
     def rank(run):  # converged first, then by value, else by residual
         return (run[1] > RESIDUAL_TOL, run[0] if run[1] <= RESIDUAL_TOL else run[1])
@@ -562,7 +553,7 @@ def wyner_estimate(
     # The witness is the mixture's posterior q(w|s), uniform where q(s) = 0.
     post = np.where(qx > 0.0, qws / np.maximum(qx, _optim.TINY), 1.0 / w_card)
     diagnostics = Diagnostics(sum(run[2] for run in runs), residual, residual <= RESIDUAL_TOL)
-    result = CommonInfoResult(value, pmf.support.embed(post.T, w_card), "wyner_alt_min", diagnostics)
+    result = CommonInfoResult(value, view.embed(post.T, w_card), "wyner_alt_min", diagnostics)
     _WYNER_RESULTS[pmf] = (params, result)
     return result
 
@@ -609,7 +600,8 @@ def verify_monotonicity(pmf: JointPmf, drop: int) -> tuple[float, float]:
         marginal = pmf.probabilities.sum(axis=drop)
         flat = marginal.reshape(-1)
         rows = np.flatnonzero(flat > 0.0)
-        labels = common_part_labels(np.unravel_index(rows, marginal.shape), marginal.shape)
+        nodes = symbol_nodes(np.unravel_index(rows, marginal.shape), marginal.shape)
+        labels = common_part_labels(nodes, sum(marginal.shape))
         reduced[drop] = _label_entropy(labels, flat[rows])
     return gk_common_information(pmf).value, reduced[drop]
 

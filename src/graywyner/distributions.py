@@ -126,26 +126,36 @@ class JointPmf:
         return f"JointPmf(variables={self.variable_names}, cardinalities={self.cardinalities})"
 
 
+def symbol_nodes(digits, cardinalities) -> np.ndarray:
+    """The node of each (source, symbol) pair of ``digits`` (K x S), the K
+    alphabets laid side by side: symbol x of source k is node x plus the
+    alphabet sizes of the sources before k."""
+    return np.asarray(digits) + np.array((0, *cardinalities[:-1])).cumsum()[:, None]
+
+
 class SupportView:
     """A joint law restricted to its support, where every search works.
 
     Row s of each array is the s-th positive-probability outcome in
     row-major order: ``indices[s]`` is its joint index, ``p[s]`` its mass,
-    ``digits[k, s]`` (one (K, size) array) the symbol of variable k and
-    ``onehots[k][s]`` the indicator row of that symbol, which aggregates
-    support rows by X_k.
+    ``digits[k, s]`` the symbol of variable k and ``nodes[k, s]`` the node
+    of that symbol (``symbol_nodes``); ``columns[k]`` slices source k's
+    nodes.  Row s of ``onehot`` (size x nodes) is 1 at its K nodes, so
+    ``onehot.T @ t`` aggregates support rows by every X_k at once.
     """
 
     def __init__(self, pmf: JointPmf):
         self.indices = pmf.support_indices()
         self.p = pmf.flat[self.indices]
         self.num_outcomes = pmf.num_outcomes
-        self.digits = np.array(np.unravel_index(self.indices, pmf.cardinalities))
-        self.onehots = tuple(
-            np.equal.outer(d, np.arange(c)).astype(float)
-            for d, c in zip(self.digits, pmf.cardinalities)
-        )
-        for arr in (self.indices, self.p, self.digits, *self.onehots):
+        cards = pmf.cardinalities
+        self.digits = np.array(np.unravel_index(self.indices, cards))
+        self.nodes = symbol_nodes(self.digits, cards)
+        starts = (self.nodes[:, 0] - self.digits[:, 0]).tolist()  # the nodes of symbol 0
+        self.columns = tuple(slice(a, a + c) for a, c in zip(starts, cards))
+        self.onehot = np.zeros((len(self.indices), sum(cards)))
+        self.onehot[np.arange(len(self.indices)), self.nodes] = 1.0
+        for arr in (self.indices, self.p, self.digits, self.nodes, self.onehot):
             arr.setflags(write=False)
 
     @property

@@ -68,3 +68,7 @@ class CodebookTooLargeError(GrayWynerError):
 
 class EnumerationTooLargeError(GrayWynerError):
     """Exact enumeration would exceed the configured block-count guard."""
+
+
+class ChannelTooLargeError(GrayWynerError):
+    """The Wyner estimator's channels would exceed its byte guard."""

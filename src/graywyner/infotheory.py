@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import weakref
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -202,18 +201,16 @@ class PairStats:
         self.pair = pmf.flat[:, None] * w.rows
         self.p_w = self.pair.sum(axis=0)
         # One bincount fills every table: cell (x, w) of source k is row
-        # start_k + x, column w.  A cell adds its support rows in outcome
-        # order; the rows left out hold only zeros, so each cell gets the
-        # bits of a sum over all outcomes.
-        cards = pmf.cardinalities
-        starts = list(accumulate(cards[:-1], initial=0))
-        cells = ((view.digits + np.array(starts)[:, None]) * m)[..., None] + np.arange(m)
+        # ``view.nodes`` of (k, x), column w.  A cell adds its support rows
+        # in outcome order; the rows left out hold only zeros, so each cell
+        # gets the bits of a sum over all outcomes.
+        cells = (view.nodes * m)[..., None] + np.arange(m)
         tables = np.bincount(
             cells.reshape(-1),
             weights=np.concatenate((self.pair[view.indices].reshape(-1),) * pmf.k),
-            minlength=sum(cards) * m,
+            minlength=sum(pmf.cardinalities) * m,
         ).reshape(-1, m)
-        self.pair_k = tuple(tables[a : a + c] for a, c in zip(starts, cards))
+        self.pair_k = tuple(tables[c] for c in view.columns)
         self.h_pair = entropy_of_vector(self.pair)
         self.h_pair_k = tuple(entropy_of_vector(t) for t in self.pair_k)
         h = _entropy(pmf, tuple(range(pmf.k)))
@@ -259,10 +256,8 @@ def _seed_corner(pmf: JointPmf, kind: str) -> tuple:
         else:
             # The pair table is diag(p(x-bar)), so p(w) = p(x-bar), and table
             # k holds each support mass once, at (x_k, w) in row-major order.
-            view = pmf.support
-            h_pair_k = [
-                entropy_of_vector(view.p[np.argsort(d, kind="stable")]) for d in view.digits
-            ]
+            p, digits = pmf.support.p, pmf.support.digits
+            h_pair_k = [entropy_of_vector(p[np.argsort(d, kind="stable")]) for d in digits]
             corner = _corner_floats(h, h, h, h_pair_k)
         floats[kind] = corner
     return corner

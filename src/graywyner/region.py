@@ -167,12 +167,10 @@ def _membership_objective(pmf: JointPmf, t: RateEquivocationTuple):
         for k in range(pmf.k):
             if hk_given_w[k] > t.rk[k]:
                 f += hk_given_w[k] - t.rk[k]
-                grad_t += -(ev.lmk[k][view.digits[k], :] - ev.lpw[None, :]) / _optim.LN2
+                grad_t += -(ev.lmkw[view.nodes[k]] - ev.lpw[None, :]) / _optim.LN2
         if delta_bits < t.delta:
             f += t.delta - delta_bits
-            grad_t += (
-                pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, view.digits))
-            ) / _optim.LN2
+            grad_t += (pmf.k * ev.lt - sum(ev.lmkw[view.nodes])) / _optim.LN2
         return f, grad_t
 
     return shortfall

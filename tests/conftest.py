@@ -91,9 +91,9 @@ def spy_restarts(monkeypatch, runs=None):
     calls = []
     real = runs or common_information._wyner_restarts
 
-    def spy(prob, params):
+    def spy(view, params):
         calls.append(params)
-        return real(prob, params)
+        return real(view, params)
 
     monkeypatch.setattr(common_information, "_wyner_restarts", spy)
     return calls

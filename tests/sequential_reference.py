@@ -87,15 +87,25 @@ def reference(fun, z0, maxiter):
     )
 
 
-def wyner_mixture(prob, r):
+def wyner_mixture(view, r):
     """(a, cond) of the mixture that one channel r (|W|, S) induces."""
-    m = r * prob.p
+    m = r * view.p
     a = m.sum(axis=1)
-    rows = (m @ prob.onehot) / np.maximum(a, _optim.TINY)[:, None]
+    rows = (m @ view.onehot) / np.maximum(a, _optim.TINY)[:, None]
     cond = None
-    for columns in prob.index:
+    for columns in view.nodes:
         cond = rows[:, columns].copy() if cond is None else cond * rows[:, columns]
     return a, cond
+
+
+def source_tables(view, cardinalities, t):
+    """t (S, |W|) aggregated by (X_k, W) for every source k the way
+    ``_optim.ChannelEval`` did before it had one node table: one gemm per
+    source, against that source's own contiguous one-hot matrix."""
+    return [
+        np.equal.outer(d, np.arange(c)).astype(float).T @ t
+        for d, c in zip(view.digits, cardinalities)
+    ]
 
 
 def squarem(x0, x1, x2):
@@ -108,17 +118,17 @@ def squarem(x0, x1, x2):
     return x2 if (y < 0.0).any() else y
 
 
-def wyner_single(prob, rng, params, j0):
+def wyner_single(view, rng, params, j0):
     """One restart with start exponent ``j0``: (value in bits, residual,
     updates, (q(w, s), q(s))).  ``r`` is the point that the next update
     starts from; a SQUAREM cycle saves its start in ``base`` and
     extrapolates after its second update."""
-    r = rng.dirichlet(np.ones(prob.w_card), len(prob.p)).T.copy()
+    r = rng.dirichlet(np.ones(params.w_cardinality), view.size).T.copy()
     updates = 0
     for stage in range(params.max_sweeps):
         beta = 1.0 - 2.0 ** -(j0 + stage)
         for step in range(1, params.block_maxiter + 1):
-            a, cond = wyner_mixture(prob, r)
+            a, cond = wyner_mixture(view, r)
             t = a[:, None] * cond ** np.full(cond.shape, beta)
             post = t / np.maximum(t.sum(axis=0), _optim.TINY)[None, :]
             moved = np.abs(post - r).max()
@@ -133,10 +143,10 @@ def wyner_single(prob, rng, params, j0):
     best_tv = np.inf
     stall = 0
     for tail in range(ci.TAIL_MAXITER + 1):
-        a, cond = wyner_mixture(prob, r)
+        a, cond = wyner_mixture(view, r)
         qws = a[:, None] * cond
         qx = qws.sum(axis=0)
-        tv = 0.5 * float(np.abs(prob.p - qx).sum())
+        tv = 0.5 * float(np.abs(view.p - qx).sum())
         if tv < best_tv - 1e-16:
             best_tv = tv
             stall = 0
@@ -154,12 +164,12 @@ def wyner_single(prob, rng, params, j0):
     return max(0.0, i_nats / _optim.LN2), tv, updates, (qws, qx)
 
 
-def wyner_runs(prob, params):
+def wyner_runs(view, params):
     """Every restart's result, one restart after another."""
     exponents = ci.START_EXPONENTS
     return [
         wyner_single(
-            prob, np.random.default_rng([params.seed, r]), params,
+            view, np.random.default_rng([params.seed, r]), params,
             exponents[r % len(exponents)],
         )
         for r in range(params.restarts)
@@ -269,7 +279,7 @@ def relaxation_spot_check(pmf, restarts=6, seed=0):
             grad_slack = np.zeros_like(ev.t)
             for k in range(pmf.k):
                 slack_total += (ev.h_kw[k] - h_k[k]) - (ev.h_joint - h_x)
-                grad_slack += ev.lt - ev.lmk[k][view.digits[k], :]
+                grad_slack += ev.lt - ev.lmkw[view.nodes[k]]
             return -(i_nats - mu * slack_total), -(grad_i - mu * grad_slack)
 
         return penalized
@@ -348,7 +358,7 @@ def max_delta_objectives(pmf, budget):
             i_bits = (h_x_nats + ev.h_w - ev.h_joint) / _optim.LN2
             excess = max(0.0, i_bits - budget)
             f = -delta_bits + mu * excess * excess
-            grad_delta_nats = -(pmf.k * ev.lt - sum(lm[d, :] for lm, d in zip(ev.lmk, view.digits)))
+            grad_delta_nats = -(pmf.k * ev.lt - sum(ev.lmkw[view.nodes]))
             grad_i_nats = ev.lt - ev.lpw[None, :]
             return f, (-grad_delta_nats + 2.0 * mu * excess * grad_i_nats / _optim.LN2) / _optim.LN2
 

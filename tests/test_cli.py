@@ -340,6 +340,14 @@ class TestErrorPaths:
         assert "NotNormalized" in err
         assert out == ""
 
+    def test_a_channel_over_the_byte_guard_exits_2(self, docs):
+        code, out, err = cli("common-info", "--pmf", docs["ex1"], "--method", "wyner",
+                             "--w-cardinality", "100000000", "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ChannelTooLargeError: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_threads_option_is_gone(self, docs):
         code, out, _ = cli("--help")
         assert code == 0

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import graywyner as gw
-from graywyner import common_information, infotheory
+from graywyner import _optim, common_information, infotheory
 from graywyner.errors import (
+    ChannelTooLargeError,
     KTooSmallError,
     SupportTooLargeError,
 )
@@ -95,15 +96,15 @@ class TestGkCommonInformation:
         labelled = []
         labels = common_information.common_part_labels
 
-        def spy(digits, cardinalities):
-            labelled.append(tuple(cardinalities))
-            return labels(digits, cardinalities)
+        def spy(nodes, node_count):
+            labelled.append(node_count)
+            return labels(nodes, node_count)
 
         monkeypatch.setattr(common_information, "common_part_labels", spy)
         pmf = random_joint(np.random.default_rng(43), k=3)
         first = gw.gk_common_information(pmf)
         assert gw.gk_common_information(pmf) is first
-        assert labelled == [pmf.cardinalities]
+        assert labelled == [sum(pmf.cardinalities)]
         assert gw.verify_c2(pmf).c_value == first.value
         cached = len(common_information._GK_RESULTS)
         built = []
@@ -117,7 +118,8 @@ class TestGkCommonInformation:
         # its first call only, and builds no law, support view or exact-C
         # entry for it.
         cards = pmf.cardinalities
-        assert labelled == [cards] + [cards[:d] + cards[d + 1 :] for d in range(pmf.k)]
+        laws = [cards] + [cards[:d] + cards[d + 1 :] for d in range(pmf.k)]
+        assert labelled == [sum(c) for c in laws]  # the node count of each
         assert built == []
         assert len(common_information._GK_RESULTS) == cached
 
@@ -175,7 +177,7 @@ class TestBruteForceOracle:
         worst = max(gw.markov_slack(joint, k) for k in range(2))
         _, slack = common_information._score_labels(view, labels[support], h_k)
         assert slack == pytest.approx(worst, abs=1e-12)
-        components = common_information.common_part_labels(view.digits, pmf.cardinalities)
+        components = common_information.common_part_labels(view.nodes, sum(pmf.cardinalities))
         assert common_information._score_labels(view, components, h_k)[1] == 0.0
 
     def test_oracle_equivalence_sample(self):
@@ -588,14 +590,14 @@ def estimate_both_ways(monkeypatch, pmf, **kwargs):
     The reference estimates a twin law, so it cannot read the stacked
     estimate from the law's memo, and it is checked to have run."""
     sizes = []
-    mixture = common_information._WynerProblem.mixture
+    mixture = common_information._mixture
 
-    def counted(prob, r):
+    def counted(view, r):
         sizes.append(len(r))
-        return mixture(prob, r)
+        return mixture(view, r)
 
     with monkeypatch.context() as m:
-        m.setattr(common_information._WynerProblem, "mixture", counted)
+        m.setattr(common_information, "_mixture", counted)
         stacked = gw.wyner_estimate(pmf, **kwargs)
     with monkeypatch.context() as m:
         sequential_calls = spy_restarts(m, sequential_reference.wyner_runs)
@@ -627,15 +629,35 @@ def test_stacked_mixture_matches_lone_channels(acceptance_laws, case):
         pmf = make()
     else:
         pmf, w_card = acceptance_laws[case], None
-    prob = common_information._WynerProblem(pmf, pmf.support.w_cardinality(w_card))
+    view = pmf.support
     rng = np.random.default_rng(3)
-    r = rng.dirichlet(np.ones(prob.w_card), (3, len(prob.p))).transpose(0, 2, 1).copy()
-    a, cond = prob.mixture(r)
+    r = rng.dirichlet(np.ones(view.w_cardinality(w_card)), (3, view.size))
+    r = r.transpose(0, 2, 1).copy()
+    a, cond = common_information._mixture(view, r)
     assert cond.flags.c_contiguous
     for i in range(3):
-        a_i, cond_i = sequential_reference.wyner_mixture(prob, r[i])
+        a_i, cond_i = sequential_reference.wyner_mixture(view, r[i])
         assert a[i].tobytes() == a_i.tobytes()
         assert cond[i].tobytes() == cond_i.tobytes()
+
+
+@pytest.mark.parametrize("case", [*range(100), *MIXTURE_EXAMPLES])
+def test_one_node_table_matches_the_per_source_gemms(acceptance_laws, case):
+    """``ChannelEval``'s one gemm against the view's one-hot matrix gives
+    every source's (X_k, W) table, and its entropy, byte for byte as one
+    gemm per source against that source's own one-hot matrix did."""
+    if case in MIXTURE_EXAMPLES:
+        make, w_card = MIXTURE_EXAMPLES[case]
+        pmf = make()
+    else:
+        pmf, w_card = acceptance_laws[case], None
+    view = pmf.support
+    rho = np.random.default_rng(6).dirichlet(np.ones(view.w_cardinality(w_card)), view.size)
+    ev = _optim.ChannelEval(view, rho)
+    tables = sequential_reference.source_tables(view, pmf.cardinalities, ev.t)
+    for k, table in enumerate(tables):
+        assert ev.mkw[view.columns[k]].tobytes() == table.tobytes()
+        assert ev.h_kw[k] == -float((table * _optim.safe_log(table)).sum())
 
 
 def test_stacked_squarem_matches_lone_channels():
@@ -665,7 +687,7 @@ LOCKSTEP_EXAMPLES = {
 }
 
 # The stack sizes that these cases' updates see, as the spy on
-# ``_WynerProblem.mixture`` records them: the stack shrinks from 4 to 3, 2
+# ``_mixture`` records them: the stack shrinks from 4 to 3, 2
 # and 1 while the others go on, or (example 2) three restarts stop at once.
 LOCKSTEP_SIZES = {7: [1, 2, 3, 4], "example1": [1, 2, 3, 4], "example2": [1, 4]}
 
@@ -696,12 +718,12 @@ class TestWynerRestartSelection:
     def scripted(monkeypatch, runs):
         # Restart r returns runs[r] = (value, residual, iterations) with a
         # mixture putting all weight on W = r, so the witness names r.
-        def fake(prob, params):
+        def fake(view, params):
             results = []
             for r, (value, residual, iters) in enumerate(runs):
-                qws = np.zeros((prob.w_card, len(prob.p)))
-                qws[r] = prob.p
-                results.append((value, residual, iters, (qws, prob.p)))
+                qws = np.zeros((params.w_cardinality, view.size))
+                qws[r] = view.p
+                results.append((value, residual, iters, (qws, view.p)))
             return results
 
         monkeypatch.setattr(common_information, "_wyner_restarts", fake)
@@ -891,6 +913,49 @@ class TestWynerMemo:
                                    **{k: np.int64(v) for k, v in LIGHT.items()})
         assert second is first
         assert len(calls) == 1
+
+
+def sparse_wide_law():
+    """Two support rows among 8,192 outcomes: the witness, one row per
+    outcome, outgrows the byte guard before the restarts' channels do."""
+    flat = np.zeros(8192)
+    flat[[0, 8191]] = 0.5
+    return gw.JointPmf(("A", "B"), (4096, 2), flat)
+
+
+class TestWynerGuard:
+    """|W| and the restarts are checked against ``WYNER_BYTES_LIMIT`` before
+    any channel is drawn."""
+
+    @pytest.mark.parametrize(
+        "make, settings",
+        [(example1, dict(w_cardinality=100_000_000)),
+         (example1, dict(restarts=10**9)),
+         (sparse_wide_law, dict(w_cardinality=1025, restarts=1))],
+        ids=["w_cardinality", "restarts", "witness"],
+    )
+    def test_raises_before_allocating(self, monkeypatch, make, settings):
+        calls = spy_restarts(monkeypatch)
+        pmf = make()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChannelTooLargeError, match="byte guard"):
+                gw.wyner_estimate(pmf, seed=0, **settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 10 * 2**20
+
+    def test_the_limit_is_inclusive(self, monkeypatch):
+        # DSBS(0.1): 4 support rows and 4 outcomes; 2 restarts at |W| = 3
+        # hold 8 * 3 * 2 * 4 bytes.
+        settings = dict(w_cardinality=3, restarts=2, seed=1, **LIGHT)
+        monkeypatch.setattr(common_information, "WYNER_BYTES_LIMIT", 8 * 3 * 2 * 4 - 1)
+        with pytest.raises(ChannelTooLargeError):
+            gw.wyner_estimate(dsbs(0.1), **settings)
+        monkeypatch.setattr(common_information, "WYNER_BYTES_LIMIT", 8 * 3 * 2 * 4)
+        assert gw.wyner_estimate(dsbs(0.1), **settings).diagnostics.converged
 
 
 class TestVerifyChain:

@@ -77,9 +77,16 @@ def test_support_view_matches_full_arrays(pmf):
     assert view.size == len(support)
     for k, card in enumerate(pmf.cardinalities):
         assert np.array_equal(view.digits[k], pmf.digits(k)[support])
+        assert np.array_equal(view.nodes[k], view.digits[k] + sum(pmf.cardinalities[:k]))
+        # Source k's column block is its own one-hot matrix.
         assert np.array_equal(
-            view.onehots[k], np.eye(card)[pmf.digits(k)[support]]
+            view.onehot[:, view.columns[k]], np.eye(card)[pmf.digits(k)[support]]
         )
+    assert view.onehot.shape == (len(support), sum(pmf.cardinalities))
+    for s, row in enumerate(view.onehot):
+        # Exactly K ones, at the nodes of support row s.
+        assert np.array_equal(np.flatnonzero(row), view.nodes[:, s])
+        assert (row[view.nodes[:, s]] == 1.0).all()
     assert view.w_cardinality(None) == len(support) + 1
     assert pmf.support is view
 
