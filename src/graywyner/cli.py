@@ -21,7 +21,12 @@ from dataclasses import asdict
 from typing import IO
 
 from . import _optim, codec_sim, common_information, region
-from .distributions import JointPmf, load_aux_channel, load_pmf, save_aux_channel
+from .distributions import (
+    JointPmf,
+    load_aux_channel,
+    load_pmf,
+    save_aux_channel,
+)
 from .errors import ChannelTooLargeError, GrayWynerError
 from .infotheory import conditional_entropy, entropy, mutual_information
 

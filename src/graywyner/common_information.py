@@ -78,9 +78,10 @@ START_EXPONENTS = (1, 2, 1, 2, 3, 4, 5, 6)
 STAGE_TOL = 1e-13
 TAIL_STALL = 50
 TAIL_MAXITER = 4000
-# Bytes that restarts x |W| x support size doubles (one stack of channels, of
-# which an update holds about ten) or the outcomes x |W| witness may take.
-WYNER_BYTES_LIMIT = 1 << 26
+# Peak bytes an estimate may take, 16 GiB (failed calls asked for 0.9-6 GiB in
+# one array).  Its peak (tracemalloc) stays under 14 stacks of restarts x |W| x
+# support doubles plus 2 outcomes x |W| witnesses (the rows and their copy).
+WYNER_BYTES_LIMIT = 1 << 34
 
 
 @dataclass(frozen=True)
@@ -521,9 +522,10 @@ def wyner_estimate(
     integer of at least 1, ``seed``, ``max_sweeps`` and ``block_maxiter``
     integers of at least 0, and ``w_cardinality`` None or an integer of at
     least 1 (bools are not integers here); then ``ChannelTooLargeError``
-    rejects channels over ``WYNER_BYTES_LIMIT``.  Each live law keeps one
-    (immutable) result, that of the last settings it was estimated at, with
-    |W| resolved, so None and an explicit support size + 1 are one setting.
+    rejects settings whose estimated peak exceeds ``WYNER_BYTES_LIMIT``.
+    Each live law keeps one (immutable) result, that of the last settings
+    it was estimated at, with |W| resolved, so None and an explicit support
+    size + 1 are one setting.
     A call at those settings returns it; a call at other settings computes
     afresh and replaces it.
     """
@@ -538,9 +540,9 @@ def wyner_estimate(
     _optim.check_integer(params.restarts, 1, "restarts")
     for name in ("seed", "max_sweeps", "block_maxiter"):
         _optim.check_integer(getattr(params, name), 0, name)
-    need = 8 * w_card * max(params.restarts * view.size, view.num_outcomes)
+    need = 8 * w_card * (14 * params.restarts * view.size + 2 * view.num_outcomes)
     if need > WYNER_BYTES_LIMIT:
-        raise ChannelTooLargeError(f"|W| = {w_card} needs {need} bytes, over the byte guard")
+        raise ChannelTooLargeError(f"|W| = {w_card} needs about {need} bytes, over the byte guard")
     slot = _WYNER_RESULTS.get(pmf)
     if slot is not None and slot[0] == params:
         return slot[1]

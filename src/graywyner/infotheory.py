@@ -256,8 +256,10 @@ def _seed_corner(pmf: JointPmf, kind: str) -> tuple:
         else:
             # The pair table is diag(p(x-bar)), so p(w) = p(x-bar), and table
             # k holds each support mass once, at (x_k, w) in row-major order.
-            p, digits = pmf.support.p, pmf.support.digits
-            h_pair_k = [entropy_of_vector(p[np.argsort(d, kind="stable")]) for d in digits]
+            view = pmf.support
+            h_pair_k = [
+                entropy_of_vector(view.p[np.argsort(d, kind="stable")]) for d in view.digits
+            ]
             corner = _corner_floats(h, h, h, h_pair_k)
         floats[kind] = corner
     return corner

@@ -97,14 +97,14 @@ class TestGkCommonInformation:
         labels = common_information.common_part_labels
 
         def spy(nodes, node_count):
-            labelled.append(node_count)
+            labelled.append((node_count, np.array(nodes)))
             return labels(nodes, node_count)
 
         monkeypatch.setattr(common_information, "common_part_labels", spy)
         pmf = random_joint(np.random.default_rng(43), k=3)
         first = gw.gk_common_information(pmf)
         assert gw.gk_common_information(pmf) is first
-        assert labelled == [sum(pmf.cardinalities)]
+        assert len(labelled) == 1
         assert gw.verify_c2(pmf).c_value == first.value
         cached = len(common_information._GK_RESULTS)
         built = []
@@ -117,9 +117,14 @@ class TestGkCommonInformation:
         # The full law once, then each drop labels its marginal once, on
         # its first call only, and builds no law, support view or exact-C
         # entry for it.
-        cards = pmf.cardinalities
-        laws = [cards] + [cards[:d] + cards[d + 1 :] for d in range(pmf.k)]
-        assert labelled == [sum(c) for c in laws]  # the node count of each
+        tensor = pmf.probabilities
+        laws = [tensor] + [tensor.sum(axis=d) for d in range(pmf.k)]
+        assert len(labelled) == len(laws)
+        for (node_count, nodes), law in zip(labelled, laws):
+            rows = np.flatnonzero(law.reshape(-1) > 0.0)
+            expected = gw.distributions.symbol_nodes(np.unravel_index(rows, law.shape), law.shape)
+            assert node_count == sum(law.shape)
+            assert np.array_equal(nodes, expected)
         assert built == []
         assert len(common_information._GK_RESULTS) == cached
 
@@ -923,6 +928,14 @@ def sparse_wide_law():
     return gw.JointPmf(("A", "B"), (4096, 2), flat)
 
 
+def sparse_law(cards, support, seed):
+    """A law with ``support`` random positive outcomes among ``cards``."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(int(np.prod(cards)))
+    flat[rng.choice(flat.size, support, replace=False)] = rng.random(support)
+    return gw.JointPmf(tuple("ABC"[: len(cards)]), cards, flat / flat.sum())
+
+
 class TestWynerGuard:
     """|W| and the restarts are checked against ``WYNER_BYTES_LIMIT`` before
     any channel is drawn."""
@@ -931,7 +944,7 @@ class TestWynerGuard:
         "make, settings",
         [(example1, dict(w_cardinality=100_000_000)),
          (example1, dict(restarts=10**9)),
-         (sparse_wide_law, dict(w_cardinality=1025, restarts=1))],
+         (sparse_wide_law, dict(w_cardinality=2**20, restarts=1))],
         ids=["w_cardinality", "restarts", "witness"],
     )
     def test_raises_before_allocating(self, monkeypatch, make, settings):
@@ -949,13 +962,36 @@ class TestWynerGuard:
 
     def test_the_limit_is_inclusive(self, monkeypatch):
         # DSBS(0.1): 4 support rows and 4 outcomes; 2 restarts at |W| = 3
-        # hold 8 * 3 * 2 * 4 bytes.
+        # count 8 * 3 * (14 * 2 * 4 + 2 * 4) bytes.
         settings = dict(w_cardinality=3, restarts=2, seed=1, **LIGHT)
-        monkeypatch.setattr(common_information, "WYNER_BYTES_LIMIT", 8 * 3 * 2 * 4 - 1)
+        need = 8 * 3 * (14 * 2 * 4 + 2 * 4)
+        monkeypatch.setattr(common_information, "WYNER_BYTES_LIMIT", need - 1)
         with pytest.raises(ChannelTooLargeError):
             gw.wyner_estimate(dsbs(0.1), **settings)
-        monkeypatch.setattr(common_information, "WYNER_BYTES_LIMIT", 8 * 3 * 2 * 4)
+        monkeypatch.setattr(common_information, "WYNER_BYTES_LIMIT", need)
         assert gw.wyner_estimate(dsbs(0.1), **settings).diagnostics.converged
+
+    def test_a_100_mb_witness_still_estimates(self):
+        # 200 support rows among 40^3 outcomes: the witness alone is
+        # 64,000 x 201 doubles, 103 MB.
+        result = gw.wyner_estimate(sparse_law((40, 40, 40), 200, 5), restarts=1, seed=0,
+                                   max_sweeps=1, block_maxiter=1)
+        assert result.witness.rows.shape == (64_000, 201)
+        assert np.isfinite(result.value)
+
+    def test_default_settings_pass_past_700_support_rows(self, monkeypatch):
+        # 16 restarts at |W| = 801 over 800 support rows: an 82 MB stack.
+        # The restarts are replaced by one converged run each, so that the
+        # guard is all this test runs.
+        def fake(view, params):
+            qws = np.zeros((params.w_cardinality, view.size))
+            qws[0] = view.p
+            return [(0.0, 0.0, 1, (qws, view.p))] * params.restarts
+
+        calls = spy_restarts(monkeypatch, fake)
+        result = gw.wyner_estimate(sparse_law((30, 30), 800, 6))
+        assert [(p.restarts, p.w_cardinality) for p in calls] == [(16, 801)]
+        assert result.witness.rows.shape == (900, 801)
 
 
 class TestVerifyChain:
