@@ -8,6 +8,8 @@ finite-blocklength random-binning simulator measuring error probability
 and equivocation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .codec_sim import (
     CodeConfig,
     Codebook,
@@ -97,4 +99,9 @@ from .region import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; importing them also bound each submodule here,
+# and those stay out.
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -13,8 +13,6 @@ reference.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 LN2 = float(np.log(2.0))
@@ -80,17 +78,6 @@ class ChannelEval:
         self.mkw = view.onehot.T @ self.t
         self.lmkw = safe_log(self.mkw)
         self.h_kw = [-float((self.mkw[c] * self.lmkw[c]).sum()) for c in view.columns]
-
-
-def check_integer(value, minimum: int, name: str) -> None:
-    """Reject a setting ``name`` that is not an integer (or is a bool) or is below ``minimum``."""
-    # A plain int (a bool's type is bool) skips the ABC checks.
-    if type(value) is not int and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def fit_channel(view, w_cardinality: int, seed, objectives, maxiter: int) -> np.ndarray:

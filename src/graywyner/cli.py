@@ -17,12 +17,12 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import IO
 
-from . import _optim, codec_sim, common_information, region
+from . import codec_sim, common_information, region
 from .distributions import (
     JointPmf,
+    check_integer,
     load_aux_channel,
     load_pmf,
     save_aux_channel,
@@ -46,30 +46,27 @@ def _parse_subset(pmf: JointPmf, text: str) -> list[int]:
             continue
         if token in pmf.variable_names:
             out.append(pmf.variable_names.index(token))
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise _UsageError(
-                    f"unknown variable {token!r}; names are {pmf.variable_names}"
-                ) from None
+            continue
+        try:
+            index = int(token)
+        except ValueError:
+            raise _UsageError(
+                f"unknown variable {token!r}; names are {pmf.variable_names}"
+            ) from None
+        if not 0 <= index < pmf.k:
+            raise _UsageError(f"variable index {index} out of range for {pmf.k} variables")
+        out.append(index)
     if not out:
         raise _UsageError(f"empty variable subset {text!r}")
     return out
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
+        what = "numbers" if kind is float else "integers"
+        raise _UsageError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def _require_seed(args) -> int:
@@ -85,12 +82,11 @@ def _emit(doc: dict) -> None:
 def _witness_summary(witness) -> dict:
     if witness is None:
         return {"present": False}
-    summary = {"present": True, "w_cardinality": witness.w_cardinality}
-    if witness.is_deterministic(tol=1e-12):
-        summary["deterministic"] = True
-        summary["labels"] = [int(v) for v in witness.labels()]
-    else:
-        summary["deterministic"] = False
+    deterministic = witness.is_deterministic(tol=1e-12)
+    summary = {"present": True, "w_cardinality": witness.w_cardinality,
+               "deterministic": deterministic}
+    if deterministic:
+        summary["labels"] = witness.labels().tolist()
     return summary
 
 
@@ -102,37 +98,25 @@ def _witness_summary(witness) -> dict:
 def _cmd_info(args) -> int:
     pmf = load_pmf(args.pmf)
     measures = []
-    requested = False
     for text in args.entropy or []:
-        requested = True
         sel = _parse_subset(pmf, text)
         measures.append({"kind": "entropy", "vars": sel, "bits": entropy(pmf, sel)})
-    for text in args.mi or []:
-        requested = True
-        parts = text.split("/")
-        if len(parts) != 2:
-            raise _UsageError(f"--mi expects A/B, got {text!r}")
-        a, b = (_parse_subset(pmf, p) for p in parts)
-        measures.append(
-            {"kind": "mutual_information", "a": a, "b": b,
-             "bits": mutual_information(pmf, a, b)}
-        )
-    for text in args.cond_entropy or []:
-        requested = True
-        parts = text.split("/")
-        if len(parts) != 2:
-            raise _UsageError(f"--cond-entropy expects OF/GIVEN, got {text!r}")
-        of, given = (_parse_subset(pmf, p) for p in parts)
-        measures.append(
-            {"kind": "conditional_entropy", "of": of, "given": given,
-             "bits": conditional_entropy(pmf, of, given)}
-        )
-    if not requested:
-        measures.append({"kind": "entropy", "vars": list(range(pmf.k)),
-                         "bits": entropy(pmf)})
-        for k in range(pmf.k):
-            measures.append({"kind": "entropy", "vars": [k],
-                             "bits": entropy(pmf, [k])})
+    for texts, option, kind, names, measure in (
+        (args.mi, "--mi", "mutual_information", ("a", "b"), mutual_information),
+        (args.cond_entropy, "--cond-entropy", "conditional_entropy", ("of", "given"),
+         conditional_entropy),
+    ):
+        for text in texts or []:
+            parts = text.split("/")
+            if len(parts) != 2:
+                raise _UsageError(f"{option} expects {'/'.join(names).upper()}, got {text!r}")
+            a, b = (_parse_subset(pmf, p) for p in parts)
+            measures.append(
+                {"kind": kind, names[0]: a, names[1]: b, "bits": measure(pmf, a, b)}
+            )
+    if not measures:
+        for sel in [list(range(pmf.k))] + [[k] for k in range(pmf.k)]:
+            measures.append({"kind": "entropy", "vars": sel, "bits": entropy(pmf, sel)})
         for (i, j), bits in common_information._pairwise_mi(pmf).items():
             measures.append(
                 {"kind": "mutual_information", "a": [i], "b": [j], "bits": bits}
@@ -168,68 +152,67 @@ def _cmd_common_info(args) -> int:
     return 0
 
 
-def _cmd_region(args) -> int:
+def _cmd_corner(args) -> int:
     pmf = load_pmf(args.pmf)
-    if args.region_command == "corner":
-        w = load_aux_channel(args.aux)
-        corner = region.corner_point(pmf, w)
-        _emit({"r0": corner.r0, "rk": list(corner.rk), "delta": corner.delta})
-        return 0
-    if args.region_command == "sweep":
-        # The sweep takes no search options and is not randomized; --restarts and
-        # --w-cardinality are still checked, in the old order, so exit codes and
-        # messages stay.
-        budgets = region._check_budgets(_parse_floats(args.r0_grid))
-        _optim.check_integer(args.restarts, 0, "restarts")
-        result = region.sweep_max_delta(pmf, budgets)
-        if budgets:
-            pmf.support.w_cardinality(args.w_cardinality)
-        witness_files = []
-        for i, point in enumerate(result.points):
-            name = ""
-            if args.witness_dir:
-                name = os.path.join(args.witness_dir, f"witness_{i}.aux.json")
-                save_aux_channel(point.witness, name)
-            witness_files.append(name)
-        if args.format == "csv":
-            print(CSV_SWEEP_SCHEMA)
-            print("r0_budget,delta,converged,witness_file")
-            for point, name in zip(result.points, witness_files):
-                print(f"{point.r0_budget!r},{point.delta!r},{point.converged},{name}")
-        else:
-            _emit(
-                {
-                    "points": [
-                        {
-                            # JSON has no infinity; print it as the CSV does.
-                            "r0_budget": (
-                                p.r0_budget if p.r0_budget < float("inf") else "inf"
-                            ),
-                            "delta": p.delta,
-                            "converged": p.converged,
-                            "witness_file": name,
-                        }
-                        for p, name in zip(result.points, witness_files)
-                    ]
-                }
-            )
-        return 0
-    # region check
-    rk = _parse_floats(args.rk)
-    t = region.RateEquivocationTuple(args.r0, tuple(rk), args.delta)
+    _emit(vars(region.corner_point(pmf, load_aux_channel(args.aux))))
+    return 0
+
+
+def _cmd_sweep(args) -> int:
+    pmf = load_pmf(args.pmf)
+    # The sweep takes no search options and is not randomized; --restarts and
+    # --w-cardinality are still checked, in the old order, so exit codes and
+    # messages stay.
+    budgets = region._check_budgets(_parse_list(args.r0_grid))
+    check_integer(args.restarts, 0, "restarts")
+    result = region.sweep_max_delta(pmf, budgets)
+    if budgets:
+        pmf.support.w_cardinality(args.w_cardinality)
+    witness_files = []
+    for i, point in enumerate(result.points):
+        name = ""
+        if args.witness_dir:
+            name = os.path.join(args.witness_dir, f"witness_{i}.aux.json")
+            save_aux_channel(point.witness, name)
+        witness_files.append(name)
+    if args.format == "csv":
+        print(CSV_SWEEP_SCHEMA)
+        print("r0_budget,delta,converged,witness_file")
+        for point, name in zip(result.points, witness_files):
+            print(f"{point.r0_budget!r},{point.delta!r},{point.converged},{name}")
+    else:
+        _emit(
+            {
+                "points": [
+                    {
+                        # JSON has no infinity; print it as the CSV does.
+                        "r0_budget": (
+                            p.r0_budget if p.r0_budget < float("inf") else "inf"
+                        ),
+                        "delta": p.delta,
+                        "converged": p.converged,
+                        "witness_file": name,
+                    }
+                    for p, name in zip(result.points, witness_files)
+                ]
+            }
+        )
+    return 0
+
+
+def _cmd_check(args) -> int:
+    pmf = load_pmf(args.pmf)
+    t = region.RateEquivocationTuple(args.r0, tuple(_parse_list(args.rk)), args.delta)
     if args.aux:
         # The search options are checked as the search path checks them.
-        _optim.check_integer(args.restarts, 0, "restarts")
+        check_integer(args.restarts, 0, "restarts")
         pmf.support.w_cardinality(args.w_cardinality)
         w = load_aux_channel(args.aux)
         ok = region.is_achievable_with(pmf, w, t)
-        _emit({"verdict": "achievable" if ok else "unknown",
-               "witness": _witness_summary(w if ok else None)})
-        return 0
-    seed = _require_seed(args)
-    result = region.is_achievable(
-        pmf, t, w_cardinality=args.w_cardinality, restarts=args.restarts, seed=seed
-    )
+        result = region.AchievabilityResult("achievable" if ok else "unknown", w if ok else None)
+    else:
+        result = region.is_achievable(pmf, t, w_cardinality=args.w_cardinality,
+                                      restarts=args.restarts, seed=_require_seed(args))
     _emit({"verdict": result.verdict, "witness": _witness_summary(result.witness)})
     return 0
 
@@ -253,7 +236,7 @@ def _cmd_simulate(args) -> int:
     pmf = load_pmf(args.pmf)
     w = load_aux_channel(args.aux)
     seed = _require_seed(args)
-    n_values = _parse_ints(args.n_grid) if args.n_grid else [args.n]
+    n_values = _parse_list(args.n_grid, int) if args.n_grid else [args.n]
     if any(v is None for v in n_values) or not n_values:
         raise _UsageError("provide --n or --n-grid")
     # Run everything first, so that a rejected value leaves stdout empty.
@@ -276,27 +259,18 @@ def _cmd_simulate(args) -> int:
     for cfg, report, equivocations in runs:
         reports.append(
             {
-                "config": {
-                    "n": cfg.n,
-                    "slack": cfg.slack,
-                    "typicality_tolerance": cfg.typicality_tolerance,
-                    "seed": cfg.seed,
-                },
+                "config": vars(cfg),
                 "m0": report.m0,
-                "bin_counts": list(report.bin_counts),
+                "bin_counts": report.bin_counts,
                 "trials": report.trials,
                 "encoder_failure_rate": report.encoder_failure_rate,
-                "error_rates": list(report.error_rates),
-                "decoder_error_rates": (
-                    list(report.decoder_error_rates)
-                    if report.decoder_error_rates is not None
-                    else None
-                ),
+                "error_rates": report.error_rates,
+                "decoder_error_rates": report.decoder_error_rates,
                 "equivocations": equivocations,
                 "targets": {
                     "common_rate": report.target_common_rate,
-                    "private_rates": list(report.target_private_rates),
-                    "equivocations": list(report.target_equivocations),
+                    "private_rates": report.target_private_rates,
+                    "equivocations": report.target_equivocations,
                 },
             }
         )
@@ -306,7 +280,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     pmf = load_pmf(args.pmf)
-    props = set(_parse_ints(args.props)) if args.props else set()
+    props = set(_parse_list(args.props, int)) if args.props else set()
     unknown = props - {1, 2, 3, 4}
     if unknown:
         raise _UsageError(f"unknown property ids {sorted(unknown)}")
@@ -331,13 +305,11 @@ def _cmd_verify(args) -> int:
     out["max_pairwise_mi"] = mx
     if 1 in props:
         drops = []
-        ok = True
         for drop in range(pmf.k):
             full, reduced = common_information.verify_monotonicity(pmf, drop)
-            holds = full <= reduced + 1e-9
-            ok = ok and holds
             drops.append({"drop": drop, "c_full": full, "c_reduced": reduced,
-                          "holds": holds})
+                          "holds": full <= reduced + 1e-9})
+        ok = all(d["holds"] for d in drops)
         out["prop1"] = {"holds": ok, "drops": drops}
         failed = failed or not ok
     if 2 in props:
@@ -345,33 +317,19 @@ def _cmd_verify(args) -> int:
         out["prop2"] = {"holds": holds, "margin": mn - c}
         failed = failed or not holds
     if 3 in props:
-        b = common_information.wyner_estimate(pmf, **asdict(params))
-        if b.diagnostics.converged:
-            holds = b.value >= mx - common_information.CHAIN_TOL
-            out["prop3"] = {"holds": holds, "b_estimate": b.value,
-                            "converged": True}
-            failed = failed or not holds
-        else:
-            out["prop3"] = {"holds": None, "b_estimate": b.value,
-                            "converged": False}
+        b = common_information.wyner_estimate(pmf, **vars(params))
+        converged = b.diagnostics.converged
+        # Without a converged B the bound is not tested.
+        holds = b.value >= mx - common_information.CHAIN_TOL if converged else None
+        out["prop3"] = {"holds": holds, "b_estimate": b.value, "converged": converged}
+        failed = failed or holds is False
     if prop4 is not None:
-        out["prop4"] = {
-            "precondition_met": prop4.precondition_met,
-            "hypothesis_established": prop4.hypothesis_established,
-            "conclusion_holds": prop4.conclusion_holds,
-            "message": prop4.message,
-        }
+        fields = ("precondition_met", "hypothesis_established", "conclusion_holds", "message")
+        out["prop4"] = {name: getattr(prop4, name) for name in fields}
         failed = failed or prop4.conclusion_holds is False
     if chain is not None:
-        out["chain"] = {
-            "holds": chain.chain_holds,
-            "c_value": chain.c_value,
-            "min_pairwise_mi": chain.min_pairwise_mi,
-            "max_pairwise_mi": chain.max_pairwise_mi,
-            "b_estimate": chain.b_estimate,
-            "b_converged": chain.b_converged,
-            "link_residuals": list(chain.link_residuals),
-        }
+        fields = dict(vars(chain))
+        out["chain"] = {"holds": fields.pop("chain_holds"), **fields}
         failed = failed or not chain.chain_holds
     _emit(out)
     return 1 if failed else 0
@@ -380,6 +338,20 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _subcommand(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand that reads the law from --pmf and runs ``handler``."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.add_argument("--pmf", required=True)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _add_search_options(parser: argparse.ArgumentParser, restarts: int) -> None:
+    parser.add_argument("--w-cardinality", dest="w_cardinality", type=int)
+    parser.add_argument("--restarts", type=int, default=restarts)
+    parser.add_argument("--seed", type=int)
 
 
 # Parsing leaves a parser unchanged, so one parser serves every run of a
@@ -392,56 +364,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", help="entropies and mutual informations")
-    p_info.add_argument("--pmf", required=True)
+    p_info = _subcommand(sub, "info", _cmd_info, help="entropies and mutual informations")
     p_info.add_argument("--entropy", action="append", metavar="VARS")
     p_info.add_argument("--mi", action="append", metavar="A/B")
     p_info.add_argument("--cond-entropy", dest="cond_entropy", action="append",
                         metavar="OF/GIVEN")
-    p_info.set_defaults(handler=_cmd_info)
 
-    p_ci = sub.add_parser("common-info", help="C (exact) or B (estimate)")
-    p_ci.add_argument("--pmf", required=True)
+    p_ci = _subcommand(sub, "common-info", _cmd_common_info, help="C (exact) or B (estimate)")
     p_ci.add_argument("--method", choices=["gk", "wyner"], required=True)
-    p_ci.add_argument("--w-cardinality", dest="w_cardinality", type=int)
-    p_ci.add_argument("--restarts", type=int, default=16)
-    p_ci.add_argument("--seed", type=int)
+    _add_search_options(p_ci, restarts=16)
     p_ci.add_argument("--witness-out", dest="witness_out")
-    p_ci.set_defaults(handler=_cmd_common_info)
 
     p_region = sub.add_parser("region", help="rate-equivocation region tools")
     region_sub = p_region.add_subparsers(dest="region_command", required=True)
-    p_corner = region_sub.add_parser("corner", help="corner point of a given W")
-    p_corner.add_argument("--pmf", required=True)
+    p_corner = _subcommand(region_sub, "corner", _cmd_corner, help="corner point of a given W")
     p_corner.add_argument("--aux", required=True)
-    p_corner.set_defaults(handler=_cmd_region)
-    p_sweep = region_sub.add_parser(
-        "sweep", help="max delta across R0 budgets",
+    p_sweep = _subcommand(
+        region_sub, "sweep", _cmd_sweep, help="max delta across R0 budgets",
         description="--w-cardinality, --restarts and --seed are accepted for "
         "compatibility; they do not change the sweep.",
     )
-    p_sweep.add_argument("--pmf", required=True)
     p_sweep.add_argument("--r0-grid", dest="r0_grid", required=True)
-    p_sweep.add_argument("--w-cardinality", dest="w_cardinality", type=int)
-    p_sweep.add_argument("--restarts", type=int, default=4)
-    p_sweep.add_argument("--seed", type=int)
+    _add_search_options(p_sweep, restarts=4)
     p_sweep.add_argument("--format", choices=["structured", "csv"],
                          default="structured")
     p_sweep.add_argument("--witness-dir", dest="witness_dir")
-    p_sweep.set_defaults(handler=_cmd_region)
-    p_check = region_sub.add_parser("check", help="one-sided membership test")
-    p_check.add_argument("--pmf", required=True)
+    p_check = _subcommand(region_sub, "check", _cmd_check, help="one-sided membership test")
     p_check.add_argument("--r0", type=float, required=True)
     p_check.add_argument("--rk", required=True)
     p_check.add_argument("--delta", type=float, required=True)
     p_check.add_argument("--aux")
-    p_check.add_argument("--w-cardinality", dest="w_cardinality", type=int)
-    p_check.add_argument("--restarts", type=int, default=4)
-    p_check.add_argument("--seed", type=int)
-    p_check.set_defaults(handler=_cmd_region)
+    _add_search_options(p_check, restarts=4)
 
-    p_sim = sub.add_parser("simulate", help="random-binning Monte Carlo")
-    p_sim.add_argument("--pmf", required=True)
+    p_sim = _subcommand(sub, "simulate", _cmd_simulate, help="random-binning Monte Carlo")
     p_sim.add_argument("--aux", required=True)
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--n-grid", dest="n_grid")
@@ -456,18 +411,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=int, default=10_000_000)
     p_sim.add_argument("--format", choices=["structured", "csv"],
                        default="structured")
-    p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_verify = sub.add_parser("verify", help="property and bound-chain checks")
-    p_verify.add_argument("--pmf", required=True)
+    p_verify = _subcommand(sub, "verify", _cmd_verify, help="property and bound-chain checks")
     p_verify.add_argument("--props", help="property ids, comma list from "
                           "1,2,3,4 (monotonicity, min-MI upper bound, "
                           "max-MI lower bound, equal-MI case)")
     p_verify.add_argument("--chain", action="store_true")
-    p_verify.add_argument("--w-cardinality", dest="w_cardinality", type=int)
-    p_verify.add_argument("--restarts", type=int, default=16)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.set_defaults(handler=_cmd_verify)
+    _add_search_options(p_verify, restarts=16)
 
     return parser
 

@@ -35,13 +35,12 @@ entropies stream over chunks of bounded size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
 
-from .distributions import AuxChannel, JointPmf
+from .distributions import AuxChannel, JointPmf, check_integer
 from .errors import CodebookTooLargeError, EnumerationTooLargeError, ShapeMismatchError
 from .infotheory import PairStats, entropy_of_vector
 
@@ -56,10 +55,6 @@ SEED_LIMIT = 1 << 63
 CHUNK_ELEMENTS = 1 << 20
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CodeConfig:
     """Blocklength, per-exponent rate slack, typicality tolerance, seed."""
@@ -70,18 +65,14 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_integer(self.n):
-            raise TypeError(f"blocklength n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("blocklength n must be >= 1")
+        check_integer(self.n, 1, "blocklength n")
         if not (math.isfinite(self.slack) and self.slack >= 0):
             raise ValueError(f"slack must be finite and >= 0, got {self.slack}")
         tol = self.typicality_tolerance
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"typicality_tolerance must be finite and > 0, got {tol}")
-        if not _is_integer(self.seed):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < SEED_LIMIT:
+        check_integer(self.seed, 0, "seed")
+        if self.seed >= SEED_LIMIT:
             raise ValueError(f"seed must be in 0..2^63 - 1, got {self.seed}")
 
 
@@ -370,10 +361,7 @@ def run_trials(pmf: JointPmf, w: AuxChannel, cfg: CodeConfig, trials: int) -> Si
 
 def _run_trials(codebook: Codebook, trials: int) -> SimReport:
     """``run_trials`` on a codebook that is already built."""
-    if not _is_integer(trials):
-        raise TypeError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_integer(trials, 1, "trials")
     stats = codebook.stats
     pmf, cfg = stats.pmf, codebook.config
     n = cfg.n
@@ -487,10 +475,7 @@ def exact_equivocation(
     CHUNK_ELEMENTS / 16 blocks, about 100 bytes of temporaries each, unless
     one rest sequence alone has more blocks.
     """
-    if not _is_integer(enumeration_limit):
-        raise TypeError(f"enumeration_limit must be an integer, got {enumeration_limit!r}")
-    if enumeration_limit < 1:
-        raise ValueError(f"enumeration_limit must be >= 1, got {enumeration_limit}")
+    check_integer(enumeration_limit, 1, "enumeration_limit")
     if cfg != codebook.config:
         raise ValueError(f"cfg {cfg} differs from the codebook's {codebook.config}")
     stats = _own_stats(codebook, pmf, w)

@@ -46,6 +46,7 @@ from .distributions import (
     AuxChannel,
     JointPmf,
     SupportView,
+    check_integer,
     check_selection,
     deterministic_channel,
     symbol_nodes,
@@ -537,9 +538,9 @@ def wyner_estimate(
         restarts, seed, **tuning,
     )
     w_card = view.w_cardinality(w_cardinality)
-    _optim.check_integer(params.restarts, 1, "restarts")
+    check_integer(params.restarts, 1, "restarts")
     for name in ("seed", "max_sweeps", "block_maxiter"):
-        _optim.check_integer(getattr(params, name), 0, name)
+        check_integer(getattr(params, name), 0, name)
     need = 8 * w_card * (14 * params.restarts * view.size + 2 * view.num_outcomes)
     if need > WYNER_BYTES_LIMIT:
         raise ChannelTooLargeError(f"|W| = {w_card} needs about {need} bytes, over the byte guard")

@@ -19,7 +19,6 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ._optim import check_integer
 from .errors import (
     EmptySelectionError,
     NegativeMassError,
@@ -31,6 +30,18 @@ from .errors import (
 )
 
 NORMALIZATION_TOL = 1e-12
+
+
+def check_integer(value, minimum: int, name: str, error: type = ValueError) -> None:
+    """Reject a setting ``name`` that is not an integer (numpy integers pass;
+    a bool does not) with TypeError, and one below ``minimum`` with ``error``."""
+    # A plain int (a bool's type is bool) skips the ABC checks.
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -54,7 +65,10 @@ class JointPmf:
 
     def __post_init__(self):
         names = tuple(str(v) for v in self.variable_names)
-        cards = tuple(int(c) for c in self.cardinalities)
+        cards = tuple(self.cardinalities)
+        for c in cards:
+            check_integer(c, 1, "cardinality", ShapeMismatchError)
+        cards = tuple(int(c) for c in cards)
         tensor = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "variable_names", names)
         object.__setattr__(self, "cardinalities", cards)
@@ -62,8 +76,6 @@ class JointPmf:
             raise ShapeMismatchError(
                 f"{len(names)} variable names but {len(cards)} cardinalities"
             )
-        if any(c < 1 for c in cards):
-            raise ShapeMismatchError(f"cardinalities must be positive: {cards}")
         expected = math.prod(cards)
         if tensor.size != expected:
             raise ShapeMismatchError(
@@ -191,10 +203,9 @@ class AuxChannel:
     _seed = None
 
     def __post_init__(self):
+        check_integer(self.w_cardinality, 1, "w_cardinality", ShapeMismatchError)
         object.__setattr__(self, "w_cardinality", int(self.w_cardinality))
         rows = np.asarray(self.rows, dtype=float)
-        if self.w_cardinality < 1:
-            raise ShapeMismatchError("w_cardinality must be >= 1")
         if rows.ndim != 2 or rows.shape[1] != self.w_cardinality:
             raise ShapeMismatchError(
                 f"rows must have shape (num_outcomes, {self.w_cardinality}), "
@@ -377,10 +388,7 @@ def constant_channel(pmf: JointPmf, w_cardinality: int = 1) -> AuxChannel:
 
     ``w_cardinality`` must be an integer (numpy integers too; not a bool)
     of at least 1, checked before the rows are allocated."""
-    if isinstance(w_cardinality, bool) or not isinstance(w_cardinality, numbers.Integral):
-        raise TypeError(f"w_cardinality must be an integer, got {w_cardinality!r}")
-    if w_cardinality < 1:
-        raise ShapeMismatchError("w_cardinality must be >= 1")
+    check_integer(w_cardinality, 1, "w_cardinality", ShapeMismatchError)
     rows = np.zeros((pmf.num_outcomes, w_cardinality))
     rows[:, 0] = 1.0
     w = _one_hot_channel(rows)
@@ -401,7 +409,10 @@ def copy_channel(pmf: JointPmf) -> AuxChannel:
 def deterministic_channel(
     pmf: JointPmf, labels: Sequence[int], w_cardinality: int | None = None
 ) -> AuxChannel:
-    """W = labels[outcome] with probability one."""
+    """W = labels[outcome] with probability one; ``w_cardinality`` is checked
+    as ``AuxChannel`` checks it."""
+    if w_cardinality is not None:
+        check_integer(w_cardinality, 1, "w_cardinality", ShapeMismatchError)
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (pmf.num_outcomes,):
         raise ShapeMismatchError(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _optim
 from .common_information import _require_sources, gk_common_information
-from .distributions import AuxChannel, JointPmf, constant_channel, copy_channel
+from .distributions import AuxChannel, JointPmf, check_integer, constant_channel, copy_channel
 from .errors import KTooSmallError, ShapeMismatchError
 from .infotheory import _entropy, corner_measures
 
@@ -214,7 +214,7 @@ def is_achievable(
     turn, then one soft channel per restart r, from seed (seed, r), up to
     the first that certifies ``t``; this Unknown claims nothing.
     """
-    _optim.check_integer(restarts, 0, "restarts")
+    check_integer(restarts, 0, "restarts")
     _require_sources(pmf)
     view = pmf.support
     w_card = view.w_cardinality(w_cardinality)

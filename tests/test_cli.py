@@ -76,6 +76,28 @@ class TestInfo:
         assert code == 2
         assert "unknown variable" in err
 
+    def test_empty_subset_is_usage_error(self, docs):
+        assert cli("info", "--pmf", docs["ex1"], "--entropy", ",") == (
+            2, "", "usage error: empty variable subset ','\n")
+
+    @pytest.mark.parametrize("option, shape", [("--mi", "A/B"), ("--cond-entropy", "OF/GIVEN")])
+    def test_a_pair_without_its_slash_is_usage_error(self, docs, option, shape):
+        assert cli("info", "--pmf", docs["ex1"], option, "0") == (
+            2, "", f"usage error: {option} expects {shape}, got '0'\n")
+
+    @pytest.mark.parametrize("option, text", [
+        ("--entropy", "5"), ("--entropy", "-1"), ("--entropy", "X1,3"),
+        ("--mi", "0/5"), ("--mi", "-1/0"),
+        ("--cond-entropy", "5/0"), ("--cond-entropy", "0/-2"),
+    ])
+    def test_an_index_out_of_range_is_usage_error(self, docs, option, text):
+        code, out, err = cli("info", "--pmf", docs["ex1"], f"{option}={text}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: variable index ")
+        assert err.endswith(" out of range for 3 variables\n")
+        assert err.count("\n") == 1
+
 
 class TestCommonInfo:
     def test_gk_on_example2(self, docs):
@@ -188,6 +210,24 @@ class TestRegion:
         assert code == 0
         assert json.loads(out)["verdict"] == "achievable"
 
+    @pytest.mark.parametrize("how", [["--seed", "1"], ["--aux", "{wx0}"]],
+                             ids=["search", "aux"])
+    def test_an_unknown_verdict_prints_no_witness(self, docs, how):
+        # Zero rates with zero equivocation lie outside the region of example 2:
+        # the converse rejects the tuple, and the given channel misses it.
+        code, out, err = cli(
+            "region", "check", "--pmf", docs["ex2"], "--r0", "0", "--rk", "0,0,0",
+            "--delta", "0", *(arg.format(**docs) for arg in how),
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "verdict": "unknown",\n  "witness": {\n    "present": false\n  }\n}\n'
+        )
+
+    def test_malformed_r0_grid_is_usage_error(self, docs):
+        assert cli("region", "sweep", "--pmf", docs["ex2"], "--r0-grid", "0,x") == (
+            2, "", "usage error: expected comma-separated numbers, got '0,x'\n")
+
 
 class TestSimulate:
     def test_structured_report(self, docs):
@@ -221,6 +261,39 @@ class TestSimulate:
         assert lines[0].startswith("# schema: graywyner.simulate.trend v1")
         assert lines[1] == "n,encoder_failure_rate,pe_1,pe_2,pe_3"
         assert len(lines) == 4
+
+    def test_trend_csv_with_exact_equivocation(self, docs):
+        code, out, _ = cli(
+            "simulate", "--pmf", docs["ex2"], "--aux", docs["wx0"],
+            "--n-grid", "2,3", "--slack", "0.25", "--trials", "20",
+            "--seed", "7", "--format", "csv", "--exact-equivocation",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == (
+            "n,encoder_failure_rate,pe_1,pe_2,pe_3,"
+            "equivocation_1,equivocation_2,equivocation_3"
+        )
+        pmf, w = example2(), example2_w_x0()
+        for n, line in zip((2, 3), lines[2:], strict=True):
+            cfg = gw.CodeConfig(n=n, slack=0.25, seed=7)
+            book = gw.build_codebook(pmf, w, cfg)
+            exact = [repr(gw.exact_equivocation(pmf, w, book, cfg, k)) for k in range(3)]
+            assert line.split(",")[0] == str(n)
+            assert line.split(",")[5:] == exact
+
+    @pytest.mark.parametrize("grid", [[], ["--n-grid", ","]], ids=["none", "empty"])
+    def test_needs_a_blocklength(self, docs, grid):
+        assert cli(
+            "simulate", "--pmf", docs["ex2"], "--aux", docs["wx0"], *grid,
+            "--slack", "0.25", "--trials", "10", "--seed", "7",
+        ) == (2, "", "usage error: provide --n or --n-grid\n")
+
+    def test_malformed_n_grid_is_usage_error(self, docs):
+        assert cli(
+            "simulate", "--pmf", docs["ex2"], "--aux", docs["wx0"], "--n-grid", "2,2.5",
+            "--slack", "0.25", "--trials", "10", "--seed", "7",
+        ) == (2, "", "usage error: expected comma-separated integers, got '2,2.5'\n")
 
     def test_each_codebook_is_built_once(self, docs, monkeypatch):
         # The trials and the exact equivocations of one blocklength share
@@ -303,6 +376,19 @@ class TestVerify:
     def test_chain_requires_seed(self, docs):
         code, _, err = cli("verify", "--pmf", docs["ex2"], "--chain")
         assert code == 2
+
+    def test_unknown_property_is_usage_error(self, docs):
+        assert cli("verify", "--pmf", docs["ex2"], "--props", "1,5") == (
+            2, "", "usage error: unknown property ids [5]\n")
+
+    def test_prop3_holds_nothing_when_b_did_not_converge(self, docs):
+        # One restart at |W| = 1 stops short of convergence on example 2.
+        code, out, err = cli("verify", "--pmf", docs["ex2"], "--props", "3",
+                             "--w-cardinality", "1", "--restarts", "1", "--seed", "1")
+        assert (code, err) == (0, "")
+        prop3 = json.loads(out)["prop3"]
+        assert list(prop3.items()) == [
+            ("holds", None), ("b_estimate", 0.0), ("converged", False)]
 
 
 class TestErrorPaths:

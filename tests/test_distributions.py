@@ -252,6 +252,29 @@ class TestChannels:
         with pytest.raises(TypeError, match="w_cardinality must be an integer"):
             gw.constant_channel(dsbs(0.3), m)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True], ids=["float", "whole_float", "bool"])
+    @pytest.mark.parametrize("build", [
+        lambda m: gw.JointPmf(("A",), (m,), [0.5, 0.5]),
+        lambda m: gw.AuxChannel(m, np.full((2, int(m)), 1.0 / int(m))),
+        lambda m: gw.deterministic_channel(fair_bit(), [0, 0], m),
+        lambda m: gw.constant_channel(fair_bit(), m),
+    ], ids=["joint_pmf", "aux_channel", "deterministic_channel", "constant_channel"])
+    def test_sizes_must_be_integers(self, build, size):
+        # Each was truncated by int(): 2.5 and 2.0 to 2, True to 1.
+        with pytest.raises(TypeError, match="must be an integer"):
+            build(size)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: gw.JointPmf(("A", "B"), (2, m), [0.5, 0.5]),
+        lambda m: gw.AuxChannel(m, np.ones((2, int(m)))),
+        lambda m: gw.deterministic_channel(fair_bit(), [0, 0], m),
+        lambda m: gw.constant_channel(fair_bit(), m),
+    ], ids=["joint_pmf", "aux_channel", "deterministic_channel", "constant_channel"])
+    def test_sizes_below_one_are_shape_mismatches(self, build):
+        with pytest.raises(ShapeMismatchError, match="must be >= 1"):
+            build(0)
+        assert build(np.int64(1)) is not None
+
     def test_constant_channel_takes_a_numpy_integer(self):
         chan = gw.constant_channel(dsbs(0.3), np.int64(3))
         assert chan.w_cardinality == 3
